@@ -39,6 +39,7 @@ from .methods import Method, RatingVector
 from .model import (
     Permutation,
     RankingProblem,
+    changed_pairs,
     derive,
     flat_results,
     negate,
@@ -333,20 +334,17 @@ def check_independence(axiom: Axiom, method: Method, witness: ChangedPairWitness
     if not (0 <= k < n and 0 <= l < n) or k == l:
         raise ValueError(f"edited pair {witness.pair} is not a pair of distinct objects")
     k, l = min(k, l), max(k, l)
-    t1, t2 = first.tournament, second.tournament
-    for i in range(n):
-        for j in range(i + 1, n):
-            same = t1[i][j] == t2[i][j] and t1[j][i] == t2[j][i]
-            if (i, j) == (k, l):
-                if same:
-                    raise NotSingleDifference("the edited pair's comparisons are identical")
-            elif not same:
-                raise NotSingleDifference(
-                    f"problems also differ on {first.labels[i]} vs {first.labels[j]}"
-                )
-    if axiom is Axiom.IIR and t1[k][l] + t1[l][k] != t2[k][l] + t2[l][k]:
-        raise MatchesChanged("the edit must keep the pair's number of matches")
     labels = first.labels
+    diffs = changed_pairs(first, second)
+    others = [pair for pair in diffs if pair != (k, l)]
+    # Report whichever defect comes first in pair order.
+    if (k, l) not in diffs and not (others and others[0] < (k, l)):
+        raise NotSingleDifference("the edited pair's comparisons are identical")
+    if others:
+        i, j = others[0]
+        raise NotSingleDifference(f"problems also differ on {labels[i]} vs {labels[j]}")
+    if axiom is Axiom.IIR and derive(first).matches[k][l] != derive(second).matches[k][l]:
+        raise MatchesChanged("the edit must keep the pair's number of matches")
     f = _rate(method, first, "the original problem")
     g = _rate(method, second, "the edited problem")
     bad = independence_failures(f.values, g.values, (k, l))

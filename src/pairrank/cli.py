@@ -33,7 +33,7 @@ from .errors import (
 )
 from .io import parse_problem, parse_rational, render_matrix, render_rating
 from .methods import METHOD_KEYS, REASONABLE, Method, ranking
-from .model import Permutation, RankingProblem
+from .model import Permutation, RankingProblem, changed_pairs
 from .reproduce import render_reports, reproduce_many
 from .search import DOMAINS, MODES, SearchConfig, search
 
@@ -84,14 +84,7 @@ def _parse_pair(text: str) -> tuple[int, int]:
 def _detect_changed_pair(first: RankingProblem, second: RankingProblem) -> tuple[int, int]:
     if first.labels != second.labels:
         raise LabelMismatch("the two problems must rank the same objects")
-    t1, t2 = first.tournament, second.tournament
-    n = first.size
-    diffs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if t1[i][j] != t2[i][j] or t1[j][i] != t2[j][i]
-    ]
+    diffs = changed_pairs(first, second)
     if len(diffs) != 1:
         raise NotSingleDifference(
             f"the problems differ on {len(diffs)} pairs; exactly one is needed"

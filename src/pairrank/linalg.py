@@ -22,17 +22,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = ONE
-    return out
-
-
 def mat_vec(a: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vector:
     return [sum((row[j] * x[j] for j in range(len(x))), ZERO) for row in a]
 

@@ -88,9 +88,10 @@ def ranking(rating: RatingVector) -> WeakOrder:
 
 def score(problem: RankingProblem) -> RatingVector:
     """Net result of each object: wins minus losses, summed over all pairs."""
-    t = problem.tournament
-    n = problem.size
-    values = tuple(sum((t[i][j] - t[j][i] for j in range(n)), ZERO) for i in range(n))
+    d = problem.denominator
+    won = [sum(row) for row in problem.scaled]
+    lost = [sum(column) for column in zip(*problem.scaled)]
+    values = tuple(Fraction(w - l, d) for w, l in zip(won, lost))
     return RatingVector("score", problem.labels, values)
 
 
@@ -166,12 +167,13 @@ def least_squares(problem: RankingProblem) -> RatingVector:
 def _fair_bets_values(problem: RankingProblem) -> tuple[Fraction, ...]:
     if not is_irreducible(problem):
         raise ReducibleProblem("results digraph is not strongly connected")
-    t = problem.tournament
-    n = problem.size
-    losses = [sum((t[j][i] for j in range(n)), ZERO) for i in range(n)]
+    # The nullspace and its normalized member do not depend on the
+    # common scale, so the integer matrix stands in for the tournament.
+    t = problem.scaled
+    losses = [sum(column) for column in zip(*t)]
     a = [
-        [t[i][j] - losses[i] if i == j else t[i][j] for j in range(n)]
-        for i in range(n)
+        [v - losses[i] if i == j else v for j, v in enumerate(row)]
+        for i, row in enumerate(t)
     ]
     v = linalg.nullspace_1d(a)
     positive = all(x > 0 for x in v)

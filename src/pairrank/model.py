@@ -9,16 +9,28 @@ half and half. The only structural requirements are that scores are
 nonnegative, nobody plays themselves, and ``t[i][j] + t[j][i]`` counts
 a whole number of encounters.
 
-All arithmetic is done with :class:`fractions.Fraction`. Floats are
-rejected at construction time so no rounding error can enter a problem.
+A problem stores its tournament as integers over one common
+denominator, ``t[i][j] = scaled[i][j] / denominator``, with the
+smallest denominator that makes every numerator an integer, so equal
+tournaments are stored, compare and hash alike. Values enter and leave
+the API as :class:`fractions.Fraction`: the constructor takes exact
+rationals and ``tournament`` gives them back. Floats are rejected at
+construction time so no rounding error can enter a problem.
+
+The structural predicates and transforms are kernels over integer
+matrices. None of them depends on the common scale, so they apply
+unchanged to any positive multiple of a tournament, such as the
+denominator-2 grid of the counterexample search.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable
 
 from .errors import (
     DiagonalNonZero,
@@ -30,9 +42,9 @@ from .errors import (
     UnknownLabel,
 )
 
-Rational = Fraction
-
 ZERO = Fraction(0)
+
+Matrix = tuple[tuple[int, ...], ...]
 
 
 def as_rational(value) -> Fraction:
@@ -49,49 +61,87 @@ def as_rational(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RankingProblem:
     """Labelled objects plus their tournament matrix.
 
-    The constructor normalizes rows to tuples of Fractions and checks
+    ``RankingProblem(labels, tournament)`` takes exact rationals;
+    :meth:`from_scaled` takes integers over a denominator. Both check
     every structural invariant, so an instance that exists is valid.
     """
 
     labels: tuple[str, ...]
-    tournament: tuple[tuple[Fraction, ...], ...]
+    scaled: Matrix
+    denominator: int
 
-    def __post_init__(self):
-        labels = tuple(str(label) for label in self.labels)
+    def __init__(self, labels, tournament):
+        self.__post_init__(labels, tournament, None)
+
+    @classmethod
+    def from_scaled(cls, labels, scaled, denominator: int) -> "RankingProblem":
+        """The problem whose tournament is ``scaled[i][j] / denominator``."""
+        problem = cls.__new__(cls)
+        problem.__post_init__(labels, scaled, denominator)
+        return problem
+
+    def __post_init__(self, labels, rows, denominator):
+        # The one validation step every constructor runs. ``denominator``
+        # None means ``rows`` holds rationals, otherwise integers over it.
+        labels = tuple(str(label) for label in labels)
         if len(labels) < 2:
             raise FewerThanTwoObjects(f"need at least two objects, got {len(labels)}")
         if len(set(labels)) != len(labels):
             raise DuplicateLabel(f"labels are not distinct: {labels}")
         n = len(labels)
-        rows = []
-        for i, row in enumerate(self.tournament):
-            row = tuple(as_rational(v) for v in row)
+        convert = as_rational if denominator is None else operator.index
+        checked = []
+        for i, row in enumerate(rows):
+            row = tuple(map(convert, row))
             if len(row) != n:
                 raise ValueError(f"tournament row {i} has {len(row)} entries, expected {n}")
-            rows.append(row)
-        if len(rows) != n:
-            raise ValueError(f"tournament has {len(rows)} rows, expected {n}")
+            checked.append(row)
+        if len(checked) != n:
+            raise ValueError(f"tournament has {len(checked)} rows, expected {n}")
+        fractions = None
+        if denominator is None:
+            fractions = tuple(checked)
+            denominator = math.lcm(*(v.denominator for row in fractions for v in row))
+            checked = [
+                tuple(v.numerator * (denominator // v.denominator) for v in row)
+                for row in fractions
+            ]
+        elif operator.index(denominator) <= 0:
+            raise ValueError(f"denominator must be positive, got {denominator}")
         for i in range(n):
-            if rows[i][i] != 0:
+            if checked[i][i] != 0:
                 raise DiagonalNonZero(f"object {labels[i]} is scored against itself")
             for j in range(n):
-                if rows[i][j] < 0:
+                if checked[i][j] < 0:
                     raise NegativeEntry(
-                        f"negative score {rows[i][j]} for {labels[i]} against {labels[j]}"
+                        f"negative score {Fraction(checked[i][j], denominator)}"
+                        f" for {labels[i]} against {labels[j]}"
                     )
-                if j > i:
-                    total = rows[i][j] + rows[j][i]
-                    if total.denominator != 1:
-                        raise NonIntegerPairSum(
-                            f"{labels[i]} and {labels[j]} played {total} matches,"
-                            " which is not a whole number"
-                        )
+                if j > i and (checked[i][j] + checked[j][i]) % denominator:
+                    total = Fraction(checked[i][j] + checked[j][i], denominator)
+                    raise NonIntegerPairSum(
+                        f"{labels[i]} and {labels[j]} played {total} matches,"
+                        " which is not a whole number"
+                    )
+        common = math.gcd(denominator, *(v for row in checked for v in row))
+        if common > 1:
+            checked = [tuple(v // common for v in row) for row in checked]
+            denominator //= common
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "tournament", tuple(rows))
+        object.__setattr__(self, "scaled", tuple(checked))
+        object.__setattr__(self, "denominator", denominator)
+        if fractions is not None:
+            object.__setattr__(self, "tournament", fractions)
+
+    @cached_property
+    def tournament(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The tournament matrix as exact Fractions."""
+        d = self.denominator
+        return tuple(tuple(Fraction(v, d) for v in row) for row in self.scaled)
 
     @property
     def size(self) -> int:
@@ -109,12 +159,10 @@ class RankingProblem:
 
 @dataclass(frozen=True)
 class DerivedStructure:
-    """Matrices derived from a tournament: results, matches, Laplacian."""
+    """Integer matrices derived from a tournament: matches and Laplacian."""
 
-    results: tuple[tuple[Fraction, ...], ...]
     matches: tuple[tuple[int, ...], ...]
     laplacian: tuple[tuple[int, ...], ...]
-    degrees: tuple[int, ...]
     max_matches: int
 
 
@@ -144,41 +192,101 @@ def build_problem(labels: Iterable, entries: Iterable[tuple]) -> RankingProblem:
 
 
 def derive(problem: RankingProblem) -> DerivedStructure:
-    """Compute results A = T - T^t, matches M = T + T^t and the Laplacian.
+    """Compute the matches M = T + T^t and the Laplacian.
 
     Match counts are integers by the pair-sum invariant, and the
     Laplacian is L = diag(degrees) - M where a degree is the total
     number of matches an object played.
     """
-    t = problem.tournament
-    n = problem.size
-    results = tuple(tuple(t[i][j] - t[j][i] for j in range(n)) for i in range(n))
-    matches = tuple(tuple(int(t[i][j] + t[j][i]) for j in range(n)) for i in range(n))
-    degrees = tuple(sum(row) for row in matches)
+    d = problem.denominator
+    both_ways = add(problem.scaled, transpose(problem.scaled))
+    matches = tuple(tuple(v // d for v in row) for row in both_ways)
     laplacian = tuple(
-        tuple(degrees[i] - matches[i][i] if i == j else -matches[i][j] for j in range(n))
-        for i in range(n)
+        tuple(sum(row) if i == j else -v for j, v in enumerate(row))
+        for i, row in enumerate(matches)
     )
     max_matches = max(max(row) for row in matches)
-    return DerivedStructure(results, matches, laplacian, degrees, max_matches)
+    return DerivedStructure(matches, laplacian, max_matches)
 
+
+# --- kernels over integer tournament matrices -------------------------------
+
+def transpose(m: Matrix) -> Matrix:
+    """Every result swapped: entry (i, j) becomes entry (j, i)."""
+    return tuple(zip(*m))
+
+
+def add(a: Matrix, b: Matrix) -> Matrix:
+    """Entrywise sum of two matrices on one scale."""
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def relabel(m: Matrix, sigma: Permutation) -> Matrix:
+    """The matrix with new[sigma(i)][sigma(j)] = m[i][j]."""
+    source = sigma.inverse().image
+    return tuple(tuple(m[i][j] for j in source) for i in source)
+
+
+def _reaches_all(n: int, arc) -> bool:
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in range(n):
+            if w not in seen and arc(v, w):
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
+def connected(m: Matrix) -> bool:
+    """True when the undirected matches multigraph has a single component."""
+    return _reaches_all(len(m), lambda v, w: m[v][w] > 0 or m[w][v] > 0)
+
+
+def irreducible(m: Matrix) -> bool:
+    """True when the directed "scored against" graph is strongly connected.
+
+    There is an arc i -> j whenever m[i][j] > 0. Strong connectivity is
+    checked by reaching every vertex from vertex 0 along arcs and again
+    along reversed arcs.
+    """
+    n = len(m)
+    return _reaches_all(n, lambda v, w: m[v][w] > 0) and _reaches_all(n, lambda v, w: m[w][v] > 0)
+
+
+def round_robin(m: Matrix) -> bool:
+    """True when every pair met the same positive number of times."""
+    n = len(m)
+    count = m[0][1] + m[1][0]
+    if count <= 0:
+        return False
+    return all(m[i][j] + m[j][i] == count for i in range(n) for j in range(i + 1, n))
+
+
+def flat(m: Matrix) -> bool:
+    """True when every comparison ended balanced, m[i][j] == m[j][i]."""
+    n = len(m)
+    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+# --- the same, on problems ---------------------------------------------------
 
 def negate(problem: RankingProblem) -> RankingProblem:
     """Swap every result: the transposed tournament on the same objects."""
-    n = problem.size
-    t = problem.tournament
-    return RankingProblem(problem.labels, tuple(tuple(t[j][i] for j in range(n)) for i in range(n)))
+    return RankingProblem.from_scaled(problem.labels, transpose(problem.scaled), problem.denominator)
 
 
 def sum_problems(first: RankingProblem, second: RankingProblem) -> RankingProblem:
     """Entrywise sum of two tournaments over the same labelled objects."""
     if first.labels != second.labels:
         raise LabelMismatch(f"label sets differ: {first.labels} vs {second.labels}")
-    rows = tuple(
-        tuple(a + b for a, b in zip(ra, rb))
-        for ra, rb in zip(first.tournament, second.tournament)
+    d = math.lcm(first.denominator, second.denominator)
+    a, b = (
+        tuple(tuple(v * (d // p.denominator) for v in row) for row in p.scaled)
+        for p in (first, second)
     )
-    return RankingProblem(first.labels, rows)
+    return RankingProblem.from_scaled(first.labels, add(a, b), d)
 
 
 @dataclass(frozen=True)
@@ -192,10 +300,6 @@ class Permutation:
         if sorted(image) != list(range(len(image))):
             raise ValueError(f"{image} is not a permutation of 0..{len(image) - 1}")
         object.__setattr__(self, "image", image)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
 
     @classmethod
     def from_one_based(cls, images: Iterable[int]) -> "Permutation":
@@ -224,74 +328,39 @@ def permute(problem: RankingProblem, sigma: Permutation) -> RankingProblem:
     n = problem.size
     if sigma.size != n:
         raise ValueError(f"permutation acts on {sigma.size} objects, problem has {n}")
-    labels = [""] * n
-    rows = [[ZERO] * n for _ in range(n)]
-    t = problem.tournament
-    for i in range(n):
-        labels[sigma(i)] = problem.labels[i]
-        for j in range(n):
-            rows[sigma(i)][sigma(j)] = t[i][j]
-    return RankingProblem(tuple(labels), tuple(tuple(row) for row in rows))
-
-
-def _bfs(n: int, neighbours) -> set[int]:
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in neighbours(v):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
+    labels = tuple(problem.labels[i] for i in sigma.inverse().image)
+    return RankingProblem.from_scaled(labels, relabel(problem.scaled, sigma), problem.denominator)
 
 
 def is_connected(problem: RankingProblem) -> bool:
-    """True when the undirected matches multigraph has a single component."""
-    t = problem.tournament
-    n = problem.size
-
-    def neighbours(v):
-        return [w for w in range(n) if w != v and (t[v][w] > 0 or t[w][v] > 0)]
-
-    return len(_bfs(n, neighbours)) == n
+    """See :func:`connected`."""
+    return connected(problem.scaled)
 
 
 def is_irreducible(problem: RankingProblem) -> bool:
-    """True when the directed "scored against" graph is strongly connected.
-
-    There is an arc i -> j whenever t[i][j] > 0. Strong connectivity is
-    checked by reaching every vertex from vertex 0 along arcs and again
-    along reversed arcs.
-    """
-    t = problem.tournament
-    n = problem.size
-
-    def forward(v):
-        return [w for w in range(n) if t[v][w] > 0]
-
-    def backward(v):
-        return [w for w in range(n) if t[w][v] > 0]
-
-    return len(_bfs(n, forward)) == n and len(_bfs(n, backward)) == n
+    """See :func:`irreducible`."""
+    return irreducible(problem.scaled)
 
 
 def is_round_robin(problem: RankingProblem) -> bool:
-    """True when every pair met the same positive number of times."""
-    t = problem.tournament
-    n = problem.size
-    count = t[0][1] + t[1][0]
-    if count <= 0:
-        return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if t[i][j] + t[j][i] != count:
-                return False
-    return True
+    """See :func:`round_robin`."""
+    return round_robin(problem.scaled)
 
 
 def flat_results(problem: RankingProblem) -> bool:
-    """True when every comparison ended balanced, t[i][j] == t[j][i]."""
-    t = problem.tournament
-    n = problem.size
-    return all(t[i][j] == t[j][i] for i in range(n) for j in range(i + 1, n))
+    """See :func:`flat`."""
+    return flat(problem.scaled)
+
+
+def changed_pairs(first: RankingProblem, second: RankingProblem) -> list[tuple[int, int]]:
+    """Pairs i < j, in order, whose comparisons differ between two
+    problems on the same objects."""
+    a, da = first.scaled, first.denominator
+    b, db = second.scaled, second.denominator
+    n = first.size
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if a[i][j] * db != b[i][j] * da or a[j][i] * db != b[j][i] * da
+    ]

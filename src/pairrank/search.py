@@ -1,15 +1,20 @@
 """Exhaustive and randomized counterexample search over small problems.
 
-Candidates are tournaments stored in doubled form: an integer matrix
-``dt`` with ``dt[i][j] = 2 t[i][j]``, which makes the search space a
-finite grid. A pair playing ``m`` matches contributes ``dt[i][j] =
-m + a`` and ``dt[j][i] = m - a`` for an integer result ``a`` between
-``-m`` and ``m``, so every candidate score is a half-integer. The
-canonical order is: ascending object count, then ascending total number
-of matches, then lexicographic on the flattened doubled matrix.
+Candidates are tournaments in the integer form a
+:class:`~pairrank.model.RankingProblem` stores, at denominator 2: a
+matrix ``dt`` with ``dt[i][j] = 2 t[i][j]``, which makes the search
+space a finite grid. A pair playing ``m`` matches contributes
+``dt[i][j] = m + a`` and ``dt[j][i] = m - a`` for an integer result
+``a`` between ``-m`` and ``m``, so every candidate score is a
+half-integer. The canonical order is: ascending object count, then
+ascending total number of matches, then lexicographic on the flattened
+matrix. Domain filters and the transforms the axioms need (transpose,
+relabel, sum) are the scale-free kernels of :mod:`pairrank.model`,
+applied to the grid directly; a problem is built only to rate a
+candidate not rated before, or to report a witness.
 
-The scan evaluates ratings on exact values and shares its comparison
-logic with the public checkers. A candidate can be skipped only when it
+The scan evaluates ratings exactly and shares its comparison logic with
+the public checkers. A candidate can be skipped only when it
 provably cannot witness a violation (wrong shape for the axiom, method
 undefined, or a premise that cannot hold, such as no common input tie
 for tie preservation). Every hit is replayed through the public checker
@@ -18,9 +23,9 @@ before it is returned, so a reported witness is never a scan artifact.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from .axioms import (
@@ -36,12 +41,21 @@ from .axioms import (
 )
 from .errors import MethodPreconditionError, PreconditionUnmet, WitnessError
 from .methods import Method
-from .model import Permutation, RankingProblem
+from .model import (
+    Matrix,
+    Permutation,
+    RankingProblem,
+    add,
+    connected,
+    flat,
+    irreducible,
+    relabel,
+    round_robin,
+    transpose,
+)
 
 DOMAINS = ("all", "connected", "irreducible", "roundrobin")
 MODES = ("exhaustive", "random")
-
-Doubled = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -101,104 +115,24 @@ def _labels(n: int) -> tuple[str, ...]:
     return tuple(f"X{i + 1}" for i in range(n))
 
 
-def _problem(dt: Doubled) -> RankingProblem:
-    return RankingProblem(_labels(len(dt)), tuple(tuple(Fraction(v, 2) for v in row) for row in dt))
+def _problem(dt: Matrix) -> RankingProblem:
+    return RankingProblem.from_scaled(_labels(len(dt)), dt, 2)
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def _doubled_score(dt: Doubled) -> tuple[int, ...]:
-    # Row sums minus column sums of the doubled matrix: exactly twice
-    # the score vector, so all order comparisons agree with it.
-    n = len(dt)
-    cols = [0] * n
-    rows = [0] * n
-    for i, row in enumerate(dt):
-        total = 0
-        for j, v in enumerate(row):
-            total += v
-            cols[j] += v
-        rows[i] = total
-    return tuple(r - c for r, c in zip(rows, cols))
-
-
-def _dt_sum(a: Doubled, b: Doubled) -> Doubled:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _dt_transpose(dt: Doubled) -> Doubled:
-    n = len(dt)
-    return tuple(tuple(dt[j][i] for j in range(n)) for i in range(n))
-
-
-def _dt_permute(dt: Doubled, sigma: Permutation) -> Doubled:
-    n = len(dt)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[sigma(i)][sigma(j)] = dt[i][j]
-    return tuple(tuple(row) for row in out)
-
-
-def _dt_flat(dt: Doubled) -> bool:
-    n = len(dt)
-    return all(dt[i][j] == dt[j][i] for i in range(n) for j in range(i + 1, n))
-
-
-def _dt_flatten(dt: Doubled) -> Doubled:
+def _even_split(dt: Matrix) -> Matrix:
     """Rebalance each pair's matches into an even split, keeping counts."""
-    n = len(dt)
-    return tuple(
-        tuple((dt[i][j] + dt[j][i]) // 2 if i != j else 0 for j in range(n))
-        for i in range(n)
-    )
-
-
-def _dt_connected(dt: Doubled) -> bool:
-    n = len(dt)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in range(n):
-            if w not in seen and (dt[v][w] or dt[w][v]):
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
-
-
-def _dt_irreducible(dt: Doubled) -> bool:
-    n = len(dt)
-    for reverse in (False, True):
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in range(n):
-                edge = dt[w][v] if reverse else dt[v][w]
-                if edge and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != n:
-            return False
-    return True
-
-
-def _dt_roundrobin(dt: Doubled) -> bool:
-    n = len(dt)
-    count = dt[0][1] + dt[1][0]
-    if count <= 0:
-        return False
-    return all(dt[i][j] + dt[j][i] == count for i in range(n) for j in range(i + 1, n))
+    return tuple(tuple(v // 2 for v in row) for row in add(dt, transpose(dt)))
 
 
 _DOMAIN_TEST = {
     "all": lambda dt: True,
-    "connected": _dt_connected,
-    "irreducible": _dt_irreducible,
-    "roundrobin": _dt_roundrobin,
+    "connected": connected,
+    "irreducible": irreducible,
+    "roundrobin": round_robin,
 }
 
 
@@ -213,7 +147,7 @@ def _compositions(total: int, parts: int, cap: int):
             yield (head,) + rest
 
 
-def _build_dt(n: int, pairs, mvec, avec) -> Doubled:
+def _build_dt(n: int, pairs, mvec, avec) -> Matrix:
     dt = [[0] * n for _ in range(n)]
     for (i, j), m, a in zip(pairs, mvec, avec):
         dt[i][j] = m + a
@@ -222,8 +156,8 @@ def _build_dt(n: int, pairs, mvec, avec) -> Doubled:
 
 
 def enumerate_doubled(n: int, max_matches: int, domain: str):
-    """Yield the candidate doubled matrices for one object count, in
-    canonical order."""
+    """Yield the candidate matrices (at denominator 2) for one object
+    count, in canonical order."""
     pairs = _pairs(n)
     test = _DOMAIN_TEST[domain]
     if domain == "roundrobin":
@@ -247,31 +181,35 @@ def enumerate_doubled(n: int, max_matches: int, domain: str):
         yield from bucket
 
 
-class _Evaluator:
-    """Cached exact rating values for doubled candidates.
+def _order_keys(values) -> tuple[int, ...]:
+    # The ratings times the lcm of their denominators: integers that
+    # compare exactly as the ratings do.
+    scale = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values)
 
-    The score method gets an integer path (doubled scores order exactly
-    like scores); every other method is evaluated through its public
-    implementation on the reconstructed problem. ``None`` marks a
-    candidate the method is undefined on.
+
+class _Evaluator:
+    """Cached rating order keys for candidate matrices.
+
+    A candidate is rated through the method's public implementation, and
+    its ratings are kept as integer order keys. Every comparison core
+    only compares ratings of one vector, so the keys give the same
+    verdicts. ``None`` marks a candidate the method is undefined on.
     """
 
     def __init__(self, method: Method):
         self.method = method
-        self._cache: dict[Doubled, tuple | None] = {}
+        self._cache: dict[Matrix, tuple[int, ...] | None] = {}
 
-    def values(self, dt: Doubled):
+    def values(self, dt: Matrix):
         try:
             return self._cache[dt]
         except KeyError:
             pass
-        if self.method.key == "score":
-            out = _doubled_score(dt)
-        else:
-            try:
-                out = self.method.rate(_problem(dt)).values
-            except MethodPreconditionError:
-                out = None
+        try:
+            out = _order_keys(self.method.rate(_problem(dt)).values)
+        except MethodPreconditionError:
+            out = None
         self._cache[dt] = out
         return out
 
@@ -314,7 +252,7 @@ def _search_invariance(axiom, method, config, budget):
             ]
         domain = config.domain
         for dt in enumerate_doubled(n, config.max_matches, domain):
-            if axiom is Axiom.SYM and not _dt_flat(dt):
+            if axiom is Axiom.SYM and not flat(dt):
                 continue
             base = evaluator.values(dt)
             if axiom is Axiom.NEU:
@@ -322,7 +260,7 @@ def _search_invariance(axiom, method, config, budget):
                     budget.examined += 1
                     if base is None:
                         continue
-                    moved = evaluator.values(_dt_permute(dt, sigma))
+                    moved = evaluator.values(relabel(dt, sigma))
                     if moved is None:
                         continue
                     budget.admissible += 1
@@ -343,7 +281,7 @@ def _search_invariance(axiom, method, config, budget):
                     if budget.full():
                         return
                 continue
-            flipped = evaluator.values(_dt_transpose(dt))
+            flipped = evaluator.values(transpose(dt))
             if flipped is None:
                 continue
             budget.admissible += 1
@@ -373,12 +311,9 @@ def _search_additivity(axiom, method, config, budget):
             masks = [None if v is None else _tie_mask(v, pairs) for v in values]
         groups: list[list[int]]
         if axiom is Axiom.RCS:
-            by_schedule: dict[Doubled, list[int]] = {}
+            by_schedule: dict[Matrix, list[int]] = {}
             for idx, dt in enumerate(cands):
-                schedule = tuple(
-                    tuple(dt[i][j] + dt[j][i] for j in range(n)) for i in range(n)
-                )
-                by_schedule.setdefault(schedule, []).append(idx)
+                by_schedule.setdefault(add(dt, transpose(dt)), []).append(idx)
             groups = list(by_schedule.values())
         else:
             groups = [list(range(len(cands)))]
@@ -395,8 +330,7 @@ def _search_additivity(axiom, method, config, budget):
                     budget.admissible += 1
                     if masks is not None and not (masks[pi] & masks[qi]):
                         continue
-                    dt_total = _dt_sum(cands[pi], cands[qi])
-                    vt = evaluator.values(dt_total)
+                    vt = evaluator.values(add(cands[pi], cands[qi]))
                     if vt is None:
                         continue
                     if additivity_failures(axiom, vp, vq, vt):
@@ -406,16 +340,21 @@ def _search_additivity(axiom, method, config, budget):
                             return
 
 
-def _independence_edits(axiom, m: int, a: int, max_matches: int):
-    if axiom is Axiom.IIR:
-        for a2 in range(-m, m + 1):
-            if a2 != a:
-                yield (m, a2)
-        return
-    for m2 in range(0, max_matches + 1):
+def _pair_edits(axiom, dt: Matrix, k: int, l: int, max_matches: int) -> list[Matrix]:
+    """Every grid matrix that differs from ``dt`` on pair (k, l) alone, as
+    the axiom may edit it: IIR keeps the pair's matches, IIM need not."""
+    m = (dt[k][l] + dt[l][k]) // 2
+    a = (dt[k][l] - dt[l][k]) // 2
+    counts = (m,) if axiom is Axiom.IIR else range(0, max_matches + 1)
+    edits = []
+    for m2 in counts:
         for a2 in range(-m2, m2 + 1):
             if (m2, a2) != (m, a):
-                yield (m2, a2)
+                edited = [list(row) for row in dt]
+                edited[k][l] = m2 + a2
+                edited[l][k] = m2 - a2
+                edits.append(tuple(tuple(row) for row in edited))
+    return edits
 
 
 def _search_independence(axiom, method, config, budget):
@@ -428,13 +367,7 @@ def _search_independence(axiom, method, config, budget):
         for dt in enumerate_doubled(n, config.max_matches, config.domain):
             base = evaluator.values(dt)
             for k, l in pairs:
-                m_pair = (dt[k][l] + dt[l][k]) // 2
-                a_pair = (dt[k][l] - dt[l][k]) // 2
-                for m2, a2 in _independence_edits(axiom, m_pair, a_pair, config.max_matches):
-                    edited = [list(row) for row in dt]
-                    edited[k][l] = m2 + a2
-                    edited[l][k] = m2 - a2
-                    dt2 = tuple(tuple(row) for row in edited)
+                for dt2 in _pair_edits(axiom, dt, k, l, config.max_matches):
                     if not test(dt2):
                         continue
                     budget.examined += 1
@@ -451,7 +384,7 @@ def _search_independence(axiom, method, config, budget):
                             return
 
 
-def _random_dt(rng, n, max_matches, domain) -> Doubled | None:
+def _random_dt(rng, n, max_matches, domain) -> Matrix | None:
     pairs = _pairs(n)
     for _ in range(200):
         if domain == "roundrobin":
@@ -482,7 +415,7 @@ def _random_witness(axiom, rng, config):
             return SingleWitness(_problem(dt), Permutation(tuple(image)))
         if axiom is Axiom.SYM:
             # Split each pair's matches evenly: entries (m - a) + a = m.
-            return SingleWitness(_problem(_dt_flatten(dt)))
+            return SingleWitness(_problem(_even_split(dt)))
         return SingleWitness(_problem(dt))
     if axiom.kind is AxiomKind.ADDITIVITY:
         pairs = _pairs(n)
@@ -490,7 +423,7 @@ def _random_witness(axiom, rng, config):
             dt_b = _random_dt(rng, n, config.max_matches, config.domain)
             if dt_b is None:
                 return None
-            return PairWitness(_problem(_dt_flatten(dt)), _problem(_dt_flatten(dt_b)))
+            return PairWitness(_problem(_even_split(dt)), _problem(_even_split(dt_b)))
         if axiom is Axiom.RCS:
             avec = [
                 rng.randint(-(dt[i][j] + dt[j][i]) // 2, (dt[i][j] + dt[j][i]) // 2)
@@ -506,24 +439,24 @@ def _random_witness(axiom, rng, config):
     pairs = _pairs(n)
     for _ in range(200):
         k, l = pairs[rng.randrange(len(pairs))]
-        m_pair = (dt[k][l] + dt[l][k]) // 2
-        a_pair = (dt[k][l] - dt[l][k]) // 2
-        edits = list(_independence_edits(axiom, m_pair, a_pair, config.max_matches))
+        edits = _pair_edits(axiom, dt, k, l, config.max_matches)
         if not edits:
             continue
-        m2, a2 = edits[rng.randrange(len(edits))]
-        edited = [list(row) for row in dt]
-        edited[k][l] = m2 + a2
-        edited[l][k] = m2 - a2
-        dt2 = tuple(tuple(row) for row in edited)
+        dt2 = edits[rng.randrange(len(edits))]
         if _DOMAIN_TEST[config.domain](dt2):
             return ChangedPairWitness(_problem(dt), _problem(dt2), (k, l))
     return None
 
 
+def _draw_rng(seed: int, index: int) -> random.Random:
+    # One stream per (seed, index). A string seed is hashed with sha512,
+    # so distinct keys give unrelated streams on every run.
+    return random.Random(f"{seed}:{index}")
+
+
 def _search_random(axiom, method, config, budget):
     for index in range(config.budget):
-        rng = random.Random(config.seed * 1_000_003 + index)
+        rng = _draw_rng(config.seed, index)
         witness = _random_witness(axiom, rng, config)
         budget.examined += 1
         if witness is None:

@@ -27,6 +27,7 @@ from pairrank.errors import (
     UnknownLabel,
 )
 from pairrank.fixtures import EXAMPLE_1, EXAMPLE_4
+from pairrank.search import enumerate_doubled
 
 F = Fraction
 
@@ -58,6 +59,37 @@ def test_invalid_matrices(rows, error):
         RankingProblem(("a", "b"), rows)
 
 
+def test_scaled_construction_validates_like_fractions():
+    labels = ("a", "b")
+    assert RankingProblem.from_scaled(labels, ((0, 3), (1, 0)), 2).entry(0, 1) == F(3, 2)
+    for rows, error in (
+        (((0, -2), (4, 0)), NegativeEntry),
+        (((2, 0), (2, 0)), DiagonalNonZero),
+        (((0, 1), (2, 0)), NonIntegerPairSum),
+        (((0, 1.0), (1, 0)), TypeError),
+        (((0, F(1)), (1, 0)), TypeError),
+        (((0, 1, 1), (1, 0)), ValueError),
+    ):
+        with pytest.raises(error):
+            RankingProblem.from_scaled(labels, rows, 2)
+    with pytest.raises(ValueError):
+        RankingProblem.from_scaled(labels, ((0, 1), (1, 0)), 0)
+
+
+def test_doubled_integers_and_fractions_build_equal_problems():
+    labels = ("a", "b", "c")
+    for dt in enumerate_doubled(3, 2, "all"):
+        doubled = RankingProblem.from_scaled(labels, dt, 2)
+        exact = RankingProblem(labels, tuple(tuple(F(v, 2) for v in row) for row in dt))
+        assert doubled == exact and hash(doubled) == hash(exact)
+        assert doubled.tournament == exact.tournament
+        all_even = all(v % 2 == 0 for row in dt for v in row)
+        assert doubled.denominator == (1 if all_even else 2)
+    even = RankingProblem.from_scaled(labels, ((0, 4, 2), (0, 0, 2), (2, 0, 0)), 2)
+    assert even.denominator == 1 and even.scaled == ((0, 2, 1), (0, 0, 1), (1, 0, 0))
+    assert even == RankingProblem(labels, even.scaled)
+
+
 def test_too_few_objects_and_duplicate_labels():
     with pytest.raises(FewerThanTwoObjects):
         RankingProblem(("a",), ((0,),))
@@ -84,13 +116,7 @@ def test_build_problem_accumulates():
 
 def test_derive_on_worked_example():
     d = derive(EXAMPLE_4)
-    assert d.results == (
-        (F(0), F(1), F(0)),
-        (F(-1), F(0), F(3)),
-        (F(0), F(-3), F(0)),
-    )
     assert d.matches == ((0, 2, 1), (2, 0, 3), (1, 3, 0))
-    assert d.degrees == (3, 5, 4)
     assert d.laplacian == ((3, -2, -1), (-2, 5, -3), (-1, -3, 4))
     assert d.max_matches == 3
 
@@ -103,7 +129,6 @@ def test_matches_are_integers_even_for_split_scores():
         assert all(isinstance(v, int) for row in d.matches for v in row)
         for i in range(p.size):
             for j in range(p.size):
-                assert d.results[i][j] == -d.results[j][i]
                 assert d.matches[i][j] == d.matches[j][i]
             assert sum(d.laplacian[i]) == 0
 
@@ -128,7 +153,6 @@ def test_permutation_validation_and_inverse():
     assert sigma(0) == 1 and sigma(2) == 2
     assert sigma.inverse().image == (1, 0, 2)
     assert Permutation.from_one_based((2, 1, 3)) == sigma
-    assert Permutation.identity(3).image == (0, 1, 2)
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
 

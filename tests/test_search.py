@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,10 +12,16 @@ from pairrank import (
     is_irreducible,
     is_round_robin,
     run_check,
-    score,
     search,
 )
-from pairrank.search import _doubled_score, _problem, enumerate_doubled
+from pairrank.errors import MethodPreconditionError
+from pairrank.search import (
+    _draw_rng,
+    _Evaluator,
+    _problem,
+    _random_witness,
+    enumerate_doubled,
+)
 
 
 def test_enumeration_order_for_two_objects():
@@ -58,12 +65,57 @@ def test_round_robin_candidate_count():
     assert sum(1 for _ in enumerate_doubled(3, 2, "roundrobin")) == 27 + 125
 
 
-def test_doubled_score_is_twice_the_score_vector():
+@pytest.mark.parametrize("n, max_matches", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+def test_enumeration_visits_the_closed_form_count(n, max_matches):
+    # A pair playing m matches has 2m + 1 results: (M + 1)^2 states per
+    # pair over m = 0..M, and one shared m per round robin.
+    pairs = comb(n, 2)
+    assert sum(1 for _ in enumerate_doubled(n, max_matches, "all")) == (max_matches + 1) ** (2 * pairs)
+    assert sum(1 for _ in enumerate_doubled(n, max_matches, "roundrobin")) == sum(
+        (2 * m + 1) ** pairs for m in range(1, max_matches + 1)
+    )
+
+
+def test_round_robin_closed_form_on_four_objects_with_two_matches():
+    assert sum(1 for _ in enumerate_doubled(4, 2, "roundrobin")) == 3**6 + 5**6
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@pytest.mark.parametrize(
+    "method",
+    [Method("score"), Method("grs", "reasonable"), Method("grs", Fraction(1, 3)),
+     Method("ls"), Method("fb"), Method("dfb"), Method("cfb")],
+    ids=["score", "grs-reasonable", "grs-third", "ls", "fb", "dfb", "cfb"],
+)
+def test_evaluator_keys_order_like_ratings(method):
     rng = random.Random(3)
-    for dt in rng.sample(list(enumerate_doubled(3, 2, "all")), 40):
-        doubled = _doubled_score(dt)
-        exact = score(_problem(dt)).values
-        assert tuple(Fraction(v, 2) for v in doubled) == exact
+    grid = list(enumerate_doubled(3, 2, "all")) + list(enumerate_doubled(4, 1, "all"))
+    evaluator = _Evaluator(method)
+    for dt in rng.sample(grid, 150):
+        keys = evaluator.values(dt)
+        try:
+            ratings = method.rate(_problem(dt)).values
+        except MethodPreconditionError:
+            assert keys is None
+            continue
+        assert all(isinstance(k, int) for k in keys)
+        n = len(dt)
+        for i in range(n):
+            for j in range(n):
+                assert _sign(keys[i] - keys[j]) == _sign(ratings[i] - ratings[j]), (dt, i, j)
+
+
+def test_random_draws_do_not_collide_across_seeds():
+    # seed * 1_000_003 + index once gave seed s at index i + 1_000_003 the
+    # stream of seed s + 1 at index i.
+    config = SearchConfig(object_counts=(3, 4), max_matches=2, mode="random")
+    for seed, index in ((0, 0), (4, 17), (11, 250)):
+        shifted = _random_witness(Axiom.CS, _draw_rng(seed, index + 1_000_003), config)
+        next_seed = _random_witness(Axiom.CS, _draw_rng(seed + 1, index), config)
+        assert shifted != next_seed
 
 
 def test_config_validation():
