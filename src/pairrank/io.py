@@ -178,7 +178,7 @@ def render_matrix(problem: RankingProblem) -> str:
 def render_match_list(problem: RankingProblem) -> str:
     """Write a problem as one record per unordered pair."""
     for label in problem.labels:
-        if not label or "," in label or "#" in label:
+        if "," in label or "#" in label or label != label.strip() or len(label.splitlines()) != 1:
             raise ValueError(f"label {label!r} cannot be written in match-list format")
     lines = ["i,j,tij,tji"]
     t = problem.tournament

@@ -1,135 +1,125 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, computed in integers.
 
-Matrices are plain lists of lists of :class:`fractions.Fraction` (any
-nested sequence works as input; rows are copied before elimination).
-Nothing here ever touches floating point: pivoting compares exact
-magnitudes, and a pivot is chosen only to keep intermediate numerators
-and denominators small, never for numerical stability, which is not a
-concept that applies.
+Inputs are nested sequences of ints or rationals; results are lists of
+:class:`fractions.Fraction`. Nothing here ever touches floating point.
+
+Both kernels run one routine, :func:`_eliminate`: fraction-free
+Gauss–Jordan elimination over Python ints (E. H. Bareiss, *Sylvester's
+identity and multistep integer-preserving Gaussian elimination*, Math.
+Comp. 22, 1968). Rational input is first scaled to integers row by row,
+each row by the lcm of its denominators; that changes neither the
+solution of a system nor the nullspace of a matrix. With ``p`` the new
+pivot and ``previous`` the one before it (1 at the start), every row
+other than the pivot row becomes ``(p * row - f * pivot_row) //
+previous``, where ``f`` is the row's entry in the pivot column. By
+Sylvester's identity every entry is then, up to sign, a minor of the
+scaled input, so each division is exact, no entry grows beyond the
+size of a minor, and at the end every pivot equals the last one, D.
+The one division into Fractions happens when a result is read off.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import FullRank, RankTooLow, SingularMatrix
 
-Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def mat_vec(a: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vector:
     return [sum((row[j] * x[j] for j in range(len(x))), ZERO) for row in a]
 
 
-def _copy(a: Sequence[Sequence[Fraction]]) -> Matrix:
-    return [[Fraction(v) for v in row] for row in a]
+def _integer_row(row) -> list[int]:
+    """``row`` times the lcm of its denominators, as ints."""
+    values = [v if isinstance(v, int) else Fraction(v) for v in row]
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
+    """Reduce ``rows`` in place by fraction-free Gauss–Jordan elimination.
+
+    Columns ``0 .. columns - 1`` are eliminated left to right; a column
+    with no nonzero entry at or below the current rank is skipped.
+    Returns the pivot columns and the last pivot D (1 if there is none).
+    Afterwards row k has D in column ``pivots[k]`` and every other row
+    has 0 there, so row k reads D x[pivots[k]] + (free columns) = rhs.
+    """
+    m = len(rows)
+    pivots: list[int] = []
+    previous = 1
+    for col in range(columns):
+        rank = len(pivots)
+        if rank == m:
+            break
+        pivot_index = next((r for r in range(rank, m) if rows[r][col]), None)
+        if pivot_index is None:
+            continue
+        rows[rank], rows[pivot_index] = rows[pivot_index], rows[rank]
+        pivot_row = rows[rank]
+        p = pivot_row[col]
+        for i in range(m):
+            if i != rank:
+                f = rows[i][col]
+                rows[i] = [(p * x - f * y) // previous for x, y in zip(rows[i], pivot_row)]
+        previous = p
+        pivots.append(col)
+    return pivots, previous
 
 
 def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vector:
-    """Solve the square system a x = b exactly.
+    """Solve the square system a x = b exactly and return x as Fractions.
 
-    Parameters
-    ----------
-    a : n x n matrix of rationals.
-    b : right-hand side of length n.
-
-    Returns
-    -------
-    The unique solution vector, as Fractions.
-
-    Raises
-    ------
-    SingularMatrix
-        If elimination exhausts a column without finding a nonzero
-        pivot, i.e. the system has no unique solution.
-
-    Notes
-    -----
-    Gaussian elimination with partial pivoting on the exact absolute
-    value. Every step is rational arithmetic, so the result satisfies
-    a x = b identically, not approximately; callers are encouraged to
-    assert that when the system matters.
+    Each row of ``[a | b]`` is scaled to integers and :func:`_eliminate`
+    reduces its first n columns. Row k then reads D x[k] = row[n], so
+    x[k] = row[n] / D (Cramer's rule), and a x = b holds identically.
+    Raises SingularMatrix if some column has no nonzero pivot, i.e. the
+    system has no unique solution.
     """
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise ValueError("solve needs a square matrix and a matching vector")
-    rows = _copy(a)
-    rhs = [Fraction(v) for v in b]
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(rows[r][col]))
-        if rows[pivot_row][col] == 0:
-            raise SingularMatrix(f"no pivot in column {col}")
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
-        pivot = rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] / pivot
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                rows[r][c] -= factor * rows[col][c]
-            rhs[r] -= factor * rhs[col]
-    x = [ZERO] * n
-    for i in range(n - 1, -1, -1):
-        acc = rhs[i]
-        for j in range(i + 1, n):
-            acc -= rows[i][j] * x[j]
-        x[i] = acc / rows[i][i]
-    return x
+    rows = [_integer_row([*row, v]) for row, v in zip(a, b)]
+    pivots, last = _eliminate(rows, n)
+    if len(pivots) < n:
+        missing = next(c for c in range(n) if c not in pivots)
+        raise SingularMatrix(f"no pivot in column {missing}")
+    return [Fraction(row[n], last) for row in rows]
 
 
 def nullspace_1d(a: Sequence[Sequence[Fraction]]) -> Vector:
     """Return a nonzero vector spanning the nullspace of ``a``.
 
-    The matrix is reduced to row echelon form exactly. Exactly one free
-    column must remain: with none the nullspace is trivial (FullRank),
-    with two or more it is not a line (RankTooLow) and the caller's
-    model assumptions are broken. The returned vector has a 1 in the
-    free coordinate and is otherwise whatever back substitution gives;
+    Each row is scaled to integers and :func:`_eliminate` reduces the
+    whole matrix. Exactly one free column must remain: with none the
+    nullspace is trivial (FullRank), with two or more it is not a line
+    (RankTooLow) and the caller's model assumptions are broken. The
+    returned vector has the last pivot D in the free coordinate and
+    ``-row[k][free]`` in pivot column k, so its entries are integers
+    (minors of the scaled input), not 1 in the free coordinate;
     callers normalize to taste.
     """
-    rows = _copy(a)
-    if not rows:
+    if not a:
         raise ValueError("empty matrix")
-    m, n = len(rows), len(rows[0])
-    if any(len(row) != n for row in rows):
+    n = len(a[0])
+    if any(len(row) != n for row in a):
         raise ValueError("ragged matrix")
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot_row = None
-        best = ZERO
-        for r in range(rank, m):
-            if abs(rows[r][col]) > best:
-                best = abs(rows[r][col])
-                pivot_row = r
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        rows[rank] = [v / pivot for v in rows[rank]]
-        for r in range(m):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * p for v, p in zip(rows[r], rows[rank])]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == m:
-            break
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+    rows = [_integer_row(row) for row in a]
+    pivots, last = _eliminate(rows, n)
+    free_cols = [c for c in range(n) if c not in pivots]
     if not free_cols:
         raise FullRank("matrix has a trivial nullspace")
     if len(free_cols) > 1:
         raise RankTooLow(f"nullspace has dimension {len(free_cols)}, expected 1")
     free = free_cols[0]
-    v = [ZERO] * n
-    v[free] = ONE
-    for r, col in enumerate(pivot_cols):
-        v[col] = -rows[r][free]
-    return v
+    v = [0] * n
+    v[free] = last
+    for row, col in zip(rows, pivots):
+        v[col] = -row[free]
+    return [Fraction(x) for x in v]

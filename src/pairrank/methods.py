@@ -41,7 +41,6 @@ from .model import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 METHOD_KEYS = ("score", "grs", "ls", "fb", "dfb", "cfb")
 
@@ -86,12 +85,17 @@ def ranking(rating: RatingVector) -> WeakOrder:
     return WeakOrder(tuple(tuple(sorted(tier)) for tier in tiers))
 
 
+def _net_results(problem: RankingProblem) -> list[int]:
+    """Wins minus losses of each object, times the problem's denominator."""
+    won = [sum(row) for row in problem.scaled]
+    lost = [sum(column) for column in zip(*problem.scaled)]
+    return [w - l for w, l in zip(won, lost)]
+
+
 def score(problem: RankingProblem) -> RatingVector:
     """Net result of each object: wins minus losses, summed over all pairs."""
     d = problem.denominator
-    won = [sum(row) for row in problem.scaled]
-    lost = [sum(column) for column in zip(*problem.scaled)]
-    values = tuple(Fraction(w - l, d) for w, l in zip(won, lost))
+    values = tuple(Fraction(v, d) for v in _net_results(problem))
     return RatingVector("score", problem.labels, values)
 
 
@@ -125,20 +129,18 @@ def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
 
     The parameter must be a positive rational; the coefficient matrix
     is then strictly diagonally dominant, hence nonsingular, so the
-    system always has a unique solution.
+    system always has a unique solution. With eps = p/q the solver gets
+    the integer system (q I + p L) x = (q + p m n) (denominator * s).
     """
     eps = _checked_epsilon(epsilon)
     d = derive(problem)
     n = problem.size
-    s = score(problem)
-    a = [
-        [ONE + eps * d.laplacian[i][j] if i == j else eps * d.laplacian[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    multiplier = ONE + eps * d.max_matches * n
-    b = [multiplier * v for v in s.values]
-    x = linalg.solve(a, b)
-    return RatingVector("grs", problem.labels, tuple(x), epsilon=eps)
+    p, q = eps.numerator, eps.denominator
+    a = [[q * (i == j) + p * v for j, v in enumerate(row)] for i, row in enumerate(d.laplacian)]
+    multiplier = q + p * d.max_matches * n
+    x = linalg.solve(a, [multiplier * v for v in _net_results(problem)])
+    values = tuple(v / problem.denominator for v in x)
+    return RatingVector("grs", problem.labels, values, epsilon=eps)
 
 
 def least_squares(problem: RankingProblem) -> RatingVector:
@@ -146,22 +148,20 @@ def least_squares(problem: RankingProblem) -> RatingVector:
 
     Needs a connected comparison multigraph; otherwise components could
     drift against each other and the system has no meaning (and no
-    unique centred solution).
+    unique centred solution). The last equation, implied by the others,
+    is replaced by the centring e^T q = 0.
     """
     if not is_connected(problem):
         raise DisconnectedProblem("comparison multigraph is not connected")
-    d = derive(problem)
+    laplacian = derive(problem).laplacian
     n = problem.size
-    s = score(problem)
-    a = [[Fraction(v) for v in row] for row in d.laplacian]
-    b = [Fraction(v) for v in s.values]
-    a[n - 1] = [ONE] * n
-    b[n - 1] = ZERO
-    q = linalg.solve(a, b)
-    residual = linalg.mat_vec(d.laplacian, q)
-    if any(r != v for r, v in zip(residual, s.values)) or sum(q, ZERO) != 0:
+    net = _net_results(problem)
+    x = linalg.solve([*laplacian[:-1], [1] * n], [*net[:-1], 0])
+    residual = linalg.mat_vec(laplacian, x)
+    if residual != net or sum(x, ZERO) != 0:
         raise RuntimeError("internal: constrained solve left a nonzero residual")
-    return RatingVector("ls", problem.labels, tuple(q))
+    values = tuple(v / problem.denominator for v in x)
+    return RatingVector("ls", problem.labels, values)
 
 
 def _fair_bets_values(problem: RankingProblem) -> tuple[Fraction, ...]:

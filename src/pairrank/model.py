@@ -296,14 +296,14 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        image = tuple(int(v) for v in self.image)
+        image = tuple(map(operator.index, self.image))
         if sorted(image) != list(range(len(image))):
             raise ValueError(f"{image} is not a permutation of 0..{len(image) - 1}")
         object.__setattr__(self, "image", image)
 
     @classmethod
     def from_one_based(cls, images: Iterable[int]) -> "Permutation":
-        return cls(tuple(int(v) - 1 for v in images))
+        return cls(tuple(operator.index(v) - 1 for v in images))
 
     def __call__(self, i: int) -> int:
         return self.image[i]

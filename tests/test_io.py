@@ -183,6 +183,11 @@ def test_render_matrix_rejects_unwritable_labels():
         render_matrix(RankingProblem(("a", "has#hash"), rows))
     with pytest.raises(ValueError):
         render_match_list(RankingProblem(("a", "has,comma"), rows))
+    # Line breaks (including those only str.splitlines knows) and
+    # surrounding whitespace would not survive parse_match_list.
+    for label in ("a\nb", "a\x85b", "a\u2028b", " a", "a\t", "\n"):
+        with pytest.raises(ValueError):
+            render_match_list(RankingProblem(("x", label), rows))
 
 
 def test_format_exact_is_fraction_repr():

@@ -94,7 +94,7 @@ def test_row_sum_rejects_bad_epsilon():
 def test_row_sum_defining_system_holds_exactly():
     rng = random.Random(23)
     for _ in range(30):
-        p = random_problem(rng, rng.choice((3, 4, 5)))
+        p = random_problem(rng, rng.choice((3, 4, 5, 12)))
         d = derive(p)
         s = score(p)
         n = p.size
@@ -121,7 +121,7 @@ def test_least_squares_residual_and_centering():
     from pairrank import is_connected
 
     for _ in range(25):
-        p = random_problem(rng, rng.choice((3, 4, 5)), require=is_connected)
+        p = random_problem(rng, rng.choice((3, 4, 5, 12)), require=is_connected)
         q = least_squares(p)
         d = derive(p)
         s = score(p)
@@ -154,7 +154,7 @@ def test_fair_bets_family_on_worked_examples():
 def test_fair_bets_fixed_point_and_normalization():
     rng = random.Random(47)
     for _ in range(20):
-        p = random_problem(rng, rng.choice((3, 4, 5)), require=is_irreducible)
+        p = random_problem(rng, rng.choice((3, 4, 5, 12)), require=is_irreducible)
         fb = fair_bets(p).values
         t = p.tournament
         n = p.size

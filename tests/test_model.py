@@ -155,6 +155,10 @@ def test_permutation_validation_and_inverse():
     assert Permutation.from_one_based((2, 1, 3)) == sigma
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+    with pytest.raises(TypeError):
+        Permutation((1.9, 0.2, 2.7))
+    with pytest.raises(TypeError):
+        Permutation.from_one_based((2.5, 1, 3))
 
 
 def test_permute_moves_scores_with_labels():
