@@ -130,16 +130,13 @@ class AuditReport:
         return "satisfied" if self.satisfied else "violated"
 
 
-def _sign(value) -> int:
-    return (value > 0) - (value < 0)
-
-
 def _is_flat(values) -> bool:
     return all(v == values[0] for v in values)
 
 
 def _compare(values, i: int, j: int) -> int:
-    return _sign(values[i] - values[j])
+    a, b = values[i], values[j]
+    return (a > b) - (a < b)
 
 
 _REL = {-1: "<", 0: "=", 1: ">"}
@@ -160,23 +157,22 @@ def _rate(method: Method, problem: RankingProblem, role: str) -> RatingVector:
 
 def invariance_failures(axiom: Axiom, before, after, sigma: Permutation | None = None):
     """Pairs (i, j) with i < j on which an invariance axiom fails."""
+    if axiom.kind is not AxiomKind.INVARIANCE:
+        raise ValueError(f"{axiom.ident} is not an invariance axiom")
+    neu, sym = axiom is Axiom.NEU, axiom is Axiom.SYM
     n = len(before)
     bad = []
     for i in range(n):
         for j in range(i + 1, n):
             c = _compare(before, i, j)
-            if axiom is Axiom.NEU:
-                moved = _compare(after, sigma(i), sigma(j))
-                if c != moved:
-                    bad.append((i, j))
-            elif axiom is Axiom.SYM:
-                if c != 0:
-                    bad.append((i, j))
-            elif axiom is Axiom.INV:
-                if c != -_compare(after, i, j):
-                    bad.append((i, j))
+            if neu:
+                ok = c == _compare(after, sigma(i), sigma(j))
+            elif sym:
+                ok = c == 0
             else:
-                raise ValueError(f"{axiom.ident} is not an invariance axiom")
+                ok = c == -_compare(after, i, j)
+            if not ok:
+                bad.append((i, j))
     return bad
 
 
@@ -192,6 +188,9 @@ def _direction_holds(c1: int, c2: int, ct: int) -> bool:
 
 def additivity_failures(axiom: Axiom, first, second, total):
     """Pairs (i, j) with i < j on which an additivity axiom fails."""
+    if axiom.kind is not AxiomKind.ADDITIVITY:
+        raise ValueError(f"{axiom.ident} is not an additivity axiom")
+    consistency = axiom in (Axiom.CS, Axiom.RCS)
     n = len(total)
     bad = []
     for i in range(n):
@@ -199,12 +198,10 @@ def additivity_failures(axiom: Axiom, first, second, total):
             c1 = _compare(first, i, j)
             c2 = _compare(second, i, j)
             ct = _compare(total, i, j)
-            if axiom in (Axiom.CS, Axiom.RCS):
+            if consistency:
                 ok = _direction_holds(c1, c2, ct) and _direction_holds(-c1, -c2, -ct)
-            elif axiom in (Axiom.EP, Axiom.FP):
+            else:  # EP and FP: a tie in both inputs stays a tie
                 ok = ct == 0 if (c1 == 0 and c2 == 0) else True
-            else:
-                raise ValueError(f"{axiom.ident} is not an additivity axiom")
             if not ok:
                 bad.append((i, j))
     return bad

@@ -155,7 +155,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
     print(f"examined {result.examined} candidates, {result.admissible} admissible")
     if not result.found:
-        state = "space exhausted" if result.exhausted else "budget reached"
+        state = "budget reached" if config.mode == "random" else "space exhausted"
         print(f"no violation found ({state})")
         return EXIT_OK
     print(f"witnesses found: {len(result.hits)}")

@@ -13,20 +13,33 @@ relabel, sum) are the scale-free kernels of :mod:`pairrank.model`,
 applied to the grid directly; a problem is built only to rate a
 candidate not rated before, or to report a witness.
 
-The scan evaluates ratings exactly and shares its comparison logic with
-the public checkers. A candidate can be skipped only when it
-provably cannot witness a violation (wrong shape for the axiom, method
-undefined, or a premise that cannot hold, such as no common input tie
-for tie preservation). Every hit is replayed through the public checker
-before it is returned, so a reported witness is never a scan artifact.
+A search is one scan over candidates from one of two sources: the grid
+walks the whole space in canonical order (exhaustive mode), and the
+draws make ``budget`` candidates from the seed (random mode). A
+candidate is a small tuple of grid matrices: ``(dt, sigma)`` for
+invariance, ``(first, second)`` for additivity, ``(first, second,
+pair)`` for independence, or ``None`` for a draw that failed. Both
+sources yield only the shape the axiom takes (a flat problem for SYM,
+one schedule for RCS, a single edited pair on at least four objects for
+IIM and IIR), and the grid also skips FP inputs the method does not rate
+flat, which cannot witness that axiom.
+
+One judge per axiom family rates a candidate exactly, through a cached
+evaluator, and applies the comparison cores the public checkers share.
+It returns ``None`` exactly where the checker would refuse the witness,
+and the failing object pairs otherwise, so only a flagged candidate is
+built into a witness. That witness is replayed through the public
+checker before it is returned, in both modes, so a reported witness is
+never a scan artifact.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from .axioms import (
     Axiom,
@@ -34,12 +47,13 @@ from .axioms import (
     ChangedPairWitness,
     PairWitness,
     SingleWitness,
+    _is_flat,
     additivity_failures,
     independence_failures,
     invariance_failures,
     run_check,
 )
-from .errors import MethodPreconditionError, PreconditionUnmet, WitnessError
+from .errors import MethodPreconditionError
 from .methods import Method
 from .model import (
     Matrix,
@@ -68,7 +82,8 @@ class SearchConfig:
     integers, so the grid is finite. In random mode each candidate is a
     pure function of (seed, index), which makes runs reproducible; the
     budget says how many candidates to draw. The search stops after
-    ``limit`` verified witnesses either way.
+    ``limit`` verified witnesses either way. Every count must be an
+    integer: a float raises ``TypeError`` instead of being truncated.
     """
 
     object_counts: tuple[int, ...] = (4,)
@@ -80,8 +95,13 @@ class SearchConfig:
     limit: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "object_counts", tuple(sorted(set(int(n) for n in self.object_counts))))
-        if not self.object_counts or self.object_counts[0] < 2:
+        counts = tuple(sorted({operator.index(n) for n in self.object_counts}))
+        object.__setattr__(self, "object_counts", counts)
+        for name in ("max_matches", "seed", "budget", "limit"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        if not counts:
+            raise ValueError("object counts must not be empty")
+        if counts[0] < 2:
             raise ValueError("object counts must all be at least 2")
         if self.max_matches < 1:
             raise ValueError("max_matches must be at least 1")
@@ -181,163 +201,79 @@ def enumerate_doubled(n: int, max_matches: int, domain: str):
         yield from bucket
 
 
-def _order_keys(values) -> tuple[int, ...]:
-    # The ratings times the lcm of their denominators: integers that
-    # compare exactly as the ratings do.
-    scale = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (scale // v.denominator) for v in values)
+class _Evaluator(dict):
+    """Rating order keys of candidate matrices, computed on first lookup.
 
-
-class _Evaluator:
-    """Cached rating order keys for candidate matrices.
-
-    A candidate is rated through the method's public implementation, and
-    its ratings are kept as integer order keys. Every comparison core
-    only compares ratings of one vector, so the keys give the same
-    verdicts. ``None`` marks a candidate the method is undefined on.
+    ``evaluator[dt]`` rates a candidate once, through the method's public
+    implementation, and keeps the ratings times the lcm of their
+    denominators: integers that compare exactly as the ratings do. Every
+    comparison core only compares ratings of one vector, so the keys give
+    the same verdicts. ``None`` marks a candidate the method is
+    undefined on.
     """
 
     def __init__(self, method: Method):
+        super().__init__()
         self.method = method
-        self._cache: dict[Matrix, tuple[int, ...] | None] = {}
 
-    def values(self, dt: Matrix):
+    def __missing__(self, dt: Matrix):
         try:
-            return self._cache[dt]
-        except KeyError:
-            pass
-        try:
-            out = _order_keys(self.method.rate(_problem(dt)).values)
+            values = self.method.rate(_problem(dt)).values
         except MethodPreconditionError:
-            out = None
-        self._cache[dt] = out
-        return out
-
-
-def _tie_mask(values, pairs) -> int:
-    mask = 0
-    for bit, (i, j) in enumerate(pairs):
-        if values[i] == values[j]:
-            mask |= 1 << bit
-    return mask
-
-
-class _Budget:
-    """Mutable counters threaded through one search run."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.examined = 0
-        self.admissible = 0
-        self.hits: list[SearchHit] = []
-
-    def full(self) -> bool:
-        return len(self.hits) >= self.limit
-
-
-def _verify_hit(axiom: Axiom, method: Method, witness, budget: _Budget):
-    report = run_check(axiom, method, witness)
-    if report.satisfied:
-        raise RuntimeError("internal: scan flagged a witness the checker accepts")
-    budget.hits.append(SearchHit(witness, report))
-
-
-def _search_invariance(axiom, method, config, budget):
-    evaluator = _Evaluator(method)
-    for n in config.object_counts:
-        sigmas = None
-        if axiom is Axiom.NEU:
-            sigmas = [
-                Permutation(p) for p in permutations(range(n)) if p != tuple(range(n))
-            ]
-        domain = config.domain
-        for dt in enumerate_doubled(n, config.max_matches, domain):
-            if axiom is Axiom.SYM and not flat(dt):
-                continue
-            base = evaluator.values(dt)
-            if axiom is Axiom.NEU:
-                for sigma in sigmas:
-                    budget.examined += 1
-                    if base is None:
-                        continue
-                    moved = evaluator.values(relabel(dt, sigma))
-                    if moved is None:
-                        continue
-                    budget.admissible += 1
-                    if invariance_failures(axiom, base, moved, sigma):
-                        _verify_hit(
-                            axiom, method, SingleWitness(_problem(dt), sigma), budget
-                        )
-                        if budget.full():
-                            return
-                continue
-            budget.examined += 1
-            if base is None:
-                continue
-            if axiom is Axiom.SYM:
-                budget.admissible += 1
-                if invariance_failures(axiom, base, base):
-                    _verify_hit(axiom, method, SingleWitness(_problem(dt)), budget)
-                    if budget.full():
-                        return
-                continue
-            flipped = evaluator.values(transpose(dt))
-            if flipped is None:
-                continue
-            budget.admissible += 1
-            if invariance_failures(axiom, base, flipped):
-                _verify_hit(axiom, method, SingleWitness(_problem(dt)), budget)
-                if budget.full():
-                    return
-
-
-def _search_additivity(axiom, method, config, budget):
-    evaluator = _Evaluator(method)
-    for n in config.object_counts:
-        pairs = _pairs(n)
-        cands = list(enumerate_doubled(n, config.max_matches, config.domain))
-        values = [evaluator.values(dt) for dt in cands]
-        if axiom is Axiom.FP:
-            # Only inputs the method rates flat can witness this axiom.
-            keep = [
-                idx
-                for idx, v in enumerate(values)
-                if v is not None and all(x == v[0] for x in v)
-            ]
-            cands = [cands[idx] for idx in keep]
-            values = [values[idx] for idx in keep]
-        masks = None
-        if axiom is Axiom.EP:
-            masks = [None if v is None else _tie_mask(v, pairs) for v in values]
-        groups: list[list[int]]
-        if axiom is Axiom.RCS:
-            by_schedule: dict[Matrix, list[int]] = {}
-            for idx, dt in enumerate(cands):
-                by_schedule.setdefault(add(dt, transpose(dt)), []).append(idx)
-            groups = list(by_schedule.values())
+            keys = None
         else:
-            groups = [list(range(len(cands)))]
-        for group in groups:
-            for ai in range(len(group)):
-                pi = group[ai]
-                vp = values[pi]
-                for bi in range(ai, len(group)):
-                    qi = group[bi]
-                    budget.examined += 1
-                    vq = values[qi]
-                    if vp is None or vq is None:
-                        continue
-                    budget.admissible += 1
-                    if masks is not None and not (masks[pi] & masks[qi]):
-                        continue
-                    vt = evaluator.values(add(cands[pi], cands[qi]))
-                    if vt is None:
-                        continue
-                    if additivity_failures(axiom, vp, vq, vt):
-                        witness = PairWitness(_problem(cands[pi]), _problem(cands[qi]))
-                        _verify_hit(axiom, method, witness, budget)
-                        if budget.full():
-                            return
+            scale = math.lcm(*(v.denominator for v in values))
+            keys = tuple(v.numerator * (scale // v.denominator) for v in values)
+        self[dt] = keys
+        return keys
+
+
+class _TieMasks(dict):
+    """Bit masks of the object pairs a key vector ties, computed on first
+    lookup."""
+
+    def __missing__(self, keys) -> int:
+        pairs = _pairs(len(keys))
+        mask = self[keys] = sum(1 << bit for bit, (i, j) in enumerate(pairs) if keys[i] == keys[j])
+        return mask
+
+
+# --- where candidates come from -------------------------------------------
+
+def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
+    """Every exhaustive-mode candidate, in canonical order."""
+    for n in config.object_counts:
+        cands = enumerate_doubled(n, config.max_matches, config.domain)
+        if axiom is Axiom.NEU:
+            sigmas = [Permutation(p) for p in permutations(range(n)) if p != tuple(range(n))]
+            for dt in cands:
+                for sigma in sigmas:
+                    yield dt, sigma
+        elif axiom.kind is AxiomKind.INVARIANCE:
+            for dt in cands:
+                if axiom is not Axiom.SYM or flat(dt):
+                    yield dt, None
+        elif axiom.kind is AxiomKind.ADDITIVITY:
+            cands = list(cands)
+            if axiom is Axiom.FP:
+                # Only inputs the method rates flat can witness this axiom.
+                cands = [dt for dt in cands if (v := evaluator[dt]) is not None and _is_flat(v)]
+            groups = [cands]
+            if axiom is Axiom.RCS:
+                by_schedule: dict[Matrix, list[Matrix]] = {}
+                for dt in cands:
+                    by_schedule.setdefault(add(dt, transpose(dt)), []).append(dt)
+                groups = by_schedule.values()
+            for group in groups:
+                yield from combinations_with_replacement(group, 2)
+        elif n >= 4:
+            test = _DOMAIN_TEST[config.domain]
+            pairs = _pairs(n)
+            for dt in cands:
+                for pair in pairs:
+                    for edited in _pair_edits(axiom, dt, *pair, config.max_matches):
+                        if test(edited):
+                            yield dt, edited, pair
 
 
 def _pair_edits(axiom, dt: Matrix, k: int, l: int, max_matches: int) -> list[Matrix]:
@@ -357,33 +293,6 @@ def _pair_edits(axiom, dt: Matrix, k: int, l: int, max_matches: int) -> list[Mat
     return edits
 
 
-def _search_independence(axiom, method, config, budget):
-    evaluator = _Evaluator(method)
-    test = _DOMAIN_TEST[config.domain]
-    for n in config.object_counts:
-        if n < 4:
-            continue
-        pairs = _pairs(n)
-        for dt in enumerate_doubled(n, config.max_matches, config.domain):
-            base = evaluator.values(dt)
-            for k, l in pairs:
-                for dt2 in _pair_edits(axiom, dt, k, l, config.max_matches):
-                    if not test(dt2):
-                        continue
-                    budget.examined += 1
-                    if base is None:
-                        continue
-                    other = evaluator.values(dt2)
-                    if other is None:
-                        continue
-                    budget.admissible += 1
-                    if independence_failures(base, other, (k, l)):
-                        witness = ChangedPairWitness(_problem(dt), _problem(dt2), (k, l))
-                        _verify_hit(axiom, method, witness, budget)
-                        if budget.full():
-                            return
-
-
 def _random_dt(rng, n, max_matches, domain) -> Matrix | None:
     pairs = _pairs(n)
     for _ in range(200):
@@ -399,11 +308,15 @@ def _random_dt(rng, n, max_matches, domain) -> Matrix | None:
     return None
 
 
-def _random_witness(axiom, rng, config):
-    counts = [n for n in config.object_counts if n >= 4] if axiom.kind is AxiomKind.INDEPENDENCE else list(config.object_counts)
+def _random_candidate(axiom, rng, config):
+    """One random-mode candidate, or None when the draw failed."""
+    counts = config.object_counts
+    if axiom.kind is AxiomKind.INDEPENDENCE:
+        counts = [n for n in counts if n >= 4]
     if not counts:
         return None
     n = rng.choice(counts)
+    pairs = _pairs(n)
     dt = _random_dt(rng, n, config.max_matches, config.domain)
     if dt is None:
         return None
@@ -412,31 +325,21 @@ def _random_witness(axiom, rng, config):
             image = list(range(n))
             while image == list(range(n)):
                 rng.shuffle(image)
-            return SingleWitness(_problem(dt), Permutation(tuple(image)))
+            return dt, Permutation(tuple(image))
         if axiom is Axiom.SYM:
             # Split each pair's matches evenly: entries (m - a) + a = m.
-            return SingleWitness(_problem(_even_split(dt)))
-        return SingleWitness(_problem(dt))
+            return _even_split(dt), None
+        return dt, None
+    if axiom is Axiom.RCS:
+        mvec = [(dt[i][j] + dt[j][i]) // 2 for i, j in pairs]
+        return dt, _build_dt(n, pairs, mvec, [rng.randint(-m, m) for m in mvec])
     if axiom.kind is AxiomKind.ADDITIVITY:
-        pairs = _pairs(n)
-        if axiom is Axiom.FP:
-            dt_b = _random_dt(rng, n, config.max_matches, config.domain)
-            if dt_b is None:
-                return None
-            return PairWitness(_problem(_even_split(dt)), _problem(_even_split(dt_b)))
-        if axiom is Axiom.RCS:
-            avec = [
-                rng.randint(-(dt[i][j] + dt[j][i]) // 2, (dt[i][j] + dt[j][i]) // 2)
-                for i, j in pairs
-            ]
-            mvec = [(dt[i][j] + dt[j][i]) // 2 for i, j in pairs]
-            dt_b = _build_dt(n, pairs, mvec, avec)
-            return PairWitness(_problem(dt), _problem(dt_b))
         dt_b = _random_dt(rng, n, config.max_matches, config.domain)
         if dt_b is None:
             return None
-        return PairWitness(_problem(dt), _problem(dt_b))
-    pairs = _pairs(n)
+        if axiom is Axiom.FP:
+            return _even_split(dt), _even_split(dt_b)
+        return dt, dt_b
     for _ in range(200):
         k, l = pairs[rng.randrange(len(pairs))]
         edits = _pair_edits(axiom, dt, k, l, config.max_matches)
@@ -444,7 +347,7 @@ def _random_witness(axiom, rng, config):
             continue
         dt2 = edits[rng.randrange(len(edits))]
         if _DOMAIN_TEST[config.domain](dt2):
-            return ChangedPairWitness(_problem(dt), _problem(dt2), (k, l))
+            return dt, dt2, (k, l)
     return None
 
 
@@ -454,46 +357,126 @@ def _draw_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-def _search_random(axiom, method, config, budget):
-    for index in range(config.budget):
-        rng = _draw_rng(config.seed, index)
-        witness = _random_witness(axiom, rng, config)
-        budget.examined += 1
-        if witness is None:
-            continue
-        try:
-            report = run_check(axiom, method, witness)
-        except (WitnessError, PreconditionUnmet):
-            continue
-        budget.admissible += 1
-        if not report.satisfied:
-            budget.hits.append(SearchHit(witness, report))
-            if budget.full():
-                return
+# --- how a candidate is judged ----------------------------------------------
+#
+# A judge returns the object pairs on which the axiom fails, or None
+# when the public checker would refuse the candidate's witness. The
+# failure cores are looked up at call time, so they can be wrapped.
+
+def _invariance_judge(axiom: Axiom, evaluator: _Evaluator):
+    neu, sym = axiom is Axiom.NEU, axiom is Axiom.SYM
+
+    def judge(dt, sigma):
+        before = evaluator[dt]
+        if before is None:
+            return None
+        if neu:
+            after = evaluator[relabel(dt, sigma)]
+        elif sym:
+            after = before
+        else:
+            after = evaluator[transpose(dt)]
+        if after is None:
+            return None
+        return invariance_failures(axiom, before, after, sigma)
+
+    return judge
+
+
+def _additivity_judge(axiom: Axiom, evaluator: _Evaluator):
+    fp, ep = axiom is Axiom.FP, axiom is Axiom.EP
+    ties = _TieMasks()
+
+    def judge(first, second):
+        f = evaluator[first]
+        g = evaluator[second]
+        if f is None or g is None:
+            return None
+        if fp and not (_is_flat(f) and _is_flat(g)):
+            return None
+        # Every method rates the sum of two problems it rates: connectivity
+        # and irreducibility survive added matches, and the reasonable
+        # epsilon needs only three objects and one match. So inputs with
+        # no common tie are admissible and cannot witness EP.
+        if ep and not (ties[f] & ties[g]):
+            return []
+        total = evaluator[add(first, second)]
+        if total is None:
+            return None
+        return additivity_failures(axiom, f, g, total)
+
+    return judge
+
+
+def _independence_judge(axiom: Axiom, evaluator: _Evaluator):
+    def judge(first, second, pair):
+        f = evaluator[first]
+        if f is None:
+            return None
+        g = evaluator[second]
+        if g is None:
+            return None
+        return independence_failures(f, g, pair)
+
+    return judge
+
+
+_JUDGES = {
+    AxiomKind.INVARIANCE: _invariance_judge,
+    AxiomKind.ADDITIVITY: _additivity_judge,
+    AxiomKind.INDEPENDENCE: _independence_judge,
+}
+
+
+def _witness(axiom: Axiom, candidate):
+    """The public witness a candidate stands for."""
+    if axiom.kind is AxiomKind.INVARIANCE:
+        dt, sigma = candidate
+        return SingleWitness(_problem(dt), sigma)
+    if axiom.kind is AxiomKind.ADDITIVITY:
+        first, second = candidate
+        return PairWitness(_problem(first), _problem(second))
+    first, second, pair = candidate
+    return ChangedPairWitness(_problem(first), _problem(second), pair)
 
 
 def search(method: Method, axiom: Axiom, config: SearchConfig) -> SearchResult:
     """Look for witnesses violating ``axiom`` under ``method``.
 
-    Exhaustive mode walks the whole candidate grid in canonical order
-    and is deterministic; random mode draws ``config.budget`` candidates
-    derived from the seed. Returns the verified hits plus how many
-    candidates were examined and how many were admissible (shape valid
-    and method defined). ``exhausted`` is False exactly when the walk
-    stopped early because the witness limit was reached.
+    Exhaustive mode scans the whole candidate grid in canonical order
+    and is deterministic; random mode scans ``config.budget`` candidates
+    derived from the seed. Either way each candidate is judged exactly,
+    and each flagged one is replayed through the public checker. Returns
+    the verified hits plus how many candidates were examined and how
+    many were admissible (shape valid and method defined). ``exhausted``
+    is False exactly when the scan stopped early because the witness
+    limit was reached.
     """
-    budget = _Budget(config.limit)
+    evaluator = _Evaluator(method)
+    judge = _JUDGES[axiom.kind](axiom, evaluator)
     if config.mode == "random":
-        _search_random(axiom, method, config, budget)
-    elif axiom.kind is AxiomKind.INVARIANCE:
-        _search_invariance(axiom, method, config, budget)
-    elif axiom.kind is AxiomKind.ADDITIVITY:
-        _search_additivity(axiom, method, config, budget)
+        source = (
+            _random_candidate(axiom, _draw_rng(config.seed, index), config)
+            for index in range(config.budget)
+        )
     else:
-        _search_independence(axiom, method, config, budget)
-    return SearchResult(
-        hits=tuple(budget.hits),
-        examined=budget.examined,
-        admissible=budget.admissible,
-        exhausted=not budget.full(),
-    )
+        source = _grid(axiom, config, evaluator)
+    examined = admissible = 0
+    hits: list[SearchHit] = []
+    for candidate in source:
+        examined += 1
+        if candidate is None:
+            continue
+        bad = judge(*candidate)
+        if bad is None:
+            continue
+        admissible += 1
+        if bad:
+            witness = _witness(axiom, candidate)
+            report = run_check(axiom, method, witness)
+            if report.satisfied:
+                raise RuntimeError("internal: scan flagged a witness the checker accepts")
+            hits.append(SearchHit(witness, report))
+            if len(hits) >= config.limit:
+                break
+    return SearchResult(tuple(hits), examined, admissible, exhausted=len(hits) < config.limit)

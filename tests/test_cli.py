@@ -206,6 +206,19 @@ def test_search_random_mode(capsys):
     assert first == second
 
 
+def test_search_random_mode_without_hits_reports_budget(capsys):
+    # A random run covers only its draws, so it never claims the space.
+    code, out, _ = run(
+        capsys,
+        "search", "--axiom", "CS", "--method", "score",
+        "--min-n", "3", "--max-n", "3", "--max-matches", "1",
+        "--mode", "random", "--budget", "150",
+    )
+    assert code == 0
+    assert "examined 150 candidates" in out
+    assert "no violation found (budget reached)" in out
+
+
 def test_search_usage_errors(capsys):
     code, _, err = run(
         capsys,
@@ -213,6 +226,12 @@ def test_search_usage_errors(capsys):
         "--min-n", "1", "--max-n", "3", "--max-matches", "1",
     )
     assert code == 2 and "at least 2" in err
+    code, _, err = run(
+        capsys,
+        "search", "--axiom", "EP", "--method", "fb",
+        "--min-n", "5", "--max-n", "4", "--max-matches", "1",
+    )
+    assert code == 2 and "empty" in err
 
 
 def test_reproduce_exit_codes(capsys):

@@ -1,25 +1,31 @@
 import random
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import pytest
 
 from pairrank import (
     Axiom,
+    AxiomKind,
     Method,
     SearchConfig,
+    SearchHit,
     is_connected,
     is_irreducible,
     is_round_robin,
     run_check,
     search,
 )
-from pairrank.errors import MethodPreconditionError
+from pairrank.errors import MethodPreconditionError, PreconditionUnmet, WitnessError
 from pairrank.search import (
+    _JUDGES,
     _draw_rng,
     _Evaluator,
+    _grid,
     _problem,
-    _random_witness,
+    _random_candidate,
+    _witness,
     enumerate_doubled,
 )
 
@@ -95,7 +101,7 @@ def test_evaluator_keys_order_like_ratings(method):
     grid = list(enumerate_doubled(3, 2, "all")) + list(enumerate_doubled(4, 1, "all"))
     evaluator = _Evaluator(method)
     for dt in rng.sample(grid, 150):
-        keys = evaluator.values(dt)
+        keys = evaluator[dt]
         try:
             ratings = method.rate(_problem(dt)).values
         except MethodPreconditionError:
@@ -113,16 +119,75 @@ def test_random_draws_do_not_collide_across_seeds():
     # stream of seed s + 1 at index i.
     config = SearchConfig(object_counts=(3, 4), max_matches=2, mode="random")
     for seed, index in ((0, 0), (4, 17), (11, 250)):
-        shifted = _random_witness(Axiom.CS, _draw_rng(seed, index + 1_000_003), config)
-        next_seed = _random_witness(Axiom.CS, _draw_rng(seed + 1, index), config)
+        shifted = _random_candidate(Axiom.CS, _draw_rng(seed, index + 1_000_003), config)
+        next_seed = _random_candidate(Axiom.CS, _draw_rng(seed + 1, index), config)
         assert shifted != next_seed
+
+
+@pytest.mark.parametrize(
+    "method",
+    [Method("score"), Method("grs", "reasonable"), Method("ls"), Method("cfb")],
+    ids=["score", "grs-reasonable", "ls", "cfb"],
+)
+def test_scan_agrees_with_checker(method):
+    # A judge's verdict must be the checker's on every candidate either
+    # source yields: None exactly where run_check refuses the witness,
+    # and otherwise exactly the pairs it reports.
+    def checker_pairs(axiom, candidate):
+        try:
+            report = run_check(axiom, method, _witness(axiom, candidate))
+        except (WitnessError, PreconditionUnmet):
+            return None, None
+        return [v.objects for v in report.violations], report
+
+    rng = random.Random(19)
+    evaluator = _Evaluator(method)
+    for axiom in Axiom:
+        judge = _JUDGES[axiom.kind](axiom, evaluator)
+        n = 4 if axiom.kind is AxiomKind.INDEPENDENCE else 3
+        small = SearchConfig(object_counts=(n,), domain="roundrobin" if n == 4 else "all")
+        grid = list(islice(_grid(axiom, small, evaluator), 2000))
+        if axiom is Axiom.FP:
+            # The grid offers only inputs rated flat; the judge must refuse the rest.
+            grid += _grid(Axiom.CS, small, evaluator)
+        for candidate in rng.sample(grid, min(len(grid), 25)):
+            assert judge(*candidate) == checker_pairs(axiom, candidate)[0], (axiom, candidate)
+
+        # The random loop as it was: run_check on every draw, with the
+        # refused witnesses filtered out.
+        config = SearchConfig(object_counts=(n,), mode="random", seed=3, budget=120, limit=121)
+        examined = admissible = 0
+        hits = []
+        for index in range(config.budget):
+            candidate = _random_candidate(axiom, _draw_rng(config.seed, index), config)
+            examined += 1
+            if candidate is None:
+                continue
+            pairs, report = checker_pairs(axiom, candidate)
+            assert judge(*candidate) == pairs, (axiom, candidate)
+            if report is None:
+                continue
+            admissible += 1
+            if not report.satisfied:
+                hits.append(SearchHit(_witness(axiom, candidate), report))
+        result = search(method, axiom, config)
+        assert (result.examined, result.admissible, result.hits) == (examined, admissible, tuple(hits))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(object_counts=(1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty"):
         SearchConfig(object_counts=())
+    for bad in (
+        dict(object_counts=(3.9,)),
+        dict(max_matches=1.5),
+        dict(budget=2.5),
+        dict(limit=1.5),
+        dict(seed=1.5),
+    ):
+        with pytest.raises(TypeError):
+            SearchConfig(**bad)
     with pytest.raises(ValueError):
         SearchConfig(max_matches=0)
     with pytest.raises(ValueError):
