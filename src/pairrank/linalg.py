@@ -28,11 +28,10 @@ from .errors import FullRank, RankTooLow, SingularMatrix
 
 Vector = list[Fraction]
 
-ZERO = Fraction(0)
-
 
 def mat_vec(a: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vector:
-    return [sum((row[j] * x[j] for j in range(len(x))), ZERO) for row in a]
+    """The product a x; integer input gives integers."""
+    return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
 
 
 def _integer_row(row) -> list[int]:

@@ -20,6 +20,7 @@ ties, since nothing is rounded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,6 +93,12 @@ def _net_results(problem: RankingProblem) -> list[int]:
     return [w - l for w, l in zip(won, lost)]
 
 
+def _common_scale(x) -> tuple[int, list[int]]:
+    """The lcm ``s`` of the denominators of ``x``, and ``s * x`` as ints."""
+    s = math.lcm(*(v.denominator for v in x))
+    return s, [v.numerator * (s // v.denominator) for v in x]
+
+
 def score(problem: RankingProblem) -> RatingVector:
     """Net result of each object: wins minus losses, summed over all pairs."""
     d = problem.denominator
@@ -157,8 +164,9 @@ def least_squares(problem: RankingProblem) -> RatingVector:
     n = problem.size
     net = _net_results(problem)
     x = linalg.solve([*laplacian[:-1], [1] * n], [*net[:-1], 0])
-    residual = linalg.mat_vec(laplacian, x)
-    if residual != net or sum(x, ZERO) != 0:
+    # The identity L x = net, e^T x = 0, checked in integers on s x.
+    s, scaled = _common_scale(x)
+    if linalg.mat_vec(laplacian, scaled) != [s * v for v in net] or sum(scaled) != 0:
         raise RuntimeError("internal: constrained solve left a nonzero residual")
     values = tuple(v / problem.denominator for v in x)
     return RatingVector("ls", problem.labels, values)
@@ -176,6 +184,8 @@ def _fair_bets_values(problem: RankingProblem) -> tuple[Fraction, ...]:
         for i, row in enumerate(t)
     ]
     v = linalg.nullspace_1d(a)
+    if any(linalg.mat_vec(a, _common_scale(v)[1])):
+        raise RuntimeError("internal: fixed-point vector is not in the nullspace")
     positive = all(x > 0 for x in v)
     negative = all(x < 0 for x in v)
     if not (positive or negative):

@@ -24,13 +24,18 @@ one schedule for RCS, a single edited pair on at least four objects for
 IIM and IIR), and the grid also skips FP inputs the method does not rate
 flat, which cannot witness that axiom.
 
-One judge per axiom family rates a candidate exactly, through a cached
-evaluator, and applies the comparison cores the public checkers share.
-It returns ``None`` exactly where the checker would refuse the witness,
-and the failing object pairs otherwise, so only a flagged candidate is
-built into a witness. That witness is replayed through the public
-checker before it is returned, in both modes, so a reported witness is
-never a scan artifact.
+One judge per axiom family decides a candidate exactly. The evaluator
+rates each matrix once per search and keeps its weak order, the dense
+ranks of its ratings. The comparison cores the public checkers share
+compare ratings only within one vector, so they give the same verdicts
+on weak orders, and each judge keeps those verdicts for the search,
+keyed by the weak orders compared. The additivity judge packs each input
+once into an int, so it looks a sum up by adding two codes and builds it
+only the first time it is rated. A judge returns ``None`` exactly where
+the checker would refuse the witness, and the failing object pairs
+otherwise, so only a flagged candidate is built into a witness. That
+witness is replayed through the public checker before it is returned,
+in both modes, so a reported witness is never a scan artifact.
 """
 
 from __future__ import annotations
@@ -202,40 +207,54 @@ def enumerate_doubled(n: int, max_matches: int, domain: str):
 
 
 class _Evaluator(dict):
-    """Rating order keys of candidate matrices, computed on first lookup.
+    """Weak orders of candidate matrices, computed on first lookup.
 
     ``evaluator[dt]`` rates a candidate once, through the method's public
-    implementation, and keeps the ratings times the lcm of their
-    denominators: integers that compare exactly as the ratings do. Every
-    comparison core only compares ratings of one vector, so the keys give
-    the same verdicts. ``None`` marks a candidate the method is
-    undefined on.
+    implementation, and keeps its weak order: the dense rank 0..k-1 of
+    each rating, taken from the ratings times the lcm of their
+    denominators. Equal weak orders share one tuple. ``None`` marks a
+    candidate the method is undefined on. ``rate`` computes a weak order
+    without keeping it.
     """
 
     def __init__(self, method: Method):
         super().__init__()
         self.method = method
+        self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def __missing__(self, dt: Matrix):
+    def rate(self, dt: Matrix) -> tuple[int, ...] | None:
         try:
             values = self.method.rate(_problem(dt)).values
         except MethodPreconditionError:
-            keys = None
-        else:
-            scale = math.lcm(*(v.denominator for v in values))
-            keys = tuple(v.numerator * (scale // v.denominator) for v in values)
-        self[dt] = keys
-        return keys
+            return None
+        scale = math.lcm(*(v.denominator for v in values))
+        keys = [v.numerator * (scale // v.denominator) for v in values]
+        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+        order = tuple(rank[key] for key in keys)
+        return self.interned.setdefault(order, order)
+
+    def __missing__(self, dt: Matrix):
+        order = self[dt] = self.rate(dt)
+        return order
 
 
-class _TieMasks(dict):
-    """Bit masks of the object pairs a key vector ties, computed on first
-    lookup."""
+def _pack(dt: Matrix, radix: int) -> int:
+    """``dt`` as one int: its object count, then its entries row by row
+    as digits in base ``radix``.
 
-    def __missing__(self, keys) -> int:
-        pairs = _pairs(len(keys))
-        mask = self[keys] = sum(1 << bit for bit, (i, j) in enumerate(pairs) if keys[i] == keys[j])
-        return mask
+    Every digit must lie in ``[0, radix)``. Then no digit carries into
+    the next, so two matrices of one size whose entrywise sum stays
+    below ``radix`` have ``_pack(a) + _pack(b) - _pack(zeros)`` as the
+    code of their sum. The leading count keeps matrices of different
+    sizes apart, even where the first rows are zero.
+    """
+    code = len(dt)
+    for row in dt:
+        for v in row:
+            if not 0 <= v < radix:
+                raise ValueError(f"entry {v} does not fit radix {radix}")
+            code = code * radix + v
+    return code
 
 
 # --- where candidates come from -------------------------------------------
@@ -360,11 +379,27 @@ def _draw_rng(seed: int, index: int) -> random.Random:
 # --- how a candidate is judged ----------------------------------------------
 #
 # A judge returns the object pairs on which the axiom fails, or None
-# when the public checker would refuse the candidate's witness. The
+# when the public checker would refuse the candidate's witness. It keeps
+# its core's verdicts for the search, keyed by the weak orders compared
+# plus the relabelling or the edited pair; a verdict list is shared by
+# every candidate with its key and is never mutated. On a miss the
 # failure cores are looked up at call time, so they can be wrapped.
 
-def _invariance_judge(axiom: Axiom, evaluator: _Evaluator):
+class _Lazy(dict):
+    """A dict that fills a missing key with ``fill(key)``."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _invariance_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
     neu, sym = axiom is Axiom.NEU, axiom is Axiom.SYM
+    verdicts = _Lazy(lambda key: invariance_failures(axiom, *key))
 
     def judge(dt, sigma):
         before = evaluator[dt]
@@ -378,37 +413,69 @@ def _invariance_judge(axiom: Axiom, evaluator: _Evaluator):
             after = evaluator[transpose(dt)]
         if after is None:
             return None
-        return invariance_failures(axiom, before, after, sigma)
+        return verdicts[before, after, sigma]
 
     return judge
 
 
-def _additivity_judge(axiom: Axiom, evaluator: _Evaluator):
+def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
     fp, ep = axiom is Axiom.FP, axiom is Axiom.EP
-    ties = _TieMasks()
+    # Inputs have entries in [0, 2 max_matches], so the entries of a sum
+    # stay below the radix, and a sum's code is the code of one input
+    # plus the digits of the other: no sum is built to be looked up.
+    # Inputs and sums share one table, so a matrix that is both is rated
+    # once.
+    radix = 4 * max_matches + 1
+    by_code: dict[int, tuple[int, ...] | None] = {}
+    verdicts = _Lazy(lambda key: additivity_failures(axiom, *key))
+
+    def enter(dt):
+        """An input's weak order, code, digits without the count, and
+        the bit mask of the object pairs it ties."""
+        if max(map(max, dt)) > 2 * max_matches:
+            raise ValueError(f"entries of {dt} exceed twice max_matches={max_matches}")
+        code = _pack(dt, radix)
+        if code not in by_code:
+            by_code[code] = evaluator[dt]
+        order = by_code[code]
+        if order is None:
+            return None
+        n = len(dt)
+        ties = sum(1 << bit for bit, (i, j) in enumerate(_pairs(n)) if order[i] == order[j])
+        return order, code, code - n * radix ** (n * n), ties
+
+    inputs = _Lazy(enter)
 
     def judge(first, second):
-        f = evaluator[first]
-        g = evaluator[second]
-        if f is None or g is None:
+        a = inputs[first]
+        b = inputs[second]
+        if a is None or b is None:
             return None
+        f, code, _, f_ties = a
+        g, _, digits, g_ties = b
         if fp and not (_is_flat(f) and _is_flat(g)):
             return None
         # Every method rates the sum of two problems it rates: connectivity
         # and irreducibility survive added matches, and the reasonable
         # epsilon needs only three objects and one match. So inputs with
         # no common tie are admissible and cannot witness EP.
-        if ep and not (ties[f] & ties[g]):
+        if ep and not f_ties & g_ties:
             return []
-        total = evaluator[add(first, second)]
+        code += digits
+        try:
+            total = by_code[code]
+        except KeyError:
+            total = by_code[code] = evaluator.rate(add(first, second))
         if total is None:
             return None
-        return additivity_failures(axiom, f, g, total)
+        return verdicts[f, g, total]
 
     return judge
 
 
-def _independence_judge(axiom: Axiom, evaluator: _Evaluator):
+def _independence_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
+    verdicts = _Lazy(lambda key: independence_failures(*key))
+
     def judge(first, second, pair):
         f = evaluator[first]
         if f is None:
@@ -416,7 +483,7 @@ def _independence_judge(axiom: Axiom, evaluator: _Evaluator):
         g = evaluator[second]
         if g is None:
             return None
-        return independence_failures(f, g, pair)
+        return verdicts[f, g, pair]
 
     return judge
 
@@ -453,7 +520,7 @@ def search(method: Method, axiom: Axiom, config: SearchConfig) -> SearchResult:
     limit was reached.
     """
     evaluator = _Evaluator(method)
-    judge = _JUDGES[axiom.kind](axiom, evaluator)
+    judge = _JUDGES[axiom.kind](axiom, evaluator, config.max_matches)
     if config.mode == "random":
         source = (
             _random_candidate(axiom, _draw_rng(config.seed, index), config)

@@ -178,6 +178,37 @@ def test_fair_bets_rejects_reducible():
             fn(EXAMPLE_1)
 
 
+def test_least_squares_refuses_a_wrong_solve(monkeypatch):
+    from pairrank import linalg
+
+    solve = linalg.solve
+    problem = EXAMPLE_7[0]
+    assert least_squares(problem).values == EXAMPLE_7_LS["first"]
+    # Off the defining system, once with the centring broken and once
+    # with it kept.
+    for shift in ((F(1, 3), 0), (F(1, 3), F(-1, 3))):
+        def perturbed(a, b, shift=shift):
+            x = solve(a, b)
+            return [x[0] + shift[0], x[1] + shift[1], *x[2:]]
+
+        monkeypatch.setattr(linalg, "solve", perturbed)
+        with pytest.raises(RuntimeError, match="residual"):
+            least_squares(problem)
+
+
+def test_fair_bets_refuses_a_vector_outside_the_nullspace(monkeypatch):
+    from pairrank import linalg
+
+    problem = EXAMPLE_3[0]
+    assert fair_bets(problem).values == EXAMPLE_3_TABLE["fb"][0]
+    # Positive and unit-sum after normalization, so only the nullspace
+    # check can refuse it.
+    monkeypatch.setattr(linalg, "nullspace_1d", lambda a: [F(1)] * len(a))
+    for fn in (fair_bets, dual_fair_bets, copeland_fair_bets):
+        with pytest.raises(RuntimeError, match="nullspace"):
+            fn(problem)
+
+
 def test_flat_problem_rates_flat_everywhere():
     p = flat_round_robin(4, 2)
     assert score(p).values == (0, 0, 0, 0)

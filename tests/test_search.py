@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 from itertools import islice
@@ -17,12 +18,15 @@ from pairrank import (
     run_check,
     search,
 )
+from pairrank.axioms import invariance_failures
 from pairrank.errors import MethodPreconditionError, PreconditionUnmet, WitnessError
+from pairrank.model import Permutation, add, relabel
 from pairrank.search import (
     _JUDGES,
     _draw_rng,
     _Evaluator,
     _grid,
+    _pack,
     _problem,
     _random_candidate,
     _witness,
@@ -108,6 +112,7 @@ def test_evaluator_keys_order_like_ratings(method):
             assert keys is None
             continue
         assert all(isinstance(k, int) for k in keys)
+        assert set(keys) == set(range(max(keys) + 1))  # dense ranks
         n = len(dt)
         for i in range(n):
             for j in range(n):
@@ -143,7 +148,7 @@ def test_scan_agrees_with_checker(method):
     rng = random.Random(19)
     evaluator = _Evaluator(method)
     for axiom in Axiom:
-        judge = _JUDGES[axiom.kind](axiom, evaluator)
+        judge = _JUDGES[axiom.kind](axiom, evaluator, 1)
         n = 4 if axiom.kind is AxiomKind.INDEPENDENCE else 3
         small = SearchConfig(object_counts=(n,), domain="roundrobin" if n == 4 else "all")
         grid = list(islice(_grid(axiom, small, evaluator), 2000))
@@ -172,6 +177,90 @@ def test_scan_agrees_with_checker(method):
                 hits.append(SearchHit(_witness(axiom, candidate), report))
         result = search(method, axiom, config)
         assert (result.examined, result.admissible, result.hits) == (examined, admissible, tuple(hits))
+
+
+def test_packed_codes_add_and_stay_apart():
+    # Grid entries are at most 2 max_matches, so sums fit the radix
+    # 4 max_matches + 1 and codes add digit by digit; only the leading
+    # object count is counted twice.
+    radix = 9
+    rng = random.Random(5)
+    grid = list(enumerate_doubled(3, 2, "all"))
+    zeros = ((0,) * 3,) * 3
+    for _ in range(300):
+        a, b = rng.choice(grid), rng.choice(grid)
+        assert _pack(a, radix) + _pack(b, radix) - _pack(zeros, radix) == _pack(add(a, b), radix)
+
+    # Inputs and sums share one table, so no two different matrices of
+    # any size may share a code.
+    seen = {}
+    for n in (2, 3, 4):
+        inputs = list(enumerate_doubled(n, 2, "all" if n < 4 else "roundrobin"))
+        pairs = [(rng.choice(inputs), rng.choice(inputs)) for _ in range(400)]
+        for dt in inputs + [add(a, b) for a, b in pairs]:
+            assert seen.setdefault(_pack(dt, radix), dt) == dt
+
+    for bad in (((0, 9), (0, 0)), ((0, -1), (1, 0))):
+        with pytest.raises(ValueError, match="radix"):
+            _pack(bad, radix)
+    # A judge refuses inputs whose sums could overflow its radix.
+    judge = _JUDGES[AxiomKind.ADDITIVITY](Axiom.CS, _Evaluator(Method("score")), 1)
+    with pytest.raises(ValueError, match="max_matches"):
+        judge(((0, 3), (1, 0)), ((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("axiom", [Axiom.CS, Axiom.EP, Axiom.RCS, Axiom.NEU])
+def test_memoized_verdicts_agree_with_checker_on_a_full_grid(axiom, monkeypatch):
+    # Every candidate of a small grid, so that verdicts repeat and some
+    # come from the memo; fair bets has CS, EP and RCS violations here.
+    method = Method("fb")
+    core = {Axiom.NEU: "invariance_failures"}.get(axiom, "additivity_failures")
+    # The package re-exports ``search`` under the module's name.
+    search_module = importlib.import_module("pairrank.search")
+    calls = []
+    original = getattr(search_module, core)
+    monkeypatch.setattr(search_module, core, lambda *args: calls.append(args) or original(*args))
+    config = SearchConfig(object_counts=(3,), domain="roundrobin")
+    evaluator = _Evaluator(method)
+    judge = _JUDGES[axiom.kind](axiom, evaluator, config.max_matches)
+    candidates = list(_grid(axiom, config, evaluator))
+    assert len(candidates) == (135 if axiom is Axiom.NEU else 378)
+    admissible = flagged = 0
+    for candidate in candidates:
+        bad = judge(*candidate)
+        try:
+            report = run_check(axiom, method, _witness(axiom, candidate))
+        except (WitnessError, PreconditionUnmet):
+            assert bad is None, candidate
+            continue
+        assert bad == [v.objects for v in report.violations], candidate
+        admissible += 1
+        flagged += bool(bad)
+    # Some verdicts came from the memo, not the core.
+    assert len(calls) < admissible
+    if axiom is not Axiom.NEU:
+        assert flagged
+
+
+def test_verdicts_are_kept_per_permutation_and_edited_pair():
+    # Every method is neutral and no score search fails, so planted weak
+    # orders show that a verdict is not reused for another relabelling
+    # or another edited pair with the same orders.
+    dt = ((0, 2, 2), (0, 0, 2), (0, 0, 0))
+    evaluator = _Evaluator(Method("score"))
+    kept, moved = Permutation((1, 0, 2)), Permutation((0, 2, 1))
+    evaluator[dt] = (0, 1, 2)
+    for sigma in (kept, moved):
+        evaluator[relabel(dt, sigma)] = (1, 0, 2)
+    judge = _JUDGES[AxiomKind.INVARIANCE](Axiom.NEU, evaluator, 1)
+    assert judge(dt, kept) == []
+    assert judge(dt, moved) == invariance_failures(Axiom.NEU, (0, 1, 2), (1, 0, 2), moved) == [(0, 2), (1, 2)]
+
+    first, second = ((0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)), ((0,) * 4,) * 4
+    evaluator[first], evaluator[second] = (0, 1, 2, 3), (1, 0, 2, 3)
+    judge = _JUDGES[AxiomKind.INDEPENDENCE](Axiom.IIM, evaluator, 1)
+    assert judge(first, second, (0, 1)) == []
+    assert judge(first, second, (2, 3)) == [(0, 1)]
 
 
 def test_config_validation():
