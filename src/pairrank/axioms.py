@@ -151,9 +151,9 @@ def _rate(method: Method, problem: RankingProblem, role: str) -> RatingVector:
 
 # --- shared comparison cores ----------------------------------------------
 #
-# The counterexample search evaluates the same logic on cheap value
-# tuples, so the pairwise cores work on any indexable values that
-# support exact comparison and live here as plain functions.
+# The cores compare ratings only within one vector, so they work on any
+# indexable values that order like the ratings: the checkers pass each
+# rating's integer numerators, the counterexample search its weak orders.
 
 def invariance_failures(axiom: Axiom, before, after, sigma: Permutation | None = None):
     """Pairs (i, j) with i < j on which an invariance axiom fails."""
@@ -242,14 +242,14 @@ def check_invariance(axiom: Axiom, method: Method, witness: SingleWitness) -> Au
         moved = permute(problem, sigma)
         before = _rate(method, problem, "the problem")
         after = _rate(method, moved, "the relabelled problem")
-        bad = invariance_failures(axiom, before.values, after.values, sigma)
+        bad = invariance_failures(axiom, before.scaled, after.scaled, sigma)
         context = f"relabelling {tuple(v + 1 for v in sigma.image)}"
         violations = tuple(
             Violation(
                 (i, j),
                 (labels[i], labels[j]),
-                f"{labels[i]} {_REL[_compare(before.values, i, j)]} {labels[j]} originally",
-                f"{labels[i]} {_REL[_compare(after.values, sigma(i), sigma(j))]} {labels[j]}"
+                f"{labels[i]} {_REL[_compare(before.scaled, i, j)]} {labels[j]} originally",
+                f"{labels[i]} {_REL[_compare(after.scaled, sigma(i), sigma(j))]} {labels[j]}"
                 " after relabelling",
             )
             for i, j in bad
@@ -259,13 +259,13 @@ def check_invariance(axiom: Axiom, method: Method, witness: SingleWitness) -> Au
         if not flat_results(problem):
             raise NotFlat("symmetry is only about problems with flat results")
         rating = _rate(method, problem, "the problem")
-        bad = invariance_failures(axiom, rating.values, rating.values)
+        bad = invariance_failures(axiom, rating.scaled, rating.scaled)
         violations = tuple(
             Violation(
                 (i, j),
                 (labels[i], labels[j]),
                 "all results are flat",
-                f"{labels[i]} {_REL[_compare(rating.values, i, j)]} {labels[j]}",
+                f"{labels[i]} {_REL[_compare(rating.scaled, i, j)]} {labels[j]}",
             )
             for i, j in bad
         )
@@ -273,13 +273,13 @@ def check_invariance(axiom: Axiom, method: Method, witness: SingleWitness) -> Au
     if axiom is Axiom.INV:
         before = _rate(method, problem, "the problem")
         after = _rate(method, negate(problem), "the reversed problem")
-        bad = invariance_failures(axiom, before.values, after.values)
+        bad = invariance_failures(axiom, before.scaled, after.scaled)
         violations = tuple(
             Violation(
                 (i, j),
                 (labels[i], labels[j]),
-                f"{labels[i]} {_REL[_compare(before.values, i, j)]} {labels[j]} originally",
-                f"{labels[i]} {_REL[_compare(after.values, i, j)]} {labels[j]}"
+                f"{labels[i]} {_REL[_compare(before.scaled, i, j)]} {labels[j]} originally",
+                f"{labels[i]} {_REL[_compare(after.scaled, i, j)]} {labels[j]}"
                 " after reversing every result",
             )
             for i, j in bad
@@ -300,17 +300,17 @@ def check_additivity(axiom: Axiom, method: Method, witness: PairWitness) -> Audi
     labels = first.labels
     f = _rate(method, first, "the first problem")
     g = _rate(method, second, "the second problem")
-    if axiom is Axiom.FP and not (_is_flat(f.values) and _is_flat(g.values)):
+    if axiom is Axiom.FP and not (_is_flat(f.scaled) and _is_flat(g.scaled)):
         raise NotFlat("flatness preservation is only about inputs rated flat")
     total = _rate(method, sum_problems(first, second), "the summed problem")
-    bad = additivity_failures(axiom, f.values, g.values, total.values)
+    bad = additivity_failures(axiom, f.scaled, g.scaled, total.scaled)
     violations = tuple(
         Violation(
             (i, j),
             (labels[i], labels[j]),
-            f"{labels[i]} {_REL[_compare(f.values, i, j)]} {labels[j]} and"
-            f" {labels[i]} {_REL[_compare(g.values, i, j)]} {labels[j]} in the inputs",
-            f"{labels[i]} {_REL[_compare(total.values, i, j)]} {labels[j]} in the sum",
+            f"{labels[i]} {_REL[_compare(f.scaled, i, j)]} {labels[j]} and"
+            f" {labels[i]} {_REL[_compare(g.scaled, i, j)]} {labels[j]} in the inputs",
+            f"{labels[i]} {_REL[_compare(total.scaled, i, j)]} {labels[j]} in the sum",
         )
         for i, j in bad
     )
@@ -344,14 +344,14 @@ def check_independence(axiom: Axiom, method: Method, witness: ChangedPairWitness
         raise MatchesChanged("the edit must keep the pair's number of matches")
     f = _rate(method, first, "the original problem")
     g = _rate(method, second, "the edited problem")
-    bad = independence_failures(f.values, g.values, (k, l))
+    bad = independence_failures(f.scaled, g.scaled, (k, l))
     violations = tuple(
         Violation(
             (i, j),
             (labels[i], labels[j]),
-            f"{labels[i]} {_REL[_compare(f.values, i, j)]} {labels[j]} before editing"
+            f"{labels[i]} {_REL[_compare(f.scaled, i, j)]} {labels[j]} before editing"
             f" {labels[k]} vs {labels[l]}",
-            f"{labels[i]} {_REL[_compare(g.values, i, j)]} {labels[j]} after",
+            f"{labels[i]} {_REL[_compare(g.scaled, i, j)]} {labels[j]} after",
         )
         for i, j in bad
     )

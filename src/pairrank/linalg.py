@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals, computed in integers.
 
 Inputs are nested sequences of ints or rationals; results are lists of
-:class:`fractions.Fraction`. Nothing here ever touches floating point.
+ints, over one denominator D. Nothing here ever touches floating point.
 
 Both kernels run one routine, :func:`_eliminate`: fraction-free
 Gauss–Jordan elimination over Python ints (E. H. Bareiss, *Sylvester's
@@ -15,7 +15,7 @@ previous``, where ``f`` is the row's entry in the pivot column. By
 Sylvester's identity every entry is then, up to sign, a minor of the
 scaled input, so each division is exact, no entry grows beyond the
 size of a minor, and at the end every pivot equals the last one, D.
-The one division into Fractions happens when a result is read off.
+Results are read off as those integers, and nothing is divided by D.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from typing import Sequence
 
 from .errors import FullRank, RankTooLow, SingularMatrix
 
-Vector = list[Fraction]
+Matrix = Sequence[Sequence[int | Fraction]]
+Vector = list[int]
 
 
-def mat_vec(a: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vector:
+def mat_vec(a: Matrix, x: Sequence[int | Fraction]) -> list[int | Fraction]:
     """The product a x; integer input gives integers."""
     return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
 
@@ -72,12 +73,12 @@ def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
     return pivots, previous
 
 
-def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vector:
-    """Solve the square system a x = b exactly and return x as Fractions.
+def solve(a: Matrix, b: Sequence[int | Fraction]) -> tuple[Vector, int]:
+    """Solve the square system a x = b exactly; return ``(X, D)``, x = X / D.
 
     Each row of ``[a | b]`` is scaled to integers and :func:`_eliminate`
     reduces its first n columns. Row k then reads D x[k] = row[n], so
-    x[k] = row[n] / D (Cramer's rule), and a x = b holds identically.
+    X is the last column (Cramer's rule; D may be negative) and a X = D b.
     Raises SingularMatrix if some column has no nonzero pivot, i.e. the
     system has no unique solution.
     """
@@ -89,10 +90,10 @@ def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vector:
     if len(pivots) < n:
         missing = next(c for c in range(n) if c not in pivots)
         raise SingularMatrix(f"no pivot in column {missing}")
-    return [Fraction(row[n], last) for row in rows]
+    return [row[n] for row in rows], last
 
 
-def nullspace_1d(a: Sequence[Sequence[Fraction]]) -> Vector:
+def nullspace_1d(a: Matrix) -> Vector:
     """Return a nonzero vector spanning the nullspace of ``a``.
 
     Each row is scaled to integers and :func:`_eliminate` reduces the
@@ -121,4 +122,4 @@ def nullspace_1d(a: Sequence[Sequence[Fraction]]) -> Vector:
     v[free] = last
     for row, col in zip(rows, pivots):
         v[col] = -row[free]
-    return [Fraction(x) for x in v]
+    return v

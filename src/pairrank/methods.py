@@ -14,8 +14,8 @@ Six procedures, all exact:
   wins.
 * ``copeland_fair_bets``: the sum of the two, a compromise rating.
 
-Every function returns a :class:`RatingVector`; ties in it are real
-ties, since nothing is rounded.
+Every function returns a :class:`RatingVector`, integers over one
+denominator; ties in it are real ties, since nothing is rounded.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import groupby
 
 from . import linalg
 from .errors import (
@@ -41,8 +43,6 @@ from .model import (
     negate,
 )
 
-ZERO = Fraction(0)
-
 METHOD_KEYS = ("score", "grs", "ls", "fb", "dfb", "cfb")
 
 REASONABLE = "reasonable"
@@ -50,18 +50,27 @@ REASONABLE = "reasonable"
 
 @dataclass(frozen=True)
 class RatingVector:
-    """Exact ratings for the objects of one problem, best is largest."""
+    """Exact ratings ``scaled[i] / denominator``, best is largest. The
+    denominator is kept positive and coprime to the numerators, so
+    numerators order like the ratings and equal ratings compare equal.
+    """
 
     method: str
     labels: tuple[str, ...]
-    values: tuple[Fraction, ...]
+    scaled: tuple[int, ...]
+    denominator: int
     epsilon: Fraction | None = None
 
-    def __len__(self) -> int:
-        return len(self.values)
+    def __post_init__(self):
+        if self.denominator == 0:
+            raise ValueError("a rating's denominator must be nonzero")
+        common = math.gcd(self.denominator, *self.scaled) * (1 if self.denominator > 0 else -1)
+        object.__setattr__(self, "scaled", tuple(v // common for v in self.scaled))
+        object.__setattr__(self, "denominator", self.denominator // common)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.denominator) for v in self.scaled)
 
 
 @dataclass(frozen=True)
@@ -76,14 +85,9 @@ class WeakOrder:
 
 def ranking(rating: RatingVector) -> WeakOrder:
     """Collapse a rating vector into its weak order."""
-    order = sorted(range(len(rating.values)), key=lambda i: (rating.values[i], -i), reverse=True)
-    tiers: list[list[int]] = []
-    for i in order:
-        if tiers and rating.values[tiers[-1][0]] == rating.values[i]:
-            tiers[-1].append(i)
-        else:
-            tiers.append([i])
-    return WeakOrder(tuple(tuple(sorted(tier)) for tier in tiers))
+    keys = rating.scaled
+    order = sorted(range(len(keys)), key=lambda i: (-keys[i], i))
+    return WeakOrder(tuple(tuple(tier) for _, tier in groupby(order, key=keys.__getitem__)))
 
 
 def _net_results(problem: RankingProblem) -> list[int]:
@@ -93,17 +97,9 @@ def _net_results(problem: RankingProblem) -> list[int]:
     return [w - l for w, l in zip(won, lost)]
 
 
-def _common_scale(x) -> tuple[int, list[int]]:
-    """The lcm ``s`` of the denominators of ``x``, and ``s * x`` as ints."""
-    s = math.lcm(*(v.denominator for v in x))
-    return s, [v.numerator * (s // v.denominator) for v in x]
-
-
 def score(problem: RankingProblem) -> RatingVector:
     """Net result of each object: wins minus losses, summed over all pairs."""
-    d = problem.denominator
-    values = tuple(Fraction(v, d) for v in _net_results(problem))
-    return RatingVector("score", problem.labels, values)
+    return RatingVector("score", problem.labels, _net_results(problem), problem.denominator)
 
 
 def reasonable_epsilon(problem: RankingProblem) -> Fraction:
@@ -112,10 +108,14 @@ def reasonable_epsilon(problem: RankingProblem) -> Fraction:
     Undefined with two objects (the bound would divide by zero) and
     meaningless without comparisons.
     """
+    return _reasonable_epsilon(problem, derive(problem))
+
+
+def _reasonable_epsilon(problem: RankingProblem, derived) -> Fraction:
     n = problem.size
     if n < 3:
         raise UndefinedForSmallN("the reasonable bound needs at least three objects")
-    m = derive(problem).max_matches
+    m = derived.max_matches
     if m == 0:
         raise NoComparisons("no pair has played, the bound is undefined")
     return Fraction(1, m * (n - 2))
@@ -139,15 +139,15 @@ def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
     system always has a unique solution. With eps = p/q the solver gets
     the integer system (q I + p L) x = (q + p m n) (denominator * s).
     """
-    eps = _checked_epsilon(epsilon)
-    d = derive(problem)
-    n = problem.size
+    return _generalized_row_sum(problem, _checked_epsilon(epsilon), derive(problem))
+
+
+def _generalized_row_sum(problem: RankingProblem, eps: Fraction, d) -> RatingVector:
     p, q = eps.numerator, eps.denominator
     a = [[q * (i == j) + p * v for j, v in enumerate(row)] for i, row in enumerate(d.laplacian)]
-    multiplier = q + p * d.max_matches * n
-    x = linalg.solve(a, [multiplier * v for v in _net_results(problem)])
-    values = tuple(v / problem.denominator for v in x)
-    return RatingVector("grs", problem.labels, values, epsilon=eps)
+    multiplier = q + p * d.max_matches * problem.size
+    x, pivot = linalg.solve(a, [multiplier * v for v in _net_results(problem)])
+    return RatingVector("grs", problem.labels, x, pivot * problem.denominator, epsilon=eps)
 
 
 def least_squares(problem: RankingProblem) -> RatingVector:
@@ -161,19 +161,19 @@ def least_squares(problem: RankingProblem) -> RatingVector:
     if not is_connected(problem):
         raise DisconnectedProblem("comparison multigraph is not connected")
     laplacian = derive(problem).laplacian
-    n = problem.size
     net = _net_results(problem)
-    x = linalg.solve([*laplacian[:-1], [1] * n], [*net[:-1], 0])
-    # The identity L x = net, e^T x = 0, checked in integers on s x.
-    s, scaled = _common_scale(x)
-    if linalg.mat_vec(laplacian, scaled) != [s * v for v in net] or sum(scaled) != 0:
+    x, pivot = linalg.solve([*laplacian[:-1], [1] * problem.size], [*net[:-1], 0])
+    # The identity L x = net, e^T x = 0, checked in integers on x = X / D.
+    if linalg.mat_vec(laplacian, x) != [pivot * v for v in net] or sum(x) != 0:
         raise RuntimeError("internal: constrained solve left a nonzero residual")
-    values = tuple(v / problem.denominator for v in x)
-    return RatingVector("ls", problem.labels, values)
+    return RatingVector("ls", problem.labels, x, pivot * problem.denominator)
 
 
-def _fair_bets_values(problem: RankingProblem) -> tuple[Fraction, ...]:
-    if not is_irreducible(problem):
+def _fair_bets_vector(problem: RankingProblem, checked: bool = False) -> tuple[list[int], int]:
+    """Fixed point v of an irreducible problem, and sum(v) to divide by."""
+    # Reversing every result keeps a digraph strongly connected, so a
+    # problem's reversal is ``checked`` once the problem passed.
+    if not checked and not is_irreducible(problem):
         raise ReducibleProblem("results digraph is not strongly connected")
     # The nullspace and its normalized member do not depend on the
     # common scale, so the integer matrix stands in for the tournament.
@@ -184,17 +184,14 @@ def _fair_bets_values(problem: RankingProblem) -> tuple[Fraction, ...]:
         for i, row in enumerate(t)
     ]
     v = linalg.nullspace_1d(a)
-    if any(linalg.mat_vec(a, _common_scale(v)[1])):
+    if any(linalg.mat_vec(a, v)):
         raise RuntimeError("internal: fixed-point vector is not in the nullspace")
-    positive = all(x > 0 for x in v)
-    negative = all(x < 0 for x in v)
-    if not (positive or negative):
+    if not (all(x > 0 for x in v) or all(x < 0 for x in v)):
         raise RuntimeError("internal: fixed-point vector changes sign")
-    total = sum(v, ZERO)
-    values = tuple(x / total for x in v)
-    if sum(values, ZERO) != 1 or any(x <= 0 for x in values):
+    total = sum(v)
+    if total == 0 or any(x * total <= 0 for x in v):
         raise RuntimeError("internal: fixed-point normalization failed")
-    return values
+    return v, total
 
 
 def fair_bets(problem: RankingProblem) -> RatingVector:
@@ -205,7 +202,8 @@ def fair_bets(problem: RankingProblem) -> RatingVector:
     points to, in proportion to those losses. Strong connectivity of
     the results digraph makes the fixed point unique and positive.
     """
-    return RatingVector("fb", problem.labels, _fair_bets_values(problem))
+    v, total = _fair_bets_vector(problem)
+    return RatingVector("fb", problem.labels, v, total)
 
 
 def dual_fair_bets(problem: RankingProblem) -> RatingVector:
@@ -215,16 +213,17 @@ def dual_fair_bets(problem: RankingProblem) -> RatingVector:
     problem and flipping the sign yields a method that blames losses
     instead of crediting wins. Entries are negative and sum to -1.
     """
-    values = _fair_bets_values(negate(problem))
-    return RatingVector("dfb", problem.labels, tuple(-x for x in values))
+    v, total = _fair_bets_vector(negate(problem))
+    return RatingVector("dfb", problem.labels, v, -total)
 
 
 def copeland_fair_bets(problem: RankingProblem) -> RatingVector:
     """Sum of fair bets and dual fair bets, rewarding wins and punishing losses."""
-    win_side = _fair_bets_values(problem)
-    loss_side = _fair_bets_values(negate(problem))
-    values = tuple(w - l for w, l in zip(win_side, loss_side))
-    return RatingVector("cfb", problem.labels, values)
+    w, w_total = _fair_bets_vector(problem)
+    l, l_total = _fair_bets_vector(negate(problem), checked=True)
+    # w / sum(w) - l / sum(l), over the product of the two sums.
+    scaled = [a * l_total - b * w_total for a, b in zip(w, l)]
+    return RatingVector("cfb", problem.labels, scaled, w_total * l_total)
 
 
 @dataclass(frozen=True)
@@ -258,10 +257,11 @@ class Method:
 
     def rate(self, problem: RankingProblem) -> RatingVector:
         if self.key == "grs":
+            derived = derive(problem)
             eps = self.epsilon
             if eps == REASONABLE:
-                eps = reasonable_epsilon(problem)
-            return generalized_row_sum(problem, eps)
+                eps = _reasonable_epsilon(problem, derived)
+            return _generalized_row_sum(problem, eps, derived)
         return _PLAIN[self.key](problem)
 
 

@@ -40,7 +40,6 @@ in both modes, so a reported witness is never a scan artifact.
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -211,8 +210,8 @@ class _Evaluator(dict):
 
     ``evaluator[dt]`` rates a candidate once, through the method's public
     implementation, and keeps its weak order: the dense rank 0..k-1 of
-    each rating, taken from the ratings times the lcm of their
-    denominators. Equal weak orders share one tuple. ``None`` marks a
+    each rating, taken from the rating's integer numerators, which order
+    like the ratings. Equal weak orders share one tuple. ``None`` marks a
     candidate the method is undefined on. ``rate`` computes a weak order
     without keeping it.
     """
@@ -224,11 +223,9 @@ class _Evaluator(dict):
 
     def rate(self, dt: Matrix) -> tuple[int, ...] | None:
         try:
-            values = self.method.rate(_problem(dt)).values
+            keys = self.method.rate(_problem(dt)).scaled
         except MethodPreconditionError:
             return None
-        scale = math.lcm(*(v.denominator for v in values))
-        keys = [v.numerator * (scale // v.denominator) for v in values]
         rank = {key: r for r, key in enumerate(sorted(set(keys)))}
         order = tuple(rank[key] for key in keys)
         return self.interned.setdefault(order, order)

@@ -14,9 +14,9 @@ F = Fraction
 def test_solve_small_system_exactly():
     a = [[F(2), F(1)], [F(1), F(3)]]
     b = [F(5), F(10)]
-    x = solve(a, b)
-    assert x == [F(1), F(3)]
-    assert mat_vec(a, x) == b
+    x, d = solve(a, b)
+    assert [F(v, d) for v in x] == [F(1), F(3)]
+    assert mat_vec(a, x) == [d * v for v in b]
 
 
 def test_solve_residual_is_exact_on_random_systems():
@@ -27,10 +27,11 @@ def test_solve_residual_is_exact_on_random_systems():
         a = [[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
         b = [F(rng.randint(-9, 9)) for _ in range(n)]
         try:
-            x = solve(a, b)
+            x, d = solve(a, b)
         except SingularMatrix:
             continue
-        assert mat_vec(a, x) == b
+        assert all(isinstance(v, int) for v in [*x, d]) and d != 0
+        assert mat_vec(a, x) == [d * v for v in b]
         solved += 1
     assert solved > 40
 
@@ -133,7 +134,8 @@ def test_kernels_agree_with_sympy_oracle():
             b = [_sparse_rational(rng) for _ in range(n)]
             if m.rank() == n:
                 expected = [fraction(x) for x in m.LUsolve(exact([[v] for v in b]))]
-                assert solve(a, b) == expected
+                x, d = solve(a, b)
+                assert [F(v, d) for v in x] == expected
                 solved += 1
             else:
                 with pytest.raises(SingularMatrix):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from pairrank import (
     negate,
     permute,
     Permutation,
+    RatingVector,
     ranking,
     reasonable_epsilon,
     score,
@@ -31,6 +33,7 @@ from pairrank import (
 from pairrank.errors import (
     DisconnectedProblem,
     InvalidEpsilon,
+    MethodPreconditionError,
     NoComparisons,
     ReducibleProblem,
     UndefinedForSmallN,
@@ -186,10 +189,10 @@ def test_least_squares_refuses_a_wrong_solve(monkeypatch):
     assert least_squares(problem).values == EXAMPLE_7_LS["first"]
     # Off the defining system, once with the centring broken and once
     # with it kept.
-    for shift in ((F(1, 3), 0), (F(1, 3), F(-1, 3))):
+    for shift in ((1, 0), (1, -1)):
         def perturbed(a, b, shift=shift):
-            x = solve(a, b)
-            return [x[0] + shift[0], x[1] + shift[1], *x[2:]]
+            x, d = solve(a, b)
+            return [x[0] + shift[0], x[1] + shift[1], *x[2:]], d
 
         monkeypatch.setattr(linalg, "solve", perturbed)
         with pytest.raises(RuntimeError, match="residual"):
@@ -331,3 +334,74 @@ def test_method_rate_matches_direct_calls():
         == generalized_row_sum(EXAMPLE_4, F(2, 3)).values
     )
     assert set(METHOD_KEYS) == set(table) | {"grs"}
+
+
+SETTINGS = (
+    Method("score"),
+    Method("grs", REASONABLE),
+    Method("grs", F(2, 3)),
+    Method("ls"),
+    Method("fb"),
+    Method("dfb"),
+    Method("cfb"),
+)
+
+
+def test_ratings_are_integers_over_one_reduced_positive_denominator():
+    rng = random.Random(61)
+    pool = problem_pool(61, 30) + problem_pool(62, 30, require=is_irreducible)
+    rated = {method.label: 0 for method in SETTINGS}
+    for problem in pool:
+        for method in SETTINGS:
+            try:
+                rating = method.rate(problem)
+            except MethodPreconditionError:
+                continue
+            rated[method.label] += 1
+            scaled, d = rating.scaled, rating.denominator
+            assert all(type(v) is int for v in (*scaled, d))
+            assert d > 0 and math.gcd(d, *scaled) == 1
+            assert rating.values == tuple(F(v, d) for v in scaled)
+            # The weak order from the Fractions themselves.
+            values = rating.values
+            reference = tuple(
+                tuple(i for i, v in enumerate(values) if v == level)
+                for level in sorted(set(values), reverse=True)
+            )
+            assert ranking(rating).tiers == reference
+            # Unreduced, with a negative denominator or a positive one.
+            k = rng.randint(2, 9)
+            fields = (rating.method, rating.labels)
+            down = RatingVector(*fields, [-k * v for v in scaled], -k * d, rating.epsilon)
+            up = RatingVector(*fields, [k * v for v in scaled], k * d, rating.epsilon)
+            assert down == up == rating
+            assert hash(down) == hash(up) == hash(rating)
+    assert min(rated.values()) >= 20
+    with pytest.raises(ValueError):
+        RatingVector("score", ("a", "b"), (1, -1), 0)
+
+
+def test_each_rating_derives_and_checks_irreducibility_once(monkeypatch):
+    from pairrank import methods
+
+    calls = {"derive": 0, "is_irreducible": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(methods, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(methods, name, counted)
+    problem = EXAMPLE_3[0]
+    expected = {
+        "score": (0, 0),
+        "grs[eps=reasonable]": (1, 0),
+        "grs[eps=2/3]": (1, 0),
+        "ls": (1, 0),
+        "fb": (0, 1),
+        "dfb": (0, 1),
+        "cfb": (0, 1),
+    }
+    for method in SETTINGS:
+        calls.update(derive=0, is_irreducible=0)
+        method.rate(problem)
+        assert (calls["derive"], calls["is_irreducible"]) == expected[method.label], method.label
