@@ -12,12 +12,15 @@ Matrix format: an optional ``labels:`` line, the object count on its
 own line, then the tournament rows, entries separated by whitespace.
 
 Rational literals are written as ``p/q``, an integer, or a decimal with
-at most six fractional digits. Floats never appear: rendering uses
+at most six fractional digits, and read as an integer numerator and
+denominator; a matrix file becomes integers over the lcm of its
+denominators, with no Fraction made. Floats never appear: rendering uses
 exact fractions plus a fixed four-decimal column rounded half to even.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -30,19 +33,27 @@ from .errors import (
 from .methods import RatingVector, WeakOrder, ranking
 from .model import RankingProblem
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+|\.\d{1,6})?$")
+_RATIONAL = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d{1,6}))?")
 
 _HEADER = ("i", "j", "tij", "tji")
 
 
+def _rational_parts(text: str) -> tuple[int, int]:
+    """Read ``p/q``, integer or short-decimal notation as ``(numerator,
+    denominator)`` ints, not reduced, with a positive denominator."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if not match:
+        raise ParseError(f"not a rational literal: {text!r}")
+    sign, whole, over, decimals = match.groups(default="")
+    numerator, denominator = int(whole + decimals), int(over or 10 ** len(decimals))
+    if not denominator:
+        raise ParseError(f"zero denominator in {text!r}")
+    return (-numerator if sign == "-" else numerator), denominator
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q``, integer or short-decimal notation into a Fraction."""
-    token = text.strip()
-    if not _RATIONAL.match(token):
-        raise ParseError(f"not a rational literal: {text!r}")
-    if "/" in token and int(token.split("/", 1)[1]) == 0:
-        raise ParseError(f"zero denominator in {text!r}")
-    return Fraction(token)
+    return Fraction(*_rational_parts(text))
 
 
 def _strip_comment(line: str) -> str:
@@ -133,15 +144,18 @@ def parse_matrix(text: str) -> RankingProblem:
     if len(body) != n:
         raise ParseError(f"expected {n} matrix rows, found {len(body)}")
     rows = []
-    for row_index, (lineno, line) in enumerate(body):
+    known: dict[str, tuple[int, int]] = {}  # a file repeats few literals; read each once
+    for lineno, line in body:
         entries = line.split()
         if len(entries) != n:
             raise ParseError(f"line {lineno}: expected {n} entries, got {len(entries)}")
         try:
-            rows.append(tuple(parse_rational(e) for e in entries))
+            rows.append([known[e] if e in known else known.setdefault(e, _rational_parts(e)) for e in entries])
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-    return RankingProblem(labels, tuple(rows))
+    scale = math.lcm(*(d for row in rows for _, d in row))
+    scaled = [[v * (scale // d) for v, d in row] for row in rows]
+    return RankingProblem.from_scaled(labels, scaled, scale)
 
 
 def parse_problem(text: str, form: str = "matrix") -> RankingProblem:

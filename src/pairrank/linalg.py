@@ -3,24 +3,27 @@
 Inputs are nested sequences of ints or rationals; results are lists of
 ints, over one denominator D. Nothing here ever touches floating point.
 
-Both kernels run one routine, :func:`_eliminate`: fraction-free
-Gauss–Jordan elimination over Python ints (E. H. Bareiss, *Sylvester's
-identity and multistep integer-preserving Gaussian elimination*, Math.
-Comp. 22, 1968). Rational input is first scaled to integers row by row,
-each row by the lcm of its denominators; that changes neither the
-solution of a system nor the nullspace of a matrix. With ``p`` the new
-pivot and ``previous`` the one before it (1 at the start), every row
-other than the pivot row becomes ``(p * row - f * pivot_row) //
-previous``, where ``f`` is the row's entry in the pivot column. By
-Sylvester's identity every entry is then, up to sign, a minor of the
-scaled input, so each division is exact, no entry grows beyond the
-size of a minor, and at the end every pivot equals the last one, D.
-Results are read off as those integers, and nothing is divided by D.
+Both kernels run fraction-free forward elimination over Python ints,
+:func:`_eliminate` (E. H. Bareiss, *Sylvester's identity and multistep
+integer-preserving Gaussian elimination*, Math. Comp. 22, 1968), then
+integer back substitution, :func:`_back_substitute`. Rational input is
+first scaled to integers row by row, each row by the lcm of its
+denominators; that changes neither the solution of a system nor the
+nullspace of a matrix. With ``p`` the new pivot and ``previous`` the
+one before it (1 at the start), every row below the pivot row becomes
+``(p * row - f * pivot_row) // previous`` right of the pivot column,
+``f`` being the row's entry in that column. By Sylvester's identity
+every such entry is, up to sign, a minor of the scaled input, so each
+division is exact and no entry outgrows a minor. The results are the
+integer vector D x, with D the last pivot: by Cramer's rule its entries
+are minors too, so the back substitution's divisions are exact as well,
+and a nonzero remainder is raised as an internal error.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,8 +34,8 @@ Vector = list[int]
 
 
 def mat_vec(a: Matrix, x: Sequence[int | Fraction]) -> list[int | Fraction]:
-    """The product a x; integer input gives integers."""
-    return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
+    """The product a x, for rows as long as x; integer input gives integers."""
+    return [sum(map(operator.mul, row, x)) for row in a]
 
 
 def _integer_row(row) -> list[int]:
@@ -43,13 +46,14 @@ def _integer_row(row) -> list[int]:
 
 
 def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
-    """Reduce ``rows`` in place by fraction-free Gauss–Jordan elimination.
+    """Reduce ``rows`` in place to echelon form U by forward elimination.
 
     Columns ``0 .. columns - 1`` are eliminated left to right; a column
-    with no nonzero entry at or below the current rank is skipped.
-    Returns the pivot columns and the last pivot D (1 if there is none).
-    Afterwards row k has D in column ``pivots[k]`` and every other row
-    has 0 there, so row k reads D x[pivots[k]] + (free columns) = rhs.
+    with no nonzero entry at or below the current rank is skipped, and
+    otherwise the first such row is swapped up to be the pivot row.
+    Only the rows below it change, and only right of the pivot column;
+    nothing reads the stale entries left of that. Returns the pivot
+    columns and the last pivot D (1 if there is none).
     """
     m = len(rows)
     pivots: list[int] = []
@@ -58,29 +62,49 @@ def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
         rank = len(pivots)
         if rank == m:
             break
-        pivot_index = next((r for r in range(rank, m) if rows[r][col]), None)
-        if pivot_index is None:
+        for pivot_index in range(rank, m):
+            if rows[pivot_index][col]:
+                break
+        else:
             continue
         rows[rank], rows[pivot_index] = rows[pivot_index], rows[rank]
-        pivot_row = rows[rank]
-        p = pivot_row[col]
-        for i in range(m):
-            if i != rank:
-                f = rows[i][col]
-                rows[i] = [(p * x - f * y) // previous for x, y in zip(rows[i], pivot_row)]
+        p = rows[rank][col]
+        tail = rows[rank][col + 1:]
+        for row in rows[rank + 1:]:
+            f = row[col]
+            row[col + 1:] = [(p * x - f * y) // previous for x, y in zip(row[col + 1:], tail)]
         previous = p
         pivots.append(col)
     return pivots, previous
+
+
+def _back_substitute(rows: list[list[int]], pivots: list[int], v: Vector) -> Vector:
+    """Fill the pivot coordinates of ``v`` so that U v = 0, and return it.
+
+    From the last pivot row up, row k with pivot column c gives
+    ``v[c] = -(sum of U[k][j] v[j] over j > c) / U[k][c]``.
+    """
+    for k in reversed(range(len(pivots))):
+        row, col = rows[k], pivots[k]
+        total = 0
+        for j in range(col + 1, len(v)):
+            total -= row[j] * v[j]
+        v[col], remainder = divmod(total, row[col])
+        if remainder:
+            raise RuntimeError("internal: back substitution left a remainder")
+    return v
 
 
 def solve(a: Matrix, b: Sequence[int | Fraction]) -> tuple[Vector, int]:
     """Solve the square system a x = b exactly; return ``(X, D)``, x = X / D.
 
     Each row of ``[a | b]`` is scaled to integers and :func:`_eliminate`
-    reduces its first n columns. Row k then reads D x[k] = row[n], so
-    X is the last column (Cramer's rule; D may be negative) and a X = D b.
-    Raises SingularMatrix if some column has no nonzero pivot, i.e. the
-    system has no unique solution.
+    reduces its first n columns. ``(X, -D)`` is in the nullspace of
+    ``[a | b]``, so back substitution gives ``X[k] = (D b[k] - sum of
+    U[k][j] X[j] over k < j < n) / U[k][k]``, with b the reduced last
+    column: the integers of Cramer's rule (D may be negative), and
+    a X = D b. Raises SingularMatrix, naming the first column without a pivot, if
+    the system has no unique solution.
     """
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
@@ -90,7 +114,7 @@ def solve(a: Matrix, b: Sequence[int | Fraction]) -> tuple[Vector, int]:
     if len(pivots) < n:
         missing = next(c for c in range(n) if c not in pivots)
         raise SingularMatrix(f"no pivot in column {missing}")
-    return [row[n] for row in rows], last
+    return _back_substitute(rows, pivots, [0] * n + [-last])[:n], last
 
 
 def nullspace_1d(a: Matrix) -> Vector:
@@ -100,10 +124,10 @@ def nullspace_1d(a: Matrix) -> Vector:
     whole matrix. Exactly one free column must remain: with none the
     nullspace is trivial (FullRank), with two or more it is not a line
     (RankTooLow) and the caller's model assumptions are broken. The
-    returned vector has the last pivot D in the free coordinate and
-    ``-row[k][free]`` in pivot column k, so its entries are integers
-    (minors of the scaled input), not 1 in the free coordinate;
-    callers normalize to taste.
+    returned vector is D x for the member x with 1 in the free column:
+    D there, the rest by back substitution. Its entries are minors of
+    the scaled input, not 1 in the free coordinate; callers normalize
+    to taste.
     """
     if not a:
         raise ValueError("empty matrix")
@@ -117,9 +141,6 @@ def nullspace_1d(a: Matrix) -> Vector:
         raise FullRank("matrix has a trivial nullspace")
     if len(free_cols) > 1:
         raise RankTooLow(f"nullspace has dimension {len(free_cols)}, expected 1")
-    free = free_cols[0]
     v = [0] * n
-    v[free] = last
-    for row, col in zip(rows, pivots):
-        v[col] = -row[free]
-    return v
+    v[free_cols[0]] = last
+    return _back_substitute(rows, pivots, v)

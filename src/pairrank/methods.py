@@ -146,7 +146,11 @@ def _generalized_row_sum(problem: RankingProblem, eps: Fraction, d) -> RatingVec
     p, q = eps.numerator, eps.denominator
     a = [[q * (i == j) + p * v for j, v in enumerate(row)] for i, row in enumerate(d.laplacian)]
     multiplier = q + p * d.max_matches * problem.size
-    x, pivot = linalg.solve(a, [multiplier * v for v in _net_results(problem)])
+    rhs = [multiplier * v for v in _net_results(problem)]
+    x, pivot = linalg.solve(a, rhs)
+    # The identity (q I + p L) x = (q + p m n) net, checked in integers on x = X / D.
+    if linalg.mat_vec(a, x) != [pivot * v for v in rhs]:
+        raise RuntimeError("internal: row-sum solve left a nonzero residual")
     return RatingVector("grs", problem.labels, x, pivot * problem.denominator, epsilon=eps)
 
 

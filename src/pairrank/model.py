@@ -223,8 +223,9 @@ def add(a: Matrix, b: Matrix) -> Matrix:
 
 def relabel(m: Matrix, sigma: Permutation) -> Matrix:
     """The matrix with new[sigma(i)][sigma(j)] = m[i][j]."""
-    source = sigma.inverse().image
-    return tuple(tuple(m[i][j] for j in source) for i in source)
+    # source[k] is the object that sigma moves to k.
+    source = sorted(range(sigma.size), key=sigma.image.__getitem__)
+    return tuple([tuple([m[i][j] for j in source]) for i in source])
 
 
 def _reaches_all(n: int, arc) -> bool:

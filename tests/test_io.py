@@ -20,7 +20,8 @@ from pairrank import (
     render_rating,
     score,
 )
-from pairrank.errors import NonIntegerPairSum, ParseError
+from pairrank import RankingProblem
+from pairrank.errors import DiagonalNonZero, NegativeEntry, NonIntegerPairSum, ParseError
 from pairrank.fixtures import EXAMPLE_4, EXAMPLE_5
 
 F = Fraction
@@ -36,6 +37,10 @@ F = Fraction
         ("0.75", F(3, 4)),
         ("  2.250000 ", F(9, 4)),
         ("+1/3", F(1, 3)),
+        ("2/4", F(1, 2)),
+        ("-0.5", F(-1, 2)),
+        ("+0.25", F(1, 4)),
+        ("-0/7", F(0)),
     ],
 )
 def test_parse_rational(text, value):
@@ -82,6 +87,58 @@ def test_matrix_round_trip_on_random_problems():
         p = random_problem(rng, rng.choice((3, 4, 5)))
         assert parse_matrix(render_matrix(p)) == p
         assert parse_match_list(render_match_list(p)) == p
+
+
+def _fraction_built(text):
+    """The problem built from the same file with every entry read as a Fraction."""
+    lines = [line.partition("#")[0].strip() for line in text.splitlines()]
+    labels, _, *rows = [line for line in lines if line]
+    return RankingProblem(
+        labels[len("labels:"):].split(), [[parse_rational(v) for v in row.split()] for row in rows]
+    )
+
+
+def _spell(value, rng):
+    """One of several literals for ``value``: unreduced, signed, decimal."""
+    k = rng.choice((1, 1, 2, 5))
+    sign = rng.choice(("", "+")) if value >= 0 else "-"
+    p, q = abs(value.numerator) * k, value.denominator * k
+    if 10**6 % q == 0 and rng.random() < 0.5:
+        whole, part = divmod(p * (10**6 // q), 10**6)
+        return f"{sign}{whole}.{part:06d}"
+    return f"{sign}{p}/{q}" if q > 1 or rng.random() < 0.5 else f"{sign}{p}"
+
+
+def test_parse_matrix_builds_the_fraction_built_problem():
+    text = "labels: a b c\n3\n-0 2/4 +3/2\n0.5 +0/3 1.250000\n+1/2 0.75 -0.0\n"
+    p = parse_matrix(text)
+    assert p == _fraction_built(text) and hash(p) == hash(_fraction_built(text))
+    assert (p.scaled, p.denominator) == (((0, 2, 6), (2, 0, 5), (2, 3, 0)), 4)
+    rng = random.Random(8)
+    for _ in range(30):
+        q = random_problem(rng, rng.choice((3, 4, 5)))
+        rows = [" ".join(_spell(v, rng) for v in row) for row in q.tournament]
+        text = "\n".join(["labels: " + " ".join(q.labels), str(q.size), *rows]) + "\n"
+        p = parse_matrix(text)
+        assert p == q == _fraction_built(text)
+        assert hash(p) == hash(q) and p.tournament == q.tournament
+
+
+def test_parse_matrix_errors_read_as_before():
+    cases = [
+        ("2\n0 x\n1 0\n", ParseError, "line 2: not a rational literal: 'x'"),
+        ("2\n0 1\n1/0 0\n", ParseError, "line 3: zero denominator in '1/0'"),
+        ("2\n0 -0.5\n1 0\n", NegativeEntry, "negative score -1/2 for X1 against X2"),
+        ("2\n0 2/8\n1/2 0\n", NonIntegerPairSum, "X1 and X2 played 3/4 matches, which is not a whole number"),
+        ("2\n1/2 1/2\n1/2 0\n", DiagonalNonZero, "object X1 is scored against itself"),
+    ]
+    for text, error, message in cases:
+        with pytest.raises(error) as caught:
+            parse_matrix(text)
+        assert str(caught.value) == message
+        if error is not ParseError:
+            with pytest.raises(error, match=f"^{message}$"):
+                _fraction_built("labels: X1 X2\n" + text)
 
 
 def test_parse_matrix_defaults_and_errors():

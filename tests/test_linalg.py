@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -143,3 +144,166 @@ def test_kernels_agree_with_sympy_oracle():
                 singular += 1
     assert solved > 40 and singular > 40
     assert skipped > 20 and swapped > 20
+
+    # Larger sizes, where entries grow: full rank, and a nullspace line
+    # from dropping the last row.
+    for n in (12, 12, 32):
+        a = _matrix_of_rank(rng, n, n, n)
+        b = [_sparse_rational(rng) for _ in range(n)]
+        expected = [fraction(x) for x in exact(a).LUsolve(exact([[v] for v in b]))]
+        x, d = solve(a, b)
+        assert [F(v, d) for v in x] == expected
+        (basis,) = exact(a[:-1]).nullspace()
+        v = nullspace_1d(a[:-1])
+        w = [fraction(x) for x in basis]
+        ratio = F(v[-1]) / w[-1]
+        assert ratio != 0 and v == [ratio * x for x in w]
+
+
+def _scaled_row(row):
+    scale = math.lcm(*(F(v).denominator for v in row))
+    return [int(F(v) * scale) for v in row]
+
+
+def _gauss_jordan(rows, columns):
+    """Reference: fraction-free Gauss–Jordan elimination, which updates
+    every row but the pivot row over its full width. Returns the pivot
+    columns and the last pivot; each pivot row ends with D at its pivot."""
+    pivots, previous = [], 1
+    for col in range(columns):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        hit = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        pivot = rows[rank]
+        for i, row in enumerate(rows):
+            if i != rank:
+                f = row[col]
+                rows[i] = [(pivot[col] * x - f * y) // previous for x, y in zip(row, pivot)]
+        previous = pivot[col]
+        pivots.append(col)
+    return pivots, previous
+
+
+def _reference_solve(a, b):
+    n = len(a)
+    rows = [_scaled_row([*row, v]) for row, v in zip(a, b)]
+    pivots, d = _gauss_jordan(rows, n)
+    if len(pivots) < n:
+        raise SingularMatrix(f"no pivot in column {min(set(range(n)) - set(pivots))}")
+    return [row[n] for row in rows], d
+
+
+def _reference_nullspace(a):
+    n = len(a[0])
+    rows = [_scaled_row(row) for row in a]
+    pivots, d = _gauss_jordan(rows, n)
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        raise (FullRank if not free else RankTooLow)()
+    v = [0] * n
+    v[free[0]] = d
+    for row, col in zip(rows, pivots):
+        v[col] = -row[free[0]]
+    return v
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (SingularMatrix, FullRank, RankTooLow) as exc:
+        return type(exc)
+
+
+def _cases(rng):
+    """Seeded matrices of every rank, mostly small, a few at n = 12 and 32."""
+    for n in [*(rng.randint(1, 6) for _ in range(200)), 12, 12, 12, 12, 32, 32]:
+        rows = max(1, n + rng.choice((-1, 0, 0, 1)))
+        full = min(rows, n)
+        rank = full if rng.random() < 0.5 else rng.randint(max(0, full - 2), full)
+        yield _matrix_of_rank(rng, rows, n, rank)
+
+
+def test_kernels_match_a_gauss_jordan_reference():
+    rng = random.Random(77)
+    solved = nulled = 0
+    for a in _cases(rng):
+        v = _outcome(nullspace_1d, a)
+        assert v == _outcome(_reference_nullspace, a)
+        nulled += isinstance(v, list)
+        if len(a) == len(a[0]):
+            b = [_sparse_rational(rng) for _ in a]
+            x = _outcome(solve, a, b)
+            assert x == _outcome(_reference_solve, a, b)
+            solved += isinstance(x, tuple)
+    assert solved > 40 and nulled > 40
+
+
+def test_nullspace_with_the_free_column_first_or_inside():
+    # Column 0 is zero, so it is the free column.
+    first = [[0, 2, 1, 0], [0, 1, 0, 3], [0, 0, 5, 1]]
+    # Column 2 is column 0 minus half column 1, so it is the free column.
+    inside = [[2, 4, 0, 1], [1, -2, 2, 0], [3, 0, 3, 7]]
+    for a, free in ((first, 0), (inside, 2)):
+        v = nullspace_1d(a)
+        assert v == _reference_nullspace(a)
+        assert all(x == 0 for x in mat_vec(a, v))
+        assert [c for c, x in enumerate(v) if x] == ([0] if free == 0 else [0, 1, 2])
+        assert abs(v[free]) == abs(_bareiss_determinant([[r[c] for c in range(4) if c != free] for r in a]))
+
+
+def _bareiss_determinant(m):
+    rows = [list(r) for r in m]
+    pivots, d = _gauss_jordan(rows, len(rows))
+    return d if len(pivots) == len(rows) else 0
+
+
+def test_singular_matrix_names_the_first_column_without_a_pivot():
+    cases = (
+        ([[1, 2, 3], [2, 4, 1], [0, 0, 5]], 1),  # column 1 is twice column 0
+        ([[1, 3, 3], [2, 1, 1], [0, 5, 5]], 2),  # column 2 repeats column 1
+        ([[0, 1, 3], [0, 2, 1], [0, 0, 5]], 0),  # column 0 is zero
+    )
+    for a, missing in cases:
+        for fn in (solve, _reference_solve):
+            with pytest.raises(SingularMatrix, match=f"^no pivot in column {missing}$"):
+                fn(a, [1, 2, 3])
+
+
+def test_last_pivot_is_the_determinant_up_to_sign():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    checked = 0
+    for n in [*(rng.randint(1, 6) for _ in range(60)), 12, 12, 32]:
+        a = _matrix_of_rank(rng, n, n, n)
+        b = [_sparse_rational(rng) for _ in range(n)]
+        scaled = [_scaled_row([*row, v])[:n] for row, v in zip(a, b)]
+        det = sympy.Matrix(scaled).det()
+        if det == 0:
+            with pytest.raises(SingularMatrix):
+                solve(a, b)
+            continue
+        x, d = solve(a, b)
+        assert abs(d) == abs(int(det))
+        checked += 1
+    assert checked > 30
+
+
+def test_back_substitution_refuses_a_remainder(monkeypatch):
+    from pairrank import linalg
+
+    eliminate = linalg._eliminate
+
+    def corrupted(rows, columns):
+        # Off by one in the reduced right-hand side, so D x is no longer integral.
+        result = eliminate(rows, columns)
+        rows[-1][-1] += 1
+        return result
+
+    assert solve([[2, 1], [1, 3]], [1, 0]) == ([3, -1], 5)
+    monkeypatch.setattr(linalg, "_eliminate", corrupted)
+    with pytest.raises(RuntimeError, match="remainder"):
+        solve([[2, 1], [1, 3]], [1, 0])

@@ -199,6 +199,22 @@ def test_least_squares_refuses_a_wrong_solve(monkeypatch):
             least_squares(problem)
 
 
+def test_row_sum_refuses_a_wrong_solve(monkeypatch):
+    from pairrank import linalg
+
+    solve = linalg.solve
+    assert generalized_row_sum(EXAMPLE_4, F(1, 3)).values == EXAMPLE_4_ROW_SUM
+    # A wrong numerator, and a wrong common denominator.
+    for wrong in (
+        lambda x, d: ([x[0] + 1, *x[1:]], d),
+        lambda x, d: (x, 2 * d),
+    ):
+        monkeypatch.setattr(linalg, "solve", lambda a, b, wrong=wrong: wrong(*solve(a, b)))
+        for method in (Method("grs", F(1, 3)), Method("grs", REASONABLE)):
+            with pytest.raises(RuntimeError, match="residual"):
+                method.rate(EXAMPLE_4)
+
+
 def test_fair_bets_refuses_a_vector_outside_the_nullspace(monkeypatch):
     from pairrank import linalg
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -162,15 +163,16 @@ def test_permutation_validation_and_inverse():
 
 
 def test_permute_moves_scores_with_labels():
-    sigma = Permutation((2, 0, 1))
-    moved = permute(EXAMPLE_4, sigma)
-    # X_i's score against X_j travels to positions sigma(i), sigma(j).
-    for i in range(3):
-        for j in range(3):
-            assert moved.entry(sigma(i), sigma(j)) == EXAMPLE_4.entry(i, j)
-    assert moved.labels[sigma(0)] == EXAMPLE_4.labels[0]
-    inverse = permute(moved, sigma.inverse())
-    assert inverse == EXAMPLE_4
+    for image in itertools.permutations(range(3)):
+        sigma = Permutation(image)
+        moved = permute(EXAMPLE_4, sigma)
+        # X_i's score against X_j travels to positions sigma(i), sigma(j).
+        for i in range(3):
+            for j in range(3):
+                assert moved.entry(sigma(i), sigma(j)) == EXAMPLE_4.entry(i, j)
+            assert moved.labels[sigma(i)] == EXAMPLE_4.labels[i]
+        inverse = permute(moved, sigma.inverse())
+        assert inverse == EXAMPLE_4
 
 
 def test_connectivity_and_irreducibility():
