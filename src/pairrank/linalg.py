@@ -39,7 +39,9 @@ def mat_vec(a: Matrix, x: Sequence[int | Fraction]) -> list[int | Fraction]:
 
 
 def _integer_row(row) -> list[int]:
-    """``row`` times the lcm of its denominators, as ints."""
+    """``row`` times the lcm of its denominators, as a new list of ints."""
+    if all(type(v) is int for v in row):
+        return list(row)
     values = [v if isinstance(v, int) else Fraction(v) for v in row]
     scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values]

@@ -7,7 +7,7 @@ import pytest
 from pairrank import derive
 from pairrank.errors import FullRank, RankTooLow, SingularMatrix
 from pairrank.fixtures import EXAMPLE_4
-from pairrank.linalg import mat_vec, nullspace_1d, solve
+from pairrank.linalg import _integer_row, mat_vec, nullspace_1d, solve
 
 F = Fraction
 
@@ -253,6 +253,21 @@ def test_nullspace_with_the_free_column_first_or_inside():
         assert all(x == 0 for x in mat_vec(a, v))
         assert [c for c, x in enumerate(v) if x] == ([0] if free == 0 else [0, 1, 2])
         assert abs(v[free]) == abs(_bareiss_determinant([[r[c] for c in range(4) if c != free] for r in a]))
+
+
+def test_integer_rows_are_fresh_lists_of_ints():
+    # Elimination works in place, so a row of ints is copied, never
+    # reused: the caller's matrix comes back unchanged.
+    a = [[2, 4, 0, 1], [1, -2, 2, 0], [3, 0, 3, 7]]
+    kept = [row[:] for row in a]
+    nullspace_1d(a)
+    assert a == kept
+    row = [3, -1, 0]
+    assert _integer_row(row) == row and _integer_row(row) is not row
+    # bool is a subclass of int; it is scaled like any rational and comes out an int.
+    for mixed, expected in (([True, 2], [1, 2]), ([True, 2, F(1, 2)], [2, 4, 1])):
+        assert _integer_row(mixed) == expected
+        assert {type(v) for v in _integer_row(mixed)} == {int}
 
 
 def _bareiss_determinant(m):

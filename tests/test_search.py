@@ -1,7 +1,7 @@
 import importlib
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations
 from math import comb
 
 import pytest
@@ -18,11 +18,13 @@ from pairrank import (
     run_check,
     search,
 )
+from pairrank import methods
 from pairrank.axioms import invariance_failures
 from pairrank.errors import MethodPreconditionError, PreconditionUnmet, WitnessError
 from pairrank.model import Permutation, add, relabel
 from pairrank.search import (
     _JUDGES,
+    _canonical,
     _draw_rng,
     _Evaluator,
     _grid,
@@ -103,7 +105,7 @@ def _sign(x):
 def test_evaluator_keys_order_like_ratings(method):
     rng = random.Random(3)
     grid = list(enumerate_doubled(3, 2, "all")) + list(enumerate_doubled(4, 1, "all"))
-    evaluator = _Evaluator(method)
+    evaluator = _Evaluator(method, 2)
     for dt in rng.sample(grid, 150):
         keys = evaluator[dt]
         try:
@@ -146,7 +148,7 @@ def test_scan_agrees_with_checker(method):
         return [v.objects for v in report.violations], report
 
     rng = random.Random(19)
-    evaluator = _Evaluator(method)
+    evaluator = _Evaluator(method, 1)
     for axiom in Axiom:
         judge = _JUDGES[axiom.kind](axiom, evaluator, 1)
         n = 4 if axiom.kind is AxiomKind.INDEPENDENCE else 3
@@ -204,7 +206,7 @@ def test_packed_codes_add_and_stay_apart():
         with pytest.raises(ValueError, match="radix"):
             _pack(bad, radix)
     # A judge refuses inputs whose sums could overflow its radix.
-    judge = _JUDGES[AxiomKind.ADDITIVITY](Axiom.CS, _Evaluator(Method("score")), 1)
+    judge = _JUDGES[AxiomKind.ADDITIVITY](Axiom.CS, _Evaluator(Method("score"), 1), 1)
     with pytest.raises(ValueError, match="max_matches"):
         judge(((0, 3), (1, 0)), ((0, 1), (1, 0)))
 
@@ -221,7 +223,7 @@ def test_memoized_verdicts_agree_with_checker_on_a_full_grid(axiom, monkeypatch)
     original = getattr(search_module, core)
     monkeypatch.setattr(search_module, core, lambda *args: calls.append(args) or original(*args))
     config = SearchConfig(object_counts=(3,), domain="roundrobin")
-    evaluator = _Evaluator(method)
+    evaluator = _Evaluator(method, config.max_matches, orbits=axiom is not Axiom.NEU)
     judge = _JUDGES[axiom.kind](axiom, evaluator, config.max_matches)
     candidates = list(_grid(axiom, config, evaluator))
     assert len(candidates) == (135 if axiom is Axiom.NEU else 378)
@@ -247,7 +249,7 @@ def test_verdicts_are_kept_per_permutation_and_edited_pair():
     # orders show that a verdict is not reused for another relabelling
     # or another edited pair with the same orders.
     dt = ((0, 2, 2), (0, 0, 2), (0, 0, 0))
-    evaluator = _Evaluator(Method("score"))
+    evaluator = _Evaluator(Method("score"), 1)
     kept, moved = Permutation((1, 0, 2)), Permutation((0, 2, 1))
     evaluator[dt] = (0, 1, 2)
     for sigma in (kept, moved):
@@ -261,6 +263,102 @@ def test_verdicts_are_kept_per_permutation_and_edited_pair():
     judge = _JUDGES[AxiomKind.INDEPENDENCE](Axiom.IIM, evaluator, 1)
     assert judge(first, second, (0, 1)) == []
     assert judge(first, second, (2, 3)) == [(0, 1)]
+
+
+def _brute_code(dt):
+    # The least code over all n! relabellings names the orbit of dt.
+    n = len(dt)
+    return min(_pack(relabel(dt, Permutation(p)), 9) for p in permutations(range(n)))
+
+
+def test_canonical_representatives_name_relabelling_orbits(monkeypatch):
+    # One representative per orbit, and different ones for different
+    # orbits: on full grids for n = 2 to 4, and on relabelled seeded
+    # samples for n = 5, with the cap raised so that every tie order is
+    # tried.
+    monkeypatch.setattr(importlib.import_module("pairrank.search"), "_MAX_TIE_ORDERS", 120)
+    grids = [list(enumerate_doubled(n, 1, "all")) for n in (2, 3, 4)]
+    grids.append(list(enumerate_doubled(3, 2, "all")))
+    rng = random.Random(23)
+    fives = list(enumerate_doubled(5, 1, "roundrobin"))
+    sample = []
+    for dt in rng.sample(fives, 60):
+        sample.append(dt)
+        for _ in range(3):
+            image = list(range(5))
+            rng.shuffle(image)
+            sample.append(relabel(dt, Permutation(tuple(image))))
+    # Each object beats the next two round a circle: one tie class of
+    # all five objects, so all 120 orders are tried.
+    sample.append(tuple(tuple(2 if (j - i) % 5 in (1, 2) else 0 for j in range(5)) for i in range(5)))
+    for grid in grids + [sample]:
+        rep_of_orbit, orbit_of_rep = {}, {}
+        for dt in grid:
+            rep, objs = _canonical(dt)
+            # Position k of the representative holds object objs[k] of dt.
+            assert relabel(rep, Permutation(objs)) == dt
+            orbit = _brute_code(dt)
+            assert rep_of_orbit.setdefault(orbit, rep) == rep, dt
+            assert orbit_of_rep.setdefault(rep, orbit) == orbit, dt
+    assert len(rep_of_orbit) < len(sample)  # the relabelled copies share representatives
+
+
+def test_canonical_gives_up_past_the_tie_order_cap():
+    # Six objects all drawn: one tie class of 720 orders.
+    dt = tuple(tuple(int(i != j) for j in range(6)) for i in range(6))
+    assert _canonical(dt) is None
+    # Four objects all drawn: 24 orders, the most that are tried.
+    assert _canonical(tuple(tuple(int(i != j) for j in range(4)) for i in range(4))) is not None
+    on, off = _Evaluator(Method("ls"), 1), _Evaluator(Method("ls"), 1, orbits=False)
+    assert on.rate(dt) == off.rate(dt) == (0,) * 6
+    assert not on.orbits
+
+
+@pytest.mark.parametrize(
+    "method",
+    [Method("score"), Method("grs", "reasonable"), Method("grs", Fraction(1, 3)),
+     Method("ls"), Method("fb"), Method("dfb"), Method("cfb")],
+    ids=["score", "grs-reasonable", "grs-third", "ls", "fb", "dfb", "cfb"],
+)
+def test_orbit_layer_rates_like_plain_rating(method):
+    # Every matrix of the single-match grids for n = 3 and 4 and of the
+    # two-match grid for n = 3. The four domains are subsets of "all"
+    # for the same n and cap, so this covers each of them.
+    grid = [dt for n, cap in ((3, 1), (4, 1), (3, 2)) for dt in enumerate_doubled(n, cap, "all")]
+    on, off = _Evaluator(method, 2), _Evaluator(method, 2, orbits=False)
+    for dt in grid:
+        assert on.rate(dt) == off.rate(dt), dt
+    # One rating per orbit: the 4 889 matrices fall into far fewer.
+    assert len(on.orbits) < len(grid) // 5
+
+
+def test_neutrality_search_rates_every_relabelling(monkeypatch):
+    # Planted: score with ties broken by object index, which is not
+    # neutral. Rating one matrix per orbit would hide exactly that, so a
+    # NEU search must find what run_check finds on every candidate.
+    score = methods.score
+
+    def tie_broken(problem):
+        base = score(problem)
+        n = problem.size
+        return methods.RatingVector(
+            "score", problem.labels, [n * v + i for i, v in enumerate(base.scaled)], n * base.denominator
+        )
+
+    monkeypatch.setitem(methods._PLAIN, "score", tie_broken)
+    method = Method("score")
+    config = SearchConfig(object_counts=(3,), domain="roundrobin", limit=1000)
+    evaluator = _Evaluator(method, 1)
+    expected = []
+    for dt, sigma in _grid(Axiom.NEU, config, evaluator):
+        report = run_check(Axiom.NEU, method, _witness(Axiom.NEU, (dt, sigma)))
+        if not report.satisfied:
+            expected.append(SearchHit(_witness(Axiom.NEU, (dt, sigma)), report))
+    result = search(method, Axiom.NEU, config)
+    assert result.found
+    assert result.hits == tuple(expected)
+    for hit in result.hits:
+        assert not run_check(Axiom.NEU, method, hit.witness).satisfied
 
 
 def test_config_validation():
