@@ -27,25 +27,24 @@ flat, which cannot witness that axiom.
 One judge per axiom family decides a candidate exactly. The evaluator
 rates each matrix once per search and keeps its weak order, the dense
 ranks of its ratings. Every method is neutral: relabelling the objects
-relabels the ratings and nothing else. So the evaluator rates only one
-canonical representative per relabelling orbit and maps its weak order
-back to each member, which changes no verdict; a NEU search, which
-tests exactly that property, rates every matrix itself. The
-comparison cores the public checkers share compare ratings only within
-one vector, so they give the same verdicts on weak orders, and each
-judge keeps those verdicts for the search, keyed by the weak orders
-compared. The additivity judge packs each input
-once into an int, so it looks a sum up by adding two codes and builds it
-only the first time it is rated. A judge returns ``None`` exactly where
-the checker would refuse the witness, and the failing object pairs
-otherwise, so only a flagged candidate is built into a witness. That
-witness is replayed through the public checker before it is returned,
-in both modes, so a reported witness is never a scan artifact.
+relabels the ratings and nothing else. So on up to four objects the
+evaluator rates only one canonical representative per relabelling orbit
+and maps its weak order back to each member, which changes no verdict; a
+NEU search, which tests exactly that property, rates every matrix
+itself. The comparison cores the public checkers share compare ratings
+only within one vector, so they give the same verdicts on weak orders,
+and each judge keeps those verdicts for the search, keyed by the weak
+orders compared. The additivity judge packs each input once into an int,
+so it looks a sum up by adding two codes and builds it only the first
+time it is rated. A judge returns ``None`` exactly where the checker
+would refuse the witness, and the failing object pairs otherwise, so
+only a flagged candidate is built into a witness. That witness is
+replayed through the public checker before it is returned, in both
+modes, so a reported witness is never a scan artifact.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -211,6 +210,9 @@ def enumerate_doubled(n: int, max_matches: int, domain: str):
         yield from bucket
 
 
+_MISSING = object()
+
+
 class _Evaluator(dict):
     """Weak orders of candidate matrices, computed on first lookup.
 
@@ -222,21 +224,22 @@ class _Evaluator(dict):
     without keeping it under ``dt``.
 
     With ``orbits`` on, the evaluator rates one representative per
-    relabelling orbit (see :func:`_canonical`) and maps its weak order
-    back to each member. That is exact because every method is neutral:
-    relabelling the objects relabels their ratings and nothing else, and
-    the preconditions a method checks (connectivity, irreducibility, n
-    and m) do not depend on the labels, so ``None`` is shared too. A NEU
-    search tests exactly that assumption, so it turns ``orbits`` off and
-    rates every relabelling itself. Entries may reach ``4 max_matches``,
-    as in the sum of two grid matrices.
+    relabelling orbit of a matrix on at most four objects (see
+    :func:`_canonical`), keeps its weak order under the representative,
+    and maps it back to each member. That is exact because every method
+    is neutral: relabelling the objects relabels their ratings and
+    nothing else, and the preconditions a method checks (connectivity,
+    irreducibility, n and m) do not depend on the labels, so ``None`` is
+    shared too. A NEU search tests exactly that assumption, so it turns
+    ``orbits`` off and rates every relabelling itself. Larger matrices
+    are rated directly: at four objects a matrix has at most 4! = 24
+    tie orders to try, and no larger size has been measured.
     """
 
-    def __init__(self, method: Method, max_matches: int, orbits: bool = True):
+    def __init__(self, method: Method, orbits: bool = True):
         super().__init__()
         self.method = method
-        self.radix = 4 * max_matches + 1
-        self.orbits: dict[int, tuple[int, ...] | None] | None = {} if orbits else None
+        self.orbits = orbits
         self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def _weak_order(self, dt: Matrix) -> tuple[int, ...] | None:
@@ -249,15 +252,12 @@ class _Evaluator(dict):
         return self.interned.setdefault(order, order)
 
     def rate(self, dt: Matrix) -> tuple[int, ...] | None:
-        canonical = None if self.orbits is None else _canonical(dt)
-        if canonical is None:
+        if not self.orbits or len(dt) > 4:
             return self._weak_order(dt)
-        rep, objs = canonical
-        code = _pack(rep, self.radix)
-        try:
-            shared = self.orbits[code]
-        except KeyError:
-            shared = self.orbits[code] = self._weak_order(rep)
+        rep, objs = _canonical(dt)
+        shared = self.get(rep, _MISSING)
+        if shared is _MISSING:
+            shared = self[rep] = self._weak_order(rep)
         if shared is None:
             return None
         # Position k of the representative is object objs[k] of dt.
@@ -272,15 +272,7 @@ class _Evaluator(dict):
         return order
 
 
-# Trying this many orders of tied objects costs about one rating: on a
-# 2-vCPU Xeon, the 24 orders of four tied objects take about 60 us, like
-# an ``ls`` rating at n = 4. Past it, a matrix is rated directly: the
-# 120 orders of five tied objects take about 370 us, against about
-# 100 us for a ``cfb`` rating at n = 5.
-_MAX_TIE_ORDERS = 24
-
-
-def _canonical(dt: Matrix) -> tuple[Matrix, tuple[int, ...]] | None:
+def _canonical(dt: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """The representative of the relabelling orbit of ``dt``, and the
     object order ``objs`` with ``rep[k][l] = dt[objs[k]][objs[l]]``.
 
@@ -289,9 +281,8 @@ def _canonical(dt: Matrix) -> tuple[Matrix, tuple[int, ...]] | None:
     objects within each tie class is tried, and the representative is
     the least matrix they give. Every member of the orbit offers the
     same set of relabelled matrices, so all of them meet the same least
-    one. Returns ``None`` when the tie classes allow more than
-    ``_MAX_TIE_ORDERS`` orders. ``dt`` has at least two objects, as
-    every candidate has.
+    one. The tie classes of n objects allow up to n! orders. ``dt`` has
+    at least two objects, as every candidate has.
     """
     key = list(zip(map(sum, dt), map(sum, zip(*dt))))
     ranked = sorted(range(len(dt)), key=key.__getitem__)
@@ -299,8 +290,6 @@ def _canonical(dt: Matrix) -> tuple[Matrix, tuple[int, ...]] | None:
         orders = [ranked]
     else:
         classes = [tuple(group) for _, group in groupby(ranked, key=key.__getitem__)]
-        if math.prod(math.factorial(len(c)) for c in classes) > _MAX_TIE_ORDERS:
-            return None
         orders = [list(chain.from_iterable(parts)) for parts in product(*map(permutations, classes))]
     best = objs = None
     for order in orders:
@@ -592,7 +581,7 @@ def search(method: Method, axiom: Axiom, config: SearchConfig) -> SearchResult:
     is False exactly when the scan stopped early because the witness
     limit was reached.
     """
-    evaluator = _Evaluator(method, config.max_matches, orbits=axiom is not Axiom.NEU)
+    evaluator = _Evaluator(method, orbits=axiom is not Axiom.NEU)
     judge = _JUDGES[axiom.kind](axiom, evaluator, config.max_matches)
     if config.mode == "random":
         source = (

@@ -105,7 +105,7 @@ def _sign(x):
 def test_evaluator_keys_order_like_ratings(method):
     rng = random.Random(3)
     grid = list(enumerate_doubled(3, 2, "all")) + list(enumerate_doubled(4, 1, "all"))
-    evaluator = _Evaluator(method, 2)
+    evaluator = _Evaluator(method)
     for dt in rng.sample(grid, 150):
         keys = evaluator[dt]
         try:
@@ -148,7 +148,7 @@ def test_scan_agrees_with_checker(method):
         return [v.objects for v in report.violations], report
 
     rng = random.Random(19)
-    evaluator = _Evaluator(method, 1)
+    evaluator = _Evaluator(method)
     for axiom in Axiom:
         judge = _JUDGES[axiom.kind](axiom, evaluator, 1)
         n = 4 if axiom.kind is AxiomKind.INDEPENDENCE else 3
@@ -206,7 +206,7 @@ def test_packed_codes_add_and_stay_apart():
         with pytest.raises(ValueError, match="radix"):
             _pack(bad, radix)
     # A judge refuses inputs whose sums could overflow its radix.
-    judge = _JUDGES[AxiomKind.ADDITIVITY](Axiom.CS, _Evaluator(Method("score"), 1), 1)
+    judge = _JUDGES[AxiomKind.ADDITIVITY](Axiom.CS, _Evaluator(Method("score")), 1)
     with pytest.raises(ValueError, match="max_matches"):
         judge(((0, 3), (1, 0)), ((0, 1), (1, 0)))
 
@@ -223,7 +223,7 @@ def test_memoized_verdicts_agree_with_checker_on_a_full_grid(axiom, monkeypatch)
     original = getattr(search_module, core)
     monkeypatch.setattr(search_module, core, lambda *args: calls.append(args) or original(*args))
     config = SearchConfig(object_counts=(3,), domain="roundrobin")
-    evaluator = _Evaluator(method, config.max_matches, orbits=axiom is not Axiom.NEU)
+    evaluator = _Evaluator(method, orbits=axiom is not Axiom.NEU)
     judge = _JUDGES[axiom.kind](axiom, evaluator, config.max_matches)
     candidates = list(_grid(axiom, config, evaluator))
     assert len(candidates) == (135 if axiom is Axiom.NEU else 378)
@@ -249,7 +249,7 @@ def test_verdicts_are_kept_per_permutation_and_edited_pair():
     # orders show that a verdict is not reused for another relabelling
     # or another edited pair with the same orders.
     dt = ((0, 2, 2), (0, 0, 2), (0, 0, 0))
-    evaluator = _Evaluator(Method("score"), 1)
+    evaluator = _Evaluator(Method("score"))
     kept, moved = Permutation((1, 0, 2)), Permutation((0, 2, 1))
     evaluator[dt] = (0, 1, 2)
     for sigma in (kept, moved):
@@ -271,12 +271,10 @@ def _brute_code(dt):
     return min(_pack(relabel(dt, Permutation(p)), 9) for p in permutations(range(n)))
 
 
-def test_canonical_representatives_name_relabelling_orbits(monkeypatch):
+def test_canonical_representatives_name_relabelling_orbits():
     # One representative per orbit, and different ones for different
     # orbits: on full grids for n = 2 to 4, and on relabelled seeded
-    # samples for n = 5, with the cap raised so that every tie order is
-    # tried.
-    monkeypatch.setattr(importlib.import_module("pairrank.search"), "_MAX_TIE_ORDERS", 120)
+    # samples for n = 5.
     grids = [list(enumerate_doubled(n, 1, "all")) for n in (2, 3, 4)]
     grids.append(list(enumerate_doubled(3, 2, "all")))
     rng = random.Random(23)
@@ -303,15 +301,17 @@ def test_canonical_representatives_name_relabelling_orbits(monkeypatch):
     assert len(rep_of_orbit) < len(sample)  # the relabelled copies share representatives
 
 
-def test_canonical_gives_up_past_the_tie_order_cap():
-    # Six objects all drawn: one tie class of 720 orders.
-    dt = tuple(tuple(int(i != j) for j in range(6)) for i in range(6))
-    assert _canonical(dt) is None
-    # Four objects all drawn: 24 orders, the most that are tried.
-    assert _canonical(tuple(tuple(int(i != j) for j in range(4)) for i in range(4))) is not None
-    on, off = _Evaluator(Method("ls"), 1), _Evaluator(Method("ls"), 1, orbits=False)
-    assert on.rate(dt) == off.rate(dt) == (0,) * 6
-    assert not on.orbits
+def test_orbit_layer_stops_at_four_objects(monkeypatch):
+    # Four objects all drawn: 24 tie orders, and the representative is
+    # kept. Five objects are rated directly, without a canonical form.
+    on = _Evaluator(Method("ls"))
+    four = tuple(tuple(int(i != j) for j in range(4)) for i in range(4))
+    assert on.rate(four) == (0,) * 4
+    assert list(on) == [four]
+    monkeypatch.setattr(importlib.import_module("pairrank.search"), "_canonical", None)
+    five = tuple(tuple(int(i != j) for j in range(5)) for i in range(5))
+    assert on.rate(five) == (0,) * 5
+    assert list(on) == [four]
 
 
 @pytest.mark.parametrize(
@@ -325,11 +325,12 @@ def test_orbit_layer_rates_like_plain_rating(method):
     # two-match grid for n = 3. The four domains are subsets of "all"
     # for the same n and cap, so this covers each of them.
     grid = [dt for n, cap in ((3, 1), (4, 1), (3, 2)) for dt in enumerate_doubled(n, cap, "all")]
-    on, off = _Evaluator(method, 2), _Evaluator(method, 2, orbits=False)
+    on, off = _Evaluator(method), _Evaluator(method, orbits=False)
     for dt in grid:
         assert on.rate(dt) == off.rate(dt), dt
-    # One rating per orbit: the 4 889 matrices fall into far fewer.
-    assert len(on.orbits) < len(grid) // 5
+    # One rating per orbit, kept under its representative: the 4 889
+    # matrices fall into far fewer.
+    assert len(on) < len(grid) // 5
 
 
 def test_neutrality_search_rates_every_relabelling(monkeypatch):
@@ -348,7 +349,7 @@ def test_neutrality_search_rates_every_relabelling(monkeypatch):
     monkeypatch.setitem(methods._PLAIN, "score", tie_broken)
     method = Method("score")
     config = SearchConfig(object_counts=(3,), domain="roundrobin", limit=1000)
-    evaluator = _Evaluator(method, 1)
+    evaluator = _Evaluator(method)
     expected = []
     for dt, sigma in _grid(Axiom.NEU, config, evaluator):
         report = run_check(Axiom.NEU, method, _witness(Axiom.NEU, (dt, sigma)))
