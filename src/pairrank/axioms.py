@@ -142,6 +142,25 @@ def _compare(values, i: int, j: int) -> int:
 _REL = {-1: "<", 0: "=", 1: ">"}
 
 
+def _relation(labels, values, i: int, j: int) -> str:
+    """How ``values`` order objects i and j, as in ``"X1 < X2"``."""
+    return f"{labels[i]} {_REL[_compare(values, i, j)]} {labels[j]}"
+
+
+def _report(axiom: Axiom, method: Method, context: str, labels, bad, explain, ratings) -> AuditReport:
+    """The report on the failing object pairs ``bad``. For pair (i, j),
+    ``explain(i, j)`` gives the violation's premise and outcome."""
+    violations = tuple(Violation((i, j), (labels[i], labels[j]), *explain(i, j)) for i, j in bad)
+    return AuditReport(axiom, method.label, context, violations, ratings)
+
+
+def _same_objects(witness) -> tuple[RankingProblem, RankingProblem]:
+    """The witness's two problems, which must rank the same objects."""
+    if witness.first.labels != witness.second.labels:
+        raise LabelMismatch("the two problems must rank the same objects")
+    return witness.first, witness.second
+
+
 def _rate(method: Method, problem: RankingProblem, role: str) -> RatingVector:
     try:
         return method.rate(problem)
@@ -235,6 +254,16 @@ def check_invariance(axiom: Axiom, method: Method, witness: SingleWitness) -> Au
         raise ValueError(f"{axiom.ident} takes a different witness shape")
     problem = witness.problem
     labels = problem.labels
+    if axiom is Axiom.SYM:
+        if not flat_results(problem):
+            raise NotFlat("symmetry is only about problems with flat results")
+        rating = _rate(method, problem, "the problem")
+        bad = invariance_failures(axiom, rating.scaled, rating.scaled)
+        return _report(
+            axiom, method, "flat problem", labels, bad,
+            lambda i, j: ("all results are flat", _relation(labels, rating.scaled, i, j)),
+            (rating,),
+        )
     if axiom is Axiom.NEU:
         sigma = witness.permutation
         if sigma is None:
@@ -242,59 +271,31 @@ def check_invariance(axiom: Axiom, method: Method, witness: SingleWitness) -> Au
         moved = permute(problem, sigma)
         before = _rate(method, problem, "the problem")
         after = _rate(method, moved, "the relabelled problem")
-        bad = invariance_failures(axiom, before.scaled, after.scaled, sigma)
-        context = f"relabelling {tuple(v + 1 for v in sigma.image)}"
-        violations = tuple(
-            Violation(
-                (i, j),
-                (labels[i], labels[j]),
-                f"{labels[i]} {_REL[_compare(before.scaled, i, j)]} {labels[j]} originally",
-                f"{labels[i]} {_REL[_compare(after.scaled, sigma(i), sigma(j))]} {labels[j]}"
-                " after relabelling",
-            )
-            for i, j in bad
-        )
-        return AuditReport(axiom, method.label, context, violations, (before, after))
-    if axiom is Axiom.SYM:
-        if not flat_results(problem):
-            raise NotFlat("symmetry is only about problems with flat results")
-        rating = _rate(method, problem, "the problem")
-        bad = invariance_failures(axiom, rating.scaled, rating.scaled)
-        violations = tuple(
-            Violation(
-                (i, j),
-                (labels[i], labels[j]),
-                "all results are flat",
-                f"{labels[i]} {_REL[_compare(rating.scaled, i, j)]} {labels[j]}",
-            )
-            for i, j in bad
-        )
-        return AuditReport(axiom, method.label, "flat problem", violations, (rating,))
-    if axiom is Axiom.INV:
+        context, change = f"relabelling {tuple(v + 1 for v in sigma.image)}", "relabelling"
+        # Object i is rated at position sigma(i) of the relabelled problem.
+        seen = [after.scaled[k] for k in sigma.image]
+    else:  # INV
+        sigma = None
         before = _rate(method, problem, "the problem")
         after = _rate(method, negate(problem), "the reversed problem")
-        bad = invariance_failures(axiom, before.scaled, after.scaled)
-        violations = tuple(
-            Violation(
-                (i, j),
-                (labels[i], labels[j]),
-                f"{labels[i]} {_REL[_compare(before.scaled, i, j)]} {labels[j]} originally",
-                f"{labels[i]} {_REL[_compare(after.scaled, i, j)]} {labels[j]}"
-                " after reversing every result",
-            )
-            for i, j in bad
-        )
-        return AuditReport(axiom, method.label, "reversed results", violations, (before, after))
-    raise ValueError(f"unhandled invariance axiom {axiom.ident}")
+        context, change = "reversed results", "reversing every result"
+        seen = after.scaled
+    bad = invariance_failures(axiom, before.scaled, after.scaled, sigma)
+    return _report(
+        axiom, method, context, labels, bad,
+        lambda i, j: (
+            f"{_relation(labels, before.scaled, i, j)} originally",
+            f"{_relation(labels, seen, i, j)} after {change}",
+        ),
+        (before, after),
+    )
 
 
 def check_additivity(axiom: Axiom, method: Method, witness: PairWitness) -> AuditReport:
     """Audit CS, FP, EP or RCS on a pair of problems and their sum."""
     if axiom.kind is not AxiomKind.ADDITIVITY:
         raise ValueError(f"{axiom.ident} takes a different witness shape")
-    first, second = witness.first, witness.second
-    if first.labels != second.labels:
-        raise LabelMismatch("the two problems must rank the same objects")
+    first, second = _same_objects(witness)
     if axiom is Axiom.RCS and derive(first).matches != derive(second).matches:
         raise MatchesMismatch("restricted consistency needs identical match schedules")
     labels = first.labels
@@ -304,26 +305,21 @@ def check_additivity(axiom: Axiom, method: Method, witness: PairWitness) -> Audi
         raise NotFlat("flatness preservation is only about inputs rated flat")
     total = _rate(method, sum_problems(first, second), "the summed problem")
     bad = additivity_failures(axiom, f.scaled, g.scaled, total.scaled)
-    violations = tuple(
-        Violation(
-            (i, j),
-            (labels[i], labels[j]),
-            f"{labels[i]} {_REL[_compare(f.scaled, i, j)]} {labels[j]} and"
-            f" {labels[i]} {_REL[_compare(g.scaled, i, j)]} {labels[j]} in the inputs",
-            f"{labels[i]} {_REL[_compare(total.scaled, i, j)]} {labels[j]} in the sum",
-        )
-        for i, j in bad
+    return _report(
+        axiom, method, "pair of problems and their sum", labels, bad,
+        lambda i, j: (
+            f"{_relation(labels, f.scaled, i, j)} and {_relation(labels, g.scaled, i, j)} in the inputs",
+            f"{_relation(labels, total.scaled, i, j)} in the sum",
+        ),
+        (f, g, total),
     )
-    return AuditReport(axiom, method.label, "pair of problems and their sum", violations, (f, g, total))
 
 
 def check_independence(axiom: Axiom, method: Method, witness: ChangedPairWitness) -> AuditReport:
     """Audit IIM or IIR on two problems differing in one edited pair."""
     if axiom.kind is not AxiomKind.INDEPENDENCE:
         raise ValueError(f"{axiom.ident} takes a different witness shape")
-    first, second = witness.first, witness.second
-    if first.labels != second.labels:
-        raise LabelMismatch("the two problems must rank the same objects")
+    first, second = _same_objects(witness)
     n = first.size
     if n < 4:
         raise TooFewObjects("independence needs a pair disjoint from the edited one")
@@ -345,18 +341,15 @@ def check_independence(axiom: Axiom, method: Method, witness: ChangedPairWitness
     f = _rate(method, first, "the original problem")
     g = _rate(method, second, "the edited problem")
     bad = independence_failures(f.scaled, g.scaled, (k, l))
-    violations = tuple(
-        Violation(
-            (i, j),
-            (labels[i], labels[j]),
-            f"{labels[i]} {_REL[_compare(f.scaled, i, j)]} {labels[j]} before editing"
-            f" {labels[k]} vs {labels[l]}",
-            f"{labels[i]} {_REL[_compare(g.scaled, i, j)]} {labels[j]} after",
-        )
-        for i, j in bad
+    edited = f"{labels[k]} vs {labels[l]}"
+    return _report(
+        axiom, method, f"edited pair {edited}", labels, bad,
+        lambda i, j: (
+            f"{_relation(labels, f.scaled, i, j)} before editing {edited}",
+            f"{_relation(labels, g.scaled, i, j)} after",
+        ),
+        (f, g),
     )
-    context = f"edited pair {labels[k]} vs {labels[l]}"
-    return AuditReport(axiom, method.label, context, violations, (f, g))
 
 
 def run_check(axiom: Axiom, method: Method, witness: Witness) -> AuditReport:

@@ -68,7 +68,13 @@ def _load_problem(path: str, form: str) -> RankingProblem:
 
 
 def _parse_sigma(text: str) -> Permutation:
-    return Permutation.from_one_based(tuple(int(part) for part in text.split(",")))
+    try:
+        images = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--sigma takes comma-separated one-based indices, like 2,3,1; got {text!r}") from None
+    if sorted(images) != list(range(1, len(images) + 1)):
+        raise ValueError(f"--sigma {text} is not a permutation of 1..{len(images)}")
+    return Permutation.from_one_based(images)
 
 
 def _parse_pair(text: str) -> tuple[int, int]:

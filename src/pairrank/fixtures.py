@@ -24,7 +24,6 @@ values are stored next to the printed ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import RankingProblem
@@ -224,22 +223,4 @@ EXAMPLE_8_TABLE = {
         _values(0, 0, 0, 0),
         _values(F(-1, 16), F(1, 16), F(9, 16), F(-9, 16)),
     ),
-}
-
-
-@dataclass(frozen=True)
-class Fixture:
-    number: int
-    problems: tuple[RankingProblem, ...]
-
-
-FIXTURES = {
-    1: Fixture(1, (EXAMPLE_1,)),
-    2: Fixture(2, EXAMPLE_2),
-    3: Fixture(3, EXAMPLE_3),
-    4: Fixture(4, (EXAMPLE_4,)),
-    5: Fixture(5, EXAMPLE_5),
-    6: Fixture(6, EXAMPLE_6),
-    7: Fixture(7, EXAMPLE_7),
-    8: Fixture(8, EXAMPLE_8),
 }

@@ -30,8 +30,8 @@ from .errors import (
     NonIntegerPairSum,
     ParseError,
 )
-from .methods import RatingVector, WeakOrder, ranking
-from .model import RankingProblem
+from .methods import RatingVector, ranking
+from .model import RankingProblem, build_problem
 
 _RATIONAL = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d{1,6}))?")
 
@@ -68,7 +68,7 @@ def parse_match_list(text: str) -> RankingProblem:
     structural checks that can be pinned to a single record (negative
     score, self-play, fractional match count) are raised against it.
     """
-    totals: dict[tuple[str, str], Fraction] = {}
+    entries: list[tuple[str, str, Fraction]] = []
     order: list[str] = []
     seen_record = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -103,17 +103,10 @@ def parse_match_list(text: str) -> RankingProblem:
         for label in (label_i, label_j):
             if label not in order:
                 order.append(label)
-        if label_i != label_j:
-            totals[(label_i, label_j)] = totals.get((label_i, label_j), Fraction(0)) + t_ij
-            totals[(label_j, label_i)] = totals.get((label_j, label_i), Fraction(0)) + t_ji
+        entries += [(label_i, label_j, t_ij), (label_j, label_i, t_ji)]
     if len(order) < 2:
         raise ParseError(f"found {len(order)} objects, a problem needs at least 2")
-    index = {label: k for k, label in enumerate(order)}
-    n = len(order)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for (a, b), value in totals.items():
-        rows[index[a]][index[b]] = value
-    return RankingProblem(tuple(order), tuple(tuple(row) for row in rows))
+    return build_problem(order, entries)
 
 
 def parse_matrix(text: str) -> RankingProblem:
@@ -205,14 +198,11 @@ def render_match_list(problem: RankingProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_rating(
-    rating: RatingVector, order: WeakOrder | None = None, exact_only: bool = False
-) -> str:
+def render_rating(rating: RatingVector, exact_only: bool = False) -> str:
     """One tab-separated line per object, best first (ties by index):
     label, exact value, four-decimal value. A final line prints the weak
     order. ``exact_only`` drops the decimal column."""
-    if order is None:
-        order = ranking(rating)
+    order = ranking(rating)
     labels = rating.labels
     lines = []
     for tier in order.tiers:

@@ -134,15 +134,15 @@ def _checked_epsilon(epsilon) -> Fraction:
 def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
     """Solve (I + eps L) x = (1 + eps m n) s exactly.
 
-    The parameter must be a positive rational; the coefficient matrix
-    is then strictly diagonally dominant, hence nonsingular, so the
-    system always has a unique solution. With eps = p/q the solver gets
-    the integer system (q I + p L) x = (q + p m n) (denominator * s).
+    The parameter must be a positive rational, or ``"reasonable"`` for
+    the problem's own bound (see :func:`reasonable_epsilon`). The
+    coefficient matrix is then strictly diagonally dominant, hence
+    nonsingular, so the system always has a unique solution. With
+    eps = p/q the solver gets the integer system
+    (q I + p L) x = (q + p m n) (denominator * s).
     """
-    return _generalized_row_sum(problem, _checked_epsilon(epsilon), derive(problem))
-
-
-def _generalized_row_sum(problem: RankingProblem, eps: Fraction, d) -> RatingVector:
+    d = derive(problem)
+    eps = _reasonable_epsilon(problem, d) if epsilon == REASONABLE else _checked_epsilon(epsilon)
     p, q = eps.numerator, eps.denominator
     a = [[q * (i == j) + p * v for j, v in enumerate(row)] for i, row in enumerate(d.laplacian)]
     multiplier = q + p * d.max_matches * problem.size
@@ -261,11 +261,7 @@ class Method:
 
     def rate(self, problem: RankingProblem) -> RatingVector:
         if self.key == "grs":
-            derived = derive(problem)
-            eps = self.epsilon
-            if eps == REASONABLE:
-                eps = _reasonable_epsilon(problem, derived)
-            return _generalized_row_sum(problem, eps, derived)
+            return generalized_row_sum(problem, self.epsilon)
         return _PLAIN[self.key](problem)
 
 

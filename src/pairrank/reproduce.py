@@ -94,6 +94,14 @@ def _check_fb_table(t: _Tally, problems, names, table) -> None:
                 t.exact(f"{key}({name}) {lab}", rating.values[i], expected[i])
 
 
+def _check_ls_pair(t: _Tally, pair, table) -> None:
+    """Least squares of the first two objects of T and T' against ``table``."""
+    for name, key, problem in zip(("T", "T'"), ("first", "second"), pair):
+        q = least_squares(problem)
+        for i, lab in enumerate(problem.labels[:2]):
+            t.exact(f"ls {name} {lab}", q.values[i], table[key][i])
+
+
 def _with_sum(pair) -> tuple[tuple[RankingProblem, ...], tuple[str, ...]]:
     first, second = pair
     return (first, second, sum_problems(first, second)), ("T", "T'", "T''")
@@ -141,14 +149,9 @@ def _example_2(t: _Tally) -> None:
             xs.values[0] - xs.values[1],
             fx.example_2_row_sum_sum_gap(eps),
         )
-    q = least_squares(first)
-    t.exact("ls T X1", q.values[0], Fraction(-1, 6))
-    t.exact("ls T X2", q.values[1], Fraction(-1, 6))
-    q2 = least_squares(second)
-    t.exact("ls T' X1", q2.values[0], Fraction(-1, 4))
-    t.exact("ls T' X2", q2.values[1], Fraction(-1, 4))
+    _check_ls_pair(t, fx.EXAMPLE_2, fx.EXAMPLE_2_LS)
     qs = least_squares(total)
-    t.exact("ls T'' X1-X2", qs.values[0] - qs.values[1], Fraction(-1, 17))
+    t.exact("ls T'' X1-X2", qs.values[0] - qs.values[1], fx.EXAMPLE_2_LS["sum_gap"])
 
 
 def _example_3(t: _Tally) -> None:
@@ -199,12 +202,7 @@ def _example_7(t: _Tally) -> None:
         t.exact(f"grs[eps={eps}] T X2", x.values[1], -want)
         t.exact(f"grs[eps={eps}] T' X1", x2.values[0], -want)
         t.exact(f"grs[eps={eps}] T' X2", x2.values[1], want)
-    q = least_squares(first)
-    q2 = least_squares(second)
-    t.exact("ls T X1", q.values[0], Fraction(1, 8))
-    t.exact("ls T X2", q.values[1], Fraction(-1, 8))
-    t.exact("ls T' X1", q2.values[0], Fraction(-1, 8))
-    t.exact("ls T' X2", q2.values[1], Fraction(1, 8))
+    _check_ls_pair(t, fx.EXAMPLE_7, fx.EXAMPLE_7_LS)
     _check_fb_table(t, (first, second), ("T", "T'"), fx.EXAMPLE_7_TABLE)
 
 

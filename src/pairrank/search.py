@@ -188,20 +188,19 @@ def enumerate_doubled(n: int, max_matches: int, domain: str):
     """Yield the candidate matrices (at denominator 2) for one object
     count, in canonical order."""
     pairs = _pairs(n)
-    test = _DOMAIN_TEST[domain]
+    # One group of match schedules per total number of matches, each
+    # group's candidates sorted. A round robin's total is m C(n, 2), and
+    # its schedule makes it a round robin, so no candidate needs the test.
     if domain == "roundrobin":
-        for m in range(1, max_matches + 1):
-            bucket = []
-            mvec = (m,) * len(pairs)
-            for avec in product(*(range(-m, m + 1) for _ in pairs)):
-                dt = _build_dt(n, pairs, mvec, avec)
-                bucket.append(dt)
-            bucket.sort()
-            yield from bucket
-        return
-    for total in range(0, len(pairs) * max_matches + 1):
+        groups = ([(m,) * len(pairs)] for m in range(1, max_matches + 1))
+        test = _DOMAIN_TEST["all"]
+    else:
+        totals = range(len(pairs) * max_matches + 1)
+        groups = (_compositions(total, len(pairs), max_matches) for total in totals)
+        test = _DOMAIN_TEST[domain]
+    for schedules in groups:
         bucket = []
-        for mvec in _compositions(total, len(pairs), max_matches):
+        for mvec in schedules:
             for avec in product(*(range(-m, m + 1) for m in mvec)):
                 dt = _build_dt(n, pairs, mvec, avec)
                 if test(dt):

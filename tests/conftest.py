@@ -8,7 +8,7 @@ denominators so exact arithmetic stays fast.
 import random
 from fractions import Fraction
 
-from pairrank import RankingProblem, derive
+from pairrank import RankingProblem, derive, methods
 
 
 def labels_for(n: int) -> tuple[str, ...]:
@@ -84,6 +84,16 @@ def flat_round_robin(n: int, matches: int = 1) -> RankingProblem:
         tuple(half if i != j else Fraction(0) for j in range(n)) for i in range(n)
     )
     return RankingProblem(labels_for(n), rows)
+
+
+def tie_broken_score(problem: RankingProblem) -> methods.RatingVector:
+    """Score with ties broken by object index: a planted method that is
+    neither neutral nor flat on flat problems."""
+    base = methods.score(problem)
+    n = problem.size
+    return methods.RatingVector(
+        "score", problem.labels, [n * v + i for i, v in enumerate(base.scaled)], n * base.denominator
+    )
 
 
 def problem_pool(seed: int, count: int, sizes=(3, 4, 5), **kwargs):

@@ -6,6 +6,7 @@ from conftest import (
     flat_round_robin,
     random_problem,
     random_same_matches,
+    tie_broken_score,
 )
 
 from pairrank import (
@@ -22,6 +23,7 @@ from pairrank import (
     derive,
     is_connected,
     is_irreducible,
+    methods,
     run_check,
     score,
 )
@@ -144,6 +146,54 @@ def test_ep_and_cs_describe_violations():
     report = run_check(Axiom.EP, Method("fb"), PairWitness(*EXAMPLE_3))
     text = report.violations[0].describe()
     assert "X1" in text and "X4" in text and "sum" in text
+
+
+def test_audit_wording_is_pinned(monkeypatch):
+    # One violating witness per wording template: the report's context,
+    # then describe() of each violation. NEU and SYM need a method that
+    # breaks them, so score is planted with ties broken by object index.
+    monkeypatch.setitem(methods._PLAIN, "score", tie_broken_score)
+    cases = [
+        (
+            Axiom.NEU, Method("score"), SingleWitness(flat_round_robin(3), Permutation((1, 2, 0))),
+            "relabelling (2, 3, 1)",
+            [
+                "X1 vs X3: X1 < X3 originally, but X1 > X3 after relabelling",
+                "X2 vs X3: X2 < X3 originally, but X2 > X3 after relabelling",
+            ],
+        ),
+        (
+            Axiom.SYM, Method("score"), SingleWitness(flat_round_robin(3)),
+            "flat problem",
+            [
+                "X1 vs X2: all results are flat, but X1 < X2",
+                "X1 vs X3: all results are flat, but X1 < X3",
+                "X2 vs X3: all results are flat, but X2 < X3",
+            ],
+        ),
+        (
+            Axiom.INV, Method("fb"), SingleWitness(INV_FB_WITNESS),
+            "reversed results",
+            [
+                "X1 vs X2: X1 > X2 originally, but X1 > X2 after reversing every result",
+                "X3 vs X4: X3 < X4 originally, but X3 < X4 after reversing every result",
+            ],
+        ),
+        (
+            Axiom.CS, Method("ls"), PairWitness(*EXAMPLE_2),
+            "pair of problems and their sum",
+            ["X1 vs X2: X1 = X2 and X1 = X2 in the inputs, but X1 < X2 in the sum"],
+        ),
+        (
+            Axiom.IIR, Method("ls"), ChangedPairWitness(*EXAMPLE_7, EXAMPLE_7_CHANGED_PAIR),
+            "edited pair X3 vs X4",
+            ["X1 vs X2: X1 > X2 before editing X3 vs X4, but X1 < X2 after"],
+        ),
+    ]
+    for axiom, method, witness, context, lines in cases:
+        report = run_check(axiom, method, witness)
+        assert report.context == context, axiom
+        assert [v.describe() for v in report.violations] == lines, axiom
 
 
 def test_fp_needs_flat_rated_inputs():

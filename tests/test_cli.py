@@ -133,6 +133,30 @@ def test_audit_neu_with_sigma(write, capsys):
     assert code == 0 and "satisfied" in out
 
 
+def test_audit_pins_witness_and_violation_lines(write, capsys):
+    first = write("a.txt", EXAMPLE_2[0])
+    second = write("b.txt", EXAMPLE_2[1])
+    code, out, _ = run(capsys, "audit", "--axiom", "CS", "--method", "ls", first, second)
+    assert code == 1
+    assert out.splitlines() == [
+        "CS (order consistency under summation) for ls: violated",
+        "witness: pair of problems and their sum",
+        "X1 vs X2: X1 = X2 and X1 = X2 in the inputs, but X1 < X2 in the sum",
+    ]
+
+
+def test_audit_sigma_errors_are_one_based(write, capsys):
+    path = write("ex4.txt", EXAMPLE_4)
+    for sigma, message in (
+        ("0,1,2", "--sigma 0,1,2 is not a permutation of 1..3"),
+        ("1,1,2", "--sigma 1,1,2 is not a permutation of 1..3"),
+        ("2,3,4", "--sigma 2,3,4 is not a permutation of 1..3"),
+        ("1,x,2", "--sigma takes comma-separated one-based indices, like 2,3,1; got '1,x,2'"),
+    ):
+        code, out, err = run(capsys, "audit", "--axiom", "NEU", "--method", "ls", "--sigma", sigma, path)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), sigma
+
+
 def test_audit_usage_errors(write, capsys):
     first = write("a.txt", EXAMPLE_2[0])
     second = write("b.txt", EXAMPLE_2[1])

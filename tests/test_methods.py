@@ -88,6 +88,17 @@ def test_row_sum_on_worked_example():
     assert x.epsilon == F(1, 3)
 
 
+def test_row_sum_takes_the_reasonable_bound():
+    # The public function, the method and the bound passed by value agree.
+    for p in problem_pool(71, 40):
+        expected = generalized_row_sum(p, reasonable_epsilon(p))
+        assert generalized_row_sum(p, REASONABLE) == expected == Method("grs", REASONABLE).rate(p)
+    with pytest.raises(UndefinedForSmallN):
+        generalized_row_sum(RankingProblem(("a", "b"), ((0, 1), (0, 0))), REASONABLE)
+    with pytest.raises(NoComparisons):
+        generalized_row_sum(RankingProblem(("a", "b", "c"), ((0, 0, 0),) * 3), REASONABLE)
+
+
 def test_row_sum_rejects_bad_epsilon():
     for bad in (0, F(-1, 2), "not-a-number", 0.25):
         with pytest.raises(InvalidEpsilon):
@@ -421,3 +432,7 @@ def test_each_rating_derives_and_checks_irreducibility_once(monkeypatch):
         calls.update(derive=0, is_irreducible=0)
         method.rate(problem)
         assert (calls["derive"], calls["is_irreducible"]) == expected[method.label], method.label
+    for epsilon in (REASONABLE, F(2, 3)):
+        calls.update(derive=0, is_irreducible=0)
+        generalized_row_sum(problem, epsilon)
+        assert (calls["derive"], calls["is_irreducible"]) == (1, 0), epsilon

@@ -5,6 +5,7 @@ from itertools import islice, permutations
 from math import comb
 
 import pytest
+from conftest import tie_broken_score
 
 from pairrank import (
     Axiom,
@@ -47,16 +48,17 @@ def test_enumeration_order_for_two_objects():
 
 
 def test_enumeration_is_deterministic_and_sorted_within_totals():
-    first = list(enumerate_doubled(3, 2, "all"))
-    second = list(enumerate_doubled(3, 2, "all"))
-    assert first == second
-    assert len(first) == len(set(first))
-
     def total(dt):
         return sum(sum(row) for row in dt)
 
-    totals = [total(dt) for dt in first]
-    assert totals == sorted(totals)
+    for domain in ("all", "connected", "roundrobin"):
+        first = list(enumerate_doubled(3, 2, domain))
+        second = list(enumerate_doubled(3, 2, domain))
+        assert first == second
+        assert len(first) == len(set(first))
+        totals = [total(dt) for dt in first]
+        assert totals == sorted(totals)
+        assert all(a < b for a, b in zip(first, first[1:]) if total(a) == total(b)), domain
 
 
 def test_domain_filters_agree_with_model_predicates():
@@ -337,16 +339,7 @@ def test_neutrality_search_rates_every_relabelling(monkeypatch):
     # Planted: score with ties broken by object index, which is not
     # neutral. Rating one matrix per orbit would hide exactly that, so a
     # NEU search must find what run_check finds on every candidate.
-    score = methods.score
-
-    def tie_broken(problem):
-        base = score(problem)
-        n = problem.size
-        return methods.RatingVector(
-            "score", problem.labels, [n * v + i for i, v in enumerate(base.scaled)], n * base.denominator
-        )
-
-    monkeypatch.setitem(methods._PLAIN, "score", tie_broken)
+    monkeypatch.setitem(methods._PLAIN, "score", tie_broken_score)
     method = Method("score")
     config = SearchConfig(object_counts=(3,), domain="roundrobin", limit=1000)
     evaluator = _Evaluator(method)
