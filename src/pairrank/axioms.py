@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 from .errors import (
     LabelMismatch,
@@ -154,11 +155,11 @@ def _report(axiom: Axiom, method: Method, context: str, labels, bad, explain, ra
     return AuditReport(axiom, method.label, context, violations, ratings)
 
 
-def _same_objects(witness) -> tuple[RankingProblem, RankingProblem]:
-    """The witness's two problems, which must rank the same objects."""
-    if witness.first.labels != witness.second.labels:
+def same_objects(first: RankingProblem, second: RankingProblem) -> tuple[RankingProblem, RankingProblem]:
+    """The two problems of a pair witness, which must rank the same objects."""
+    if first.labels != second.labels:
         raise LabelMismatch("the two problems must rank the same objects")
-    return witness.first, witness.second
+    return first, second
 
 
 def _rate(method: Method, problem: RankingProblem, role: str) -> RatingVector:
@@ -195,35 +196,58 @@ def invariance_failures(axiom: Axiom, before, after, sigma: Permutation | None =
     return bad
 
 
-def _direction_holds(c1: int, c2: int, ct: int) -> bool:
-    # Premise "at least as good in both inputs"; conclusion must hold in
-    # the sum, strictly when either input comparison is strict.
-    if c1 < 0 or c2 < 0:
-        return True
-    if c1 > 0 or c2 > 0:
-        return ct > 0
-    return ct >= 0
+def pair_masks(values) -> tuple[int, int, int]:
+    """How ``values`` order each pair (i, j) with i < j, as three bit
+    masks: the pairs ranked above, below and tied. The pairs take bits
+    0, 1, 2, ... in lexicographic order."""
+    above = below = ties = 0
+    for bit, (i, j) in enumerate(combinations(range(len(values)), 2)):
+        c = _compare(values, i, j)
+        if c > 0:
+            above |= 1 << bit
+        elif c < 0:
+            below |= 1 << bit
+        else:
+            ties |= 1 << bit
+    return above, below, ties
+
+
+def mask_pairs(mask: int, n: int) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of n objects whose bits are set in ``mask``."""
+    return [pair for bit, pair in enumerate(combinations(range(n), 2)) if mask >> bit & 1]
+
+
+def _consistency_breaks(first, second, total) -> int:
+    # Premise "at least as good in both inputs"; the conclusion must hold
+    # in the sum, strictly when either input comparison is strict. Each
+    # direction fails where no input ranks the pair the other way and
+    # the sum ranks it the other way, or ties it after a strict input.
+    above1, below1, _ = first
+    above2, below2, _ = second
+    above, below, _ = total
+    up = ~(below1 | below2) & ((above1 | above2) & ~above | below)
+    down = ~(above1 | above2) & ((below1 | below2) & ~below | above)
+    return up | down
+
+
+def _tie_breaks(first, second, total) -> int:
+    # A tie in both inputs stays a tie.
+    return first[2] & second[2] & ~total[2]
+
+
+def additivity_rule(axiom: Axiom):
+    """The rule of an additivity axiom on bit masks: a function of the
+    :func:`pair_masks` of two inputs and of their sum that gives the
+    mask of the pairs on which the axiom fails."""
+    if axiom.kind is not AxiomKind.ADDITIVITY:
+        raise ValueError(f"{axiom.ident} is not an additivity axiom")
+    return _consistency_breaks if axiom in (Axiom.CS, Axiom.RCS) else _tie_breaks
 
 
 def additivity_failures(axiom: Axiom, first, second, total):
     """Pairs (i, j) with i < j on which an additivity axiom fails."""
-    if axiom.kind is not AxiomKind.ADDITIVITY:
-        raise ValueError(f"{axiom.ident} is not an additivity axiom")
-    consistency = axiom in (Axiom.CS, Axiom.RCS)
-    n = len(total)
-    bad = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            c1 = _compare(first, i, j)
-            c2 = _compare(second, i, j)
-            ct = _compare(total, i, j)
-            if consistency:
-                ok = _direction_holds(c1, c2, ct) and _direction_holds(-c1, -c2, -ct)
-            else:  # EP and FP: a tie in both inputs stays a tie
-                ok = ct == 0 if (c1 == 0 and c2 == 0) else True
-            if not ok:
-                bad.append((i, j))
-    return bad
+    rule = additivity_rule(axiom)
+    return mask_pairs(rule(pair_masks(first), pair_masks(second), pair_masks(total)), len(total))
 
 
 def independence_failures(first, second, pair):
@@ -295,7 +319,7 @@ def check_additivity(axiom: Axiom, method: Method, witness: PairWitness) -> Audi
     """Audit CS, FP, EP or RCS on a pair of problems and their sum."""
     if axiom.kind is not AxiomKind.ADDITIVITY:
         raise ValueError(f"{axiom.ident} takes a different witness shape")
-    first, second = _same_objects(witness)
+    first, second = same_objects(witness.first, witness.second)
     if axiom is Axiom.RCS and derive(first).matches != derive(second).matches:
         raise MatchesMismatch("restricted consistency needs identical match schedules")
     labels = first.labels
@@ -319,7 +343,7 @@ def check_independence(axiom: Axiom, method: Method, witness: ChangedPairWitness
     """Audit IIM or IIR on two problems differing in one edited pair."""
     if axiom.kind is not AxiomKind.INDEPENDENCE:
         raise ValueError(f"{axiom.ident} takes a different witness shape")
-    first, second = _same_objects(witness)
+    first, second = same_objects(witness.first, witness.second)
     n = first.size
     if n < 4:
         raise TooFewObjects("independence needs a pair disjoint from the edited one")

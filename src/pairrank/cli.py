@@ -23,9 +23,9 @@ from .axioms import (
     PairWitness,
     SingleWitness,
     run_check,
+    same_objects,
 )
 from .errors import (
-    LabelMismatch,
     MethodPreconditionError,
     NotSingleDifference,
     PreconditionUnmet,
@@ -77,19 +77,17 @@ def _parse_sigma(text: str) -> Permutation:
     return Permutation.from_one_based(images)
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError("--changed-pair takes two comma-separated indices, like 3,4")
-    i, j = (int(part) for part in parts)
-    if i < 1 or j < 1:
-        raise ValueError("--changed-pair indices are one-based")
+def _parse_pair(text: str, n: int) -> tuple[int, int]:
+    try:
+        i, j = (int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"--changed-pair takes two comma-separated one-based indices, like 3,4; got {text!r}") from None
+    if i == j or not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"--changed-pair {text} is not a pair of distinct objects among 1..{n}")
     return i - 1, j - 1
 
 
 def _detect_changed_pair(first: RankingProblem, second: RankingProblem) -> tuple[int, int]:
-    if first.labels != second.labels:
-        raise LabelMismatch("the two problems must rank the same objects")
     diffs = changed_pairs(first, second)
     if len(diffs) != 1:
         raise NotSingleDifference(
@@ -127,12 +125,14 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     elif axiom.kind is AxiomKind.ADDITIVITY:
         witness = PairWitness(problems[0], problems[1])
     else:
+        # A label mismatch comes before any reading of the edited pair.
+        first, second = same_objects(*problems)
         pair = (
-            _parse_pair(args.changed_pair)
+            _parse_pair(args.changed_pair, first.size)
             if args.changed_pair is not None
-            else _detect_changed_pair(problems[0], problems[1])
+            else _detect_changed_pair(first, second)
         )
-        witness = ChangedPairWitness(problems[0], problems[1], pair)
+        witness = ChangedPairWitness(first, second, pair)
     report = run_check(axiom, method, witness)
     print(f"{axiom.ident} ({axiom.title}) for {report.method}: {report.verdict}")
     print(f"witness: {report.context}")

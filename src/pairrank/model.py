@@ -218,7 +218,7 @@ def transpose(m: Matrix) -> Matrix:
 
 def add(a: Matrix, b: Matrix) -> Matrix:
     """Entrywise sum of two matrices on one scale."""
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple([tuple(map(operator.add, ra, rb)) for ra, rb in zip(a, b)])
 
 
 def relabel(m: Matrix, sigma: Permutation) -> Matrix:

@@ -16,9 +16,11 @@ candidate not rated before, or to report a witness.
 A search is one scan over candidates from one of two sources: the grid
 walks the whole space in canonical order (exhaustive mode), and the
 draws make ``budget`` candidates from the seed (random mode). A
-candidate is a small tuple of grid matrices: ``(dt, sigma)`` for
-invariance, ``(first, second)`` for additivity, ``(first, second,
-pair)`` for independence, or ``None`` for a draw that failed. Both
+candidate is a small tuple: ``(dt, sigma)`` for invariance, ``(first,
+second)`` for additivity, ``(first, second, pair)`` for independence,
+or ``None`` for a draw that failed. An additivity input is a slot
+``[dt, None]``: the grid makes one per input matrix per group, which
+every pair of that group shares, and each draw gets fresh ones. Both
 sources yield only the shape the axiom takes (a flat problem for SYM,
 one schedule for RCS, a single edited pair on at least four objects for
 IIM and IIR), and the grid also skips FP inputs the method does not rate
@@ -32,15 +34,21 @@ evaluator rates only one canonical representative per relabelling orbit
 and maps its weak order back to each member, which changes no verdict; a
 NEU search, which tests exactly that property, rates every matrix
 itself. The comparison cores the public checkers share compare ratings
-only within one vector, so they give the same verdicts on weak orders,
-and each judge keeps those verdicts for the search, keyed by the weak
-orders compared. The additivity judge packs each input once into an int,
-so it looks a sum up by adding two codes and builds it only the first
-time it is rated. A judge returns ``None`` exactly where the checker
-would refuse the witness, and the failing object pairs otherwise, so
-only a flagged candidate is built into a witness. That witness is
-replayed through the public checker before it is returned, in both
-modes, so a reported witness is never a scan artifact.
+only within one vector, so they give the same verdicts on weak orders.
+The invariance and independence judges keep those verdicts for the
+search, keyed by the weak orders compared. The additivity judge fills
+an input's slot the first time it reads it, with the input packed into
+an int and three bit masks over its object pairs: ranked above, below
+and tied. It looks a sum up by adding two codes and builds it only the
+first time it is rated, and decides a pair of inputs with
+:func:`~pairrank.axioms.additivity_rule`, a few bitwise operations on
+the masks of the inputs and of the sum; ``additivity_failures`` runs on
+the same rule, so the checker and the search cannot disagree. A judge
+returns ``None`` exactly where the checker would refuse the witness,
+and the failing object pairs otherwise, so only a flagged candidate is
+built into a witness. That witness is replayed through the public
+checker before it is returned, in both modes, so a reported witness is
+never a scan artifact.
 """
 
 from __future__ import annotations
@@ -57,9 +65,12 @@ from .axioms import (
     PairWitness,
     SingleWitness,
     _is_flat,
-    additivity_failures,
+    additivity_failures,  # not called here, but wrapped here with the other cores by the benchmark tracer
+    additivity_rule,
     independence_failures,
     invariance_failures,
+    mask_pairs,
+    pair_masks,
     run_check,
 )
 from .errors import MethodPreconditionError
@@ -72,7 +83,6 @@ from .model import (
     connected,
     flat,
     irreducible,
-    relabel,
     round_robin,
     transpose,
 )
@@ -220,7 +230,9 @@ class _Evaluator(dict):
     each rating, taken from the rating's integer numerators, which order
     like the ratings. Equal weak orders share one tuple. ``None`` marks a
     candidate the method is undefined on. ``rate`` computes a weak order
-    without keeping it under ``dt``.
+    without keeping it under ``dt``: the additivity judge rates sums that
+    way and keeps only their pair masks, under the sum's code, in a
+    table of its own.
 
     With ``orbits`` on, the evaluator rates one representative per
     relabelling orbit of a matrix on at most four objects (see
@@ -345,7 +357,9 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
                     by_schedule.setdefault(add(dt, transpose(dt)), []).append(dt)
                 groups = by_schedule.values()
             for group in groups:
-                yield from combinations_with_replacement(group, 2)
+                # One slot per input, which the judge fills when it
+                # first reads it.
+                yield from combinations_with_replacement([[dt, None] for dt in group], 2)
         elif n >= 4:
             test = _DOMAIN_TEST[config.domain]
             pairs = _pairs(n)
@@ -366,10 +380,11 @@ def _pair_edits(axiom, dt: Matrix, k: int, l: int, max_matches: int) -> list[Mat
     for m2 in counts:
         for a2 in range(-m2, m2 + 1):
             if (m2, a2) != (m, a):
-                edited = [list(row) for row in dt]
-                edited[k][l] = m2 + a2
-                edited[l][k] = m2 - a2
-                edits.append(tuple(tuple(row) for row in edited))
+                row_k, row_l = list(dt[k]), list(dt[l])
+                row_k[l], row_l[k] = m2 + a2, m2 - a2
+                edited = list(dt)
+                edited[k], edited[l] = tuple(row_k), tuple(row_l)
+                edits.append(tuple(edited))
     return edits
 
 
@@ -412,14 +427,14 @@ def _random_candidate(axiom, rng, config):
         return dt, None
     if axiom is Axiom.RCS:
         mvec = [(dt[i][j] + dt[j][i]) // 2 for i, j in pairs]
-        return dt, _build_dt(n, pairs, mvec, [rng.randint(-m, m) for m in mvec])
+        return [dt, None], [_build_dt(n, pairs, mvec, [rng.randint(-m, m) for m in mvec]), None]
     if axiom.kind is AxiomKind.ADDITIVITY:
         dt_b = _random_dt(rng, n, config.max_matches, config.domain)
         if dt_b is None:
             return None
         if axiom is Axiom.FP:
-            return _even_split(dt), _even_split(dt_b)
-        return dt, dt_b
+            dt, dt_b = _even_split(dt), _even_split(dt_b)
+        return [dt, None], [dt_b, None]
     for _ in range(200):
         k, l = pairs[rng.randrange(len(pairs))]
         edits = _pair_edits(axiom, dt, k, l, config.max_matches)
@@ -440,11 +455,14 @@ def _draw_rng(seed: int, index: int) -> random.Random:
 # --- how a candidate is judged ----------------------------------------------
 #
 # A judge returns the object pairs on which the axiom fails, or None
-# when the public checker would refuse the candidate's witness. It keeps
-# its core's verdicts for the search, keyed by the weak orders compared
-# plus the relabelling or the edited pair; a verdict list is shared by
-# every candidate with its key and is never mutated. On a miss the
-# failure cores are looked up at call time, so they can be wrapped.
+# when the public checker would refuse the candidate's witness. The
+# invariance and independence judges keep their core's verdicts for the
+# search, keyed by the weak orders compared plus the relabelling or the
+# edited pair; a verdict list is shared by every candidate with its key
+# and is never mutated. On a miss those cores are looked up at call
+# time, so they can be wrapped. The additivity judge needs no such memo:
+# it applies ``additivity_rule``, the rule ``additivity_failures`` runs
+# on, to pair bit masks, and the search never calls that core itself.
 
 class _Lazy(dict):
     """A dict that fills a missing key with ``fill(key)``."""
@@ -461,13 +479,17 @@ class _Lazy(dict):
 def _invariance_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
     neu, sym = axiom is Axiom.NEU, axiom is Axiom.SYM
     verdicts = _Lazy(lambda key: invariance_failures(axiom, *key))
+    # One item getter per relabelling, as in model.relabel: picking rows,
+    # then entries, in the order of the objects sigma moves to 0, 1, ...
+    relabellers = _Lazy(lambda image: operator.itemgetter(*sorted(range(len(image)), key=image.__getitem__)))
 
     def judge(dt, sigma):
         before = evaluator[dt]
         if before is None:
             return None
         if neu:
-            after = evaluator[relabel(dt, sigma)]
+            pick = relabellers[sigma.image]
+            after = evaluator[tuple(map(pick, pick(dt)))]
         elif sym:
             after = before
         else:
@@ -481,55 +503,62 @@ def _invariance_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
 
 def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
     fp, ep = axiom is Axiom.FP, axiom is Axiom.EP
+    breaks = additivity_rule(axiom)
     # Inputs have entries in [0, 2 max_matches], so the entries of a sum
     # stay below the radix, and a sum's code is the code of one input
     # plus the digits of the other: no sum is built to be looked up.
-    # Inputs and sums share one table, so a matrix that is both is rated
-    # once.
+    # Inputs and sums share one table of pair masks, so a matrix that is
+    # both is rated once.
     radix = 4 * max_matches + 1
-    by_code: dict[int, tuple[int, ...] | None] = {}
-    verdicts = _Lazy(lambda key: additivity_failures(axiom, *key))
+    masks = _Lazy(pair_masks)
+    by_code: dict[int, tuple[int, int, int] | None] = {}
 
-    def enter(dt):
-        """An input's weak order, code, digits without the count, and
-        the bit mask of the object pairs it ties."""
+    def masks_of(order):
+        return None if order is None else masks[order]
+
+    def enter(slot):
+        """Fill an input slot ``[dt, None]`` with its record: the code of
+        ``dt``, its digits without the object count, and its pair masks;
+        ``()`` if the method is undefined on it."""
+        dt = slot[0]
         if max(map(max, dt)) > 2 * max_matches:
             raise ValueError(f"entries of {dt} exceed twice max_matches={max_matches}")
         code = _pack(dt, radix)
         if code not in by_code:
-            by_code[code] = evaluator[dt]
-        order = by_code[code]
-        if order is None:
-            return None
+            by_code[code] = masks_of(evaluator[dt])
+        dt_masks = by_code[code]
         n = len(dt)
-        ties = sum(1 << bit for bit, (i, j) in enumerate(_pairs(n)) if order[i] == order[j])
-        return order, code, code - n * radix ** (n * n), ties
-
-    inputs = _Lazy(enter)
+        slot[1] = () if dt_masks is None else (code, code - n * radix ** (n * n), dt_masks)
+        return slot[1]
 
     def judge(first, second):
-        a = inputs[first]
-        b = inputs[second]
-        if a is None or b is None:
+        a = first[1]
+        if a is None:
+            a = enter(first)
+        b = second[1]
+        if b is None:
+            b = enter(second)
+        if not (a and b):
             return None
-        f, code, _, f_ties = a
-        g, _, digits, g_ties = b
-        if fp and not (_is_flat(f) and _is_flat(g)):
+        code, _, f = a
+        _, digits, g = b
+        # Inputs rated flat rank no pair above or below.
+        if fp and (f[0] | f[1] | g[0] | g[1]):
             return None
         # Every method rates the sum of two problems it rates: connectivity
         # and irreducibility survive added matches, and the reasonable
         # epsilon needs only three objects and one match. So inputs with
         # no common tie are admissible and cannot witness EP.
-        if ep and not f_ties & g_ties:
+        if ep and not f[2] & g[2]:
             return []
         code += digits
-        try:
-            total = by_code[code]
-        except KeyError:
-            total = by_code[code] = evaluator.rate(add(first, second))
+        total = by_code.get(code, _MISSING)
+        if total is _MISSING:
+            total = by_code[code] = masks_of(evaluator.rate(add(first[0], second[0])))
         if total is None:
             return None
-        return verdicts[f, g, total]
+        bad = breaks(f, g, total)
+        return mask_pairs(bad, len(first[0])) if bad else []
 
     return judge
 
@@ -563,7 +592,7 @@ def _witness(axiom: Axiom, candidate):
         return SingleWitness(_problem(dt), sigma)
     if axiom.kind is AxiomKind.ADDITIVITY:
         first, second = candidate
-        return PairWitness(_problem(first), _problem(second))
+        return PairWitness(_problem(first[0]), _problem(second[0]))
     first, second, pair = candidate
     return ChangedPairWitness(_problem(first), _problem(second), pair)
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from conftest import (
@@ -37,6 +38,7 @@ from pairrank.errors import (
     PreconditionUnmet,
     TooFewObjects,
 )
+from pairrank.axioms import additivity_failures, additivity_rule, mask_pairs, pair_masks
 from pairrank.fixtures import (
     EXAMPLE_2,
     EXAMPLE_3,
@@ -375,3 +377,75 @@ def test_implication_cross_checks_on_random_pairs():
                 if ep.satisfied:
                     assert fp.satisfied
         done += 1
+
+
+# --- the additivity rule on pair bit masks ---------------------------------
+
+ADDITIVITY = [Axiom.CS, Axiom.RCS, Axiom.EP, Axiom.FP]
+
+
+def _pairwise_holds(axiom, c1, c2, ct):
+    # The definition, one pair at a time: c1, c2 and ct compare the
+    # pair in the two inputs and in their sum.
+    def direction(c1, c2, ct):
+        if c1 < 0 or c2 < 0:
+            return True
+        if c1 > 0 or c2 > 0:
+            return ct > 0
+        return ct >= 0
+
+    if axiom in (Axiom.CS, Axiom.RCS):
+        return direction(c1, c2, ct) and direction(-c1, -c2, -ct)
+    return ct == 0 if (c1 == 0 and c2 == 0) else True
+
+
+def _loop_failures(axiom, first, second, total):
+    # The pair loop additivity_failures ran before the mask rule.
+    def compare(values, i, j):
+        return (values[i] > values[j]) - (values[i] < values[j])
+
+    n = len(total)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not _pairwise_holds(axiom, compare(first, i, j), compare(second, i, j), compare(total, i, j))
+    ]
+
+
+@pytest.mark.parametrize("axiom", ADDITIVITY, ids=lambda a: a.ident)
+def test_additivity_rule_matches_the_pairwise_definition(axiom):
+    # All 27 sign triples, one pair each, and then all of them at once
+    # as 27 bits of one mask, so that no bit leaks into another.
+    triples = list(product((-1, 0, 1), repeat=3))
+    rule = additivity_rule(axiom)
+    masks = [[0, 0, 0] for _ in range(3)]  # (above, below, ties) per problem
+    expected = 0
+    for bit, signs in enumerate(triples):
+        single = [tuple(int(c == s) for s in (1, -1, 0)) for c in signs]
+        holds = _pairwise_holds(axiom, *signs)
+        assert rule(*single) == (0 if holds else 1), signs
+        for m, c in zip(masks, signs):
+            m[(1, -1, 0).index(c)] |= 1 << bit
+        expected |= (not holds) << bit
+    assert rule(*map(tuple, masks)) == expected
+
+
+def test_additivity_failures_match_the_pair_loop():
+    # Every weak order on three objects, as dense ranks, in every triple.
+    orders = sorted({tuple(sorted(set(v)).index(x) for x in v) for v in product(range(3), repeat=3)})
+    assert len(orders) == 13
+    for axiom in ADDITIVITY:
+        for first, second, total in product(orders, repeat=3):
+            assert additivity_failures(axiom, first, second, total) == _loop_failures(axiom, first, second, total)
+    with pytest.raises(ValueError, match="not an additivity axiom"):
+        additivity_rule(Axiom.NEU)
+
+
+def test_pair_masks_partition_the_pairs():
+    values = (3, 1, 3, 0)
+    above, below, ties = pair_masks(values)
+    # Pairs in order: (0,1) (0,2) (0,3) (1,2) (1,3) (2,3).
+    assert mask_pairs(above, 4) == [(0, 1), (0, 3), (1, 3), (2, 3)]
+    assert mask_pairs(below, 4) == [(1, 2)]
+    assert mask_pairs(ties, 4) == [(0, 2)]

@@ -9,6 +9,7 @@ from pairrank.fixtures import (
     EXAMPLE_7,
 )
 from pairrank.io import render_match_list, render_matrix
+from pairrank.model import RankingProblem
 
 
 @pytest.fixture
@@ -123,6 +124,36 @@ def test_audit_detects_changed_pair(write, capsys):
     assert explicit[0] == 1 and explicit[1] == out
     code, out, _ = run(capsys, "audit", "--axiom", "IIM", "--method", "score", first, second)
     assert code == 0 and "satisfied" in out
+
+
+def test_audit_changed_pair_errors_are_one_based(write, capsys):
+    first = write("a.txt", EXAMPLE_7[0])
+    second = write("b.txt", EXAMPLE_7[1])
+    for pair, message in (
+        ("3,x", "--changed-pair takes two comma-separated one-based indices, like 3,4; got '3,x'"),
+        ("3", "--changed-pair takes two comma-separated one-based indices, like 3,4; got '3'"),
+        ("1,2,3", "--changed-pair takes two comma-separated one-based indices, like 3,4; got '1,2,3'"),
+        ("3,9", "--changed-pair 3,9 is not a pair of distinct objects among 1..4"),
+        ("0,1", "--changed-pair 0,1 is not a pair of distinct objects among 1..4"),
+        ("1,1", "--changed-pair 1,1 is not a pair of distinct objects among 1..4"),
+    ):
+        code, out, err = run(
+            capsys, "audit", "--axiom", "IIR", "--method", "ls", "--changed-pair", pair, first, second
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n"), pair
+
+
+def test_audit_reports_label_mismatch_first(write, capsys):
+    # The mismatch is reported before the differing pairs are counted,
+    # and before an explicit edited pair is read.
+    first = write("a.txt", EXAMPLE_7[0])
+    # Same results under other labels: they differ on no pair.
+    renamed = RankingProblem(("A", "B", "C", "D"), EXAMPLE_7[0].tournament)
+    second = write("b.txt", renamed)
+    message = "error: the two problems must rank the same objects\n"
+    for extra in ((), ("--changed-pair", "3,4"), ("--changed-pair", "3,9")):
+        code, out, err = run(capsys, "audit", "--axiom", "IIM", "--method", "ls", *extra, first, second)
+        assert (code, out, err) == (2, "", message), extra
 
 
 def test_audit_neu_with_sigma(write, capsys):

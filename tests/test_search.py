@@ -207,16 +207,27 @@ def test_packed_codes_add_and_stay_apart():
     for bad in (((0, 9), (0, 0)), ((0, -1), (1, 0))):
         with pytest.raises(ValueError, match="radix"):
             _pack(bad, radix)
+    # The judge takes input slots [dt, None] and fills each on first
+    # reading with the code of dt and its digits without the count, so
+    # one code plus the other's digits is the code of the sum.
+    judge = _JUDGES[AxiomKind.ADDITIVITY](Axiom.CS, _Evaluator(Method("score")), 2)
+    grid = list(enumerate_doubled(3, 2, "all"))
+    for _ in range(100):
+        first, second = [rng.choice(grid), None], [rng.choice(grid), None]
+        judge(first, second)
+        (code, _, _), (_, digits, _) = first[1], second[1]
+        assert code == _pack(first[0], radix) and code + digits == _pack(add(first[0], second[0]), radix)
     # A judge refuses inputs whose sums could overflow its radix.
     judge = _JUDGES[AxiomKind.ADDITIVITY](Axiom.CS, _Evaluator(Method("score")), 1)
     with pytest.raises(ValueError, match="max_matches"):
-        judge(((0, 3), (1, 0)), ((0, 1), (1, 0)))
+        judge([((0, 3), (1, 0)), None], [((0, 1), (1, 0)), None])
 
 
 @pytest.mark.parametrize("axiom", [Axiom.CS, Axiom.EP, Axiom.RCS, Axiom.NEU])
 def test_memoized_verdicts_agree_with_checker_on_a_full_grid(axiom, monkeypatch):
     # Every candidate of a small grid, so that verdicts repeat and some
-    # come from the memo; fair bets has CS, EP and RCS violations here.
+    # come from a memo or the mask rule; fair bets has CS, EP and RCS
+    # violations here.
     method = Method("fb")
     core = {Axiom.NEU: "invariance_failures"}.get(axiom, "additivity_failures")
     # The package re-exports ``search`` under the module's name.
@@ -240,9 +251,12 @@ def test_memoized_verdicts_agree_with_checker_on_a_full_grid(axiom, monkeypatch)
         assert bad == [v.objects for v in report.violations], candidate
         admissible += 1
         flagged += bool(bad)
-    # Some verdicts came from the memo, not the core.
-    assert len(calls) < admissible
-    if axiom is not Axiom.NEU:
+    if axiom is Axiom.NEU:
+        # Some verdicts came from the memo, not the core.
+        assert 0 < len(calls) < admissible
+    else:
+        # Additivity verdicts come from the mask rule, never the core.
+        assert calls == []
         assert flagged
 
 
@@ -454,6 +468,36 @@ def test_random_mode_is_reproducible():
     assert a.examined <= 300
     for hit in a.hits:
         assert not run_check(Axiom.EP, Method("fb"), hit.witness).satisfied
+
+
+@pytest.mark.parametrize(
+    "axiom, examined, admissible, witness, pairs",
+    [
+        (Axiom.CS, 12, 1,
+         (((0, 0, 2, 1), (0, 0, 3, 3), (0, 1, 0, 2), (1, 1, 0, 0)),
+          ((0, 3, 2, 0), (1, 0, 0, 3), (0, 4, 0, 0), (0, 1, 2, 0))), [(2, 3)]),
+        (Axiom.EP, 12, 1,
+         (((0, 0, 2, 1), (0, 0, 3, 3), (0, 1, 0, 2), (1, 1, 0, 0)),
+          ((0, 3, 2, 0), (1, 0, 0, 3), (0, 4, 0, 0), (0, 1, 2, 0))), [(2, 3)]),
+        (Axiom.FP, 600, 380, None, None),
+        (Axiom.RCS, 106, 25, (((0, 4, 0), (0, 0, 1), (4, 1, 0)), ((0, 1, 3), (3, 0, 0), (1, 2, 0))), [(0, 1)]),
+    ],
+    ids=lambda v: v.ident if isinstance(v, Axiom) else None,
+)
+def test_random_additivity_search_is_pinned(axiom, examined, admissible, witness, pairs):
+    # Fair bets on random 3- and 4-object draws at one seed. FP draws
+    # flat problems, which every method rates flat, so it finds nothing.
+    config = SearchConfig(object_counts=(3, 4), max_matches=2, mode="random", seed=5, budget=600)
+    result = search(Method("fb"), axiom, config)
+    assert (result.examined, result.admissible) == (examined, admissible)
+    if witness is None:
+        assert not result.found and result.exhausted
+        return
+    (hit,) = result.hits
+    first, second = hit.witness.first, hit.witness.second
+    assert (first.scaled, second.scaled) == witness
+    assert first.denominator == second.denominator == 2
+    assert [v.objects for v in hit.report.violations] == pairs
 
 
 def test_random_mode_draws_full_budget_without_hits():
