@@ -19,8 +19,8 @@ draws make ``budget`` candidates from the seed (random mode). A
 candidate is a small tuple: ``(dt, sigma)`` for invariance, ``(first,
 second)`` for additivity, ``(first, second, pair)`` for independence,
 or ``None`` for a draw that failed. An additivity input is a slot
-``[dt, None]``: the grid makes one per input matrix per group, which
-every pair of that group shares, and each draw gets fresh ones. Both
+``[dt, None]``: the grid makes one per input matrix, which every pair
+of its group shares, and each draw gets fresh ones. Both
 sources yield only the shape the axiom takes (a flat problem for SYM,
 one schedule for RCS, a single edited pair on at least four objects for
 IIM and IIR), and the grid also skips FP inputs the method does not rate
@@ -49,6 +49,16 @@ and the failing object pairs otherwise, so only a flagged candidate is
 built into a witness. That witness is replayed through the public
 checker before it is returned, in both modes, so a reported witness is
 never a scan artifact.
+
+On up to four objects, exhaustive additivity also works one pair orbit
+at a time. Relabelling both inputs of a pair at once relabels their
+sum, so a neutral method gives every pair of an orbit one verdict. The
+grid judges the first member of each orbit of inputs against every
+partner (for RCS, its own schedule group); if none fails, no pair of
+that object count fails, and the count is settled without yielding a
+candidate (:func:`_settle`). A failing pair does not say which pair the
+canonical walk meets first, so it hands the object count back to that
+walk, which reports the same witness, counts and replay as before.
 """
 
 from __future__ import annotations
@@ -221,6 +231,10 @@ def enumerate_doubled(n: int, max_matches: int, domain: str):
 
 _MISSING = object()
 
+# The most objects a matrix may have for the search to work one
+# relabelling orbit at a time, both in rating it and in pairing it.
+ORBIT_OBJECTS = 4
+
 
 class _Evaluator(dict):
     """Weak orders of candidate matrices, computed on first lookup.
@@ -235,16 +249,24 @@ class _Evaluator(dict):
     table of its own.
 
     With ``orbits`` on, the evaluator rates one representative per
-    relabelling orbit of a matrix on at most four objects (see
-    :func:`_canonical`), keeps its weak order under the representative,
-    and maps it back to each member. That is exact because every method
-    is neutral: relabelling the objects relabels their ratings and
-    nothing else, and the preconditions a method checks (connectivity,
-    irreducibility, n and m) do not depend on the labels, so ``None`` is
-    shared too. A NEU search tests exactly that assumption, so it turns
-    ``orbits`` off and rates every relabelling itself. Larger matrices
-    are rated directly: at four objects a matrix has at most 4! = 24
-    tie orders to try, and no larger size has been measured.
+    relabelling orbit of a matrix on at most ``ORBIT_OBJECTS`` objects
+    (see :func:`_canonical`), keeps its weak order under the
+    representative, and maps it back to each member. That is exact
+    because every method is neutral: relabelling the objects relabels
+    their ratings and nothing else, and the preconditions a method checks
+    (connectivity, irreducibility, n and m) do not depend on the labels,
+    so ``None`` is shared too. A NEU search tests exactly that
+    assumption, so it turns ``orbits`` off and rates every relabelling
+    itself. Larger matrices are rated directly: at four objects a matrix
+    has at most 4! = 24 tie orders to try, and no larger size has been
+    measured.
+
+    The same neutrality lets the additivity grid judge one pair per
+    orbit, since every other pair relabels one of those; a failing pair
+    hands the object count back to the canonical walk, whose first
+    witness may lie in another orbit. ``representative`` gives the grid
+    the representative an input is rated through, so no input is
+    canonicalised twice.
     """
 
     def __init__(self, method: Method, orbits: bool = True):
@@ -263,9 +285,18 @@ class _Evaluator(dict):
         return self.interned.setdefault(order, order)
 
     def rate(self, dt: Matrix) -> tuple[int, ...] | None:
-        if not self.orbits or len(dt) > 4:
+        if not self.orbits or len(dt) > ORBIT_OBJECTS:
             return self._weak_order(dt)
+        return self._relabelled(*_canonical(dt))
+
+    def representative(self, dt: Matrix) -> Matrix:
+        """The representative of the orbit of ``dt``, which has at most
+        ``ORBIT_OBJECTS`` objects; ``dt`` is rated on the way."""
         rep, objs = _canonical(dt)
+        self[dt] = self._relabelled(rep, objs)
+        return rep
+
+    def _relabelled(self, rep: Matrix, objs: tuple[int, ...]) -> tuple[int, ...] | None:
         shared = self.get(rep, _MISSING)
         if shared is _MISSING:
             shared = self[rep] = self._weak_order(rep)
@@ -332,8 +363,14 @@ def _pack(dt: Matrix, radix: int) -> int:
 
 # --- where candidates come from -------------------------------------------
 
-def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
-    """Every exhaustive-mode candidate, in canonical order."""
+def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator, judge=None, settled=None):
+    """Every exhaustive-mode candidate, in canonical order.
+
+    Given the search's additivity ``judge``, an object count of at most
+    ``ORBIT_OBJECTS`` is first judged one pair orbit at a time (see
+    :func:`_settle`). A count with no violation yields no candidates: its
+    examined and admissible pair counts are added to ``settled`` instead.
+    """
     for n in config.object_counts:
         cands = enumerate_doubled(n, config.max_matches, config.domain)
         if axiom is Axiom.NEU:
@@ -346,20 +383,31 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
                 if axiom is not Axiom.SYM or flat(dt):
                     yield dt, None
         elif axiom.kind is AxiomKind.ADDITIVITY:
-            cands = list(cands)
+            by_orbit = judge is not None and n <= ORBIT_OBJECTS
+            # A representative rates its input on the way, so the FP
+            # filter below canonicalises nothing a second time.
+            cands = [(dt, evaluator.representative(dt) if by_orbit else None) for dt in cands]
             if axiom is Axiom.FP:
                 # Only inputs the method rates flat can witness this axiom.
-                cands = [dt for dt in cands if (v := evaluator[dt]) is not None and _is_flat(v)]
-            groups = [cands]
-            if axiom is Axiom.RCS:
-                by_schedule: dict[Matrix, list[Matrix]] = {}
-                for dt in cands:
-                    by_schedule.setdefault(add(dt, transpose(dt)), []).append(dt)
-                groups = by_schedule.values()
-            for group in groups:
-                # One slot per input, which the judge fills when it
-                # first reads it.
-                yield from combinations_with_replacement([[dt, None] for dt in group], 2)
+                cands = [c for c in cands if (v := evaluator[c[0]]) is not None and _is_flat(v)]
+            # One slot per input, which the judge fills when it first
+            # reads it; RCS pairs only inputs of one schedule.
+            groups: dict[Matrix | None, list] = {}
+            orbits: dict[Matrix, list] = {}
+            for dt, rep in cands:
+                slot = [dt, None]
+                group = groups.setdefault(add(dt, transpose(dt)) if axiom is Axiom.RCS else None, [])
+                group.append(slot)
+                if by_orbit:
+                    orbits.setdefault(rep, [slot, group, 0])[2] += 1
+            if orbits:
+                admissible = _settle(judge, orbits.values())
+                if admissible is not None:
+                    settled[0] += sum(len(group) * (len(group) + 1) // 2 for group in groups.values())
+                    settled[1] += admissible
+                    continue
+            for group in groups.values():
+                yield from combinations_with_replacement(group, 2)
         elif n >= 4:
             test = _DOMAIN_TEST[config.domain]
             pairs = _pairs(n)
@@ -368,6 +416,32 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
                     for edited in _pair_edits(axiom, dt, *pair, config.max_matches):
                         if test(edited):
                             yield dt, edited, pair
+
+
+def _settle(judge, orbits) -> int | None:
+    """The admissible pairs of an additivity grid with no violation, or
+    None at the first violation.
+
+    ``orbits`` holds, per relabelling orbit of inputs, the slot of its
+    first member R, R's partners and the orbit's size. A grid pair
+    (A, B) relabels to a pair (R, B'), where B' is a partner of R: the
+    domains and the FP filter are closed under relabelling, and B' keeps
+    R's schedule when B keeps A's. A neutral method gives both the same
+    verdict, and both rules are symmetric in the inputs. An orbit of
+    size s stands for s ordered pairs per admissible partner; counting
+    the pairs (A, A) twice makes the ordered count twice the unordered.
+    """
+    ordered = diagonal = 0
+    for first, partners, size in orbits:
+        for partner in partners:
+            bad = judge(first, partner)
+            if bad:
+                return None
+            if bad is not None:
+                ordered += size
+                if partner is first:
+                    diagonal += size
+    return (ordered + diagonal) // 2
 
 
 def _pair_edits(axiom, dt: Matrix, k: int, l: int, max_matches: int) -> list[Matrix]:
@@ -426,8 +500,14 @@ def _random_candidate(axiom, rng, config):
             return _even_split(dt), None
         return dt, None
     if axiom is Axiom.RCS:
+        # The second input keeps the first one's schedule, and must lie in
+        # the domain too: irreducibility depends on the results.
         mvec = [(dt[i][j] + dt[j][i]) // 2 for i, j in pairs]
-        return [dt, None], [_build_dt(n, pairs, mvec, [rng.randint(-m, m) for m in mvec]), None]
+        for _ in range(200):
+            dt_b = _build_dt(n, pairs, mvec, [rng.randint(-m, m) for m in mvec])
+            if _DOMAIN_TEST[config.domain](dt_b):
+                return [dt, None], [dt_b, None]
+        return None
     if axiom.kind is AxiomKind.ADDITIVITY:
         dt_b = _random_dt(rng, n, config.max_matches, config.domain)
         if dt_b is None:
@@ -611,13 +691,14 @@ def search(method: Method, axiom: Axiom, config: SearchConfig) -> SearchResult:
     """
     evaluator = _Evaluator(method, orbits=axiom is not Axiom.NEU)
     judge = _JUDGES[axiom.kind](axiom, evaluator, config.max_matches)
+    settled = [0, 0]  # examined and admissible pairs of the object counts _settle decided
     if config.mode == "random":
         source = (
             _random_candidate(axiom, _draw_rng(config.seed, index), config)
             for index in range(config.budget)
         )
     else:
-        source = _grid(axiom, config, evaluator)
+        source = _grid(axiom, config, evaluator, judge, settled)
     examined = admissible = 0
     hits: list[SearchHit] = []
     for candidate in source:
@@ -636,4 +717,6 @@ def search(method: Method, axiom: Axiom, config: SearchConfig) -> SearchResult:
             hits.append(SearchHit(witness, report))
             if len(hits) >= config.limit:
                 break
+    examined += settled[0]
+    admissible += settled[1]
     return SearchResult(tuple(hits), examined, admissible, exhausted=len(hits) < config.limit)

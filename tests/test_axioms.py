@@ -416,7 +416,9 @@ def _loop_failures(axiom, first, second, total):
 @pytest.mark.parametrize("axiom", ADDITIVITY, ids=lambda a: a.ident)
 def test_additivity_rule_matches_the_pairwise_definition(axiom):
     # All 27 sign triples, one pair each, and then all of them at once
-    # as 27 bits of one mask, so that no bit leaks into another.
+    # as 27 bits of one mask, so that no bit leaks into another. The
+    # rule is symmetric in the two inputs, which the search's pair-orbit
+    # pass relies on to judge each unordered pair one way round.
     triples = list(product((-1, 0, 1), repeat=3))
     rule = additivity_rule(axiom)
     masks = [[0, 0, 0] for _ in range(3)]  # (above, below, ties) per problem
@@ -425,6 +427,8 @@ def test_additivity_rule_matches_the_pairwise_definition(axiom):
         single = [tuple(int(c == s) for s in (1, -1, 0)) for c in signs]
         holds = _pairwise_holds(axiom, *signs)
         assert rule(*single) == (0 if holds else 1), signs
+        f, g, total = single
+        assert rule(f, g, total) == rule(g, f, total), signs
         for m, c in zip(masks, signs):
             m[(1, -1, 0).index(c)] |= 1 << bit
         expected |= (not holds) << bit

@@ -1,8 +1,9 @@
 import importlib
 import random
+from dataclasses import replace
 from fractions import Fraction
-from itertools import islice, permutations
-from math import comb
+from itertools import combinations_with_replacement, islice, permutations, product
+from math import comb, prod
 
 import pytest
 from conftest import tie_broken_score
@@ -13,6 +14,7 @@ from pairrank import (
     Method,
     SearchConfig,
     SearchHit,
+    SearchResult,
     is_connected,
     is_irreducible,
     is_round_robin,
@@ -20,10 +22,11 @@ from pairrank import (
     search,
 )
 from pairrank import methods
-from pairrank.axioms import invariance_failures
+from pairrank.axioms import PairWitness, invariance_failures
 from pairrank.errors import MethodPreconditionError, PreconditionUnmet, WitnessError
-from pairrank.model import Permutation, add, relabel
+from pairrank.model import Permutation, add, relabel, transpose
 from pairrank.search import (
+    DOMAINS,
     _JUDGES,
     _canonical,
     _draw_rng,
@@ -88,6 +91,33 @@ def test_enumeration_visits_the_closed_form_count(n, max_matches):
     assert sum(1 for _ in enumerate_doubled(n, max_matches, "roundrobin")) == sum(
         (2 * m + 1) ** pairs for m in range(1, max_matches + 1)
     )
+
+    # Additivity pairs. Score is additive, so none of these searches finds
+    # anything, and each count comes from the pair-orbit pass, which
+    # computes it instead of visiting the pairs. CS and EP pair all N
+    # inputs, N (N + 1) / 2 pairs; FP the same over the inputs rated
+    # flat; RCS only inputs of one schedule, whose results make a group
+    # of g = prod(2 m + 1) inputs, g (g + 1) / 2 pairs per schedule.
+    score = Method("score")
+    schedules = {"roundrobin": [(m,) * pairs for m in range(1, max_matches + 1)]}
+    if n < 4:
+        schedules["all"] = list(product(range(max_matches + 1), repeat=pairs))
+    for domain, listed in schedules.items():
+        config = SearchConfig(object_counts=(n,), max_matches=max_matches, domain=domain)
+        sizes = [prod(2 * m + 1 for m in mvec) for mvec in listed]
+        total = sum(sizes)
+        flat = 0
+        for dt in enumerate_doubled(n, max_matches, domain):
+            values = score.rate(_problem(dt)).values
+            flat += all(v == values[0] for v in values)
+        for axiom, count in (
+            (Axiom.CS, total * (total + 1) // 2),
+            (Axiom.EP, total * (total + 1) // 2),
+            (Axiom.FP, flat * (flat + 1) // 2),
+            (Axiom.RCS, sum(g * (g + 1) // 2 for g in sizes)),
+        ):
+            result = search(score, axiom, config)
+            assert (result.found, result.exhausted, result.examined) == (False, True, count), (domain, axiom)
 
 
 def test_round_robin_closed_form_on_four_objects_with_two_matches():
@@ -155,6 +185,8 @@ def test_scan_agrees_with_checker(method):
         judge = _JUDGES[axiom.kind](axiom, evaluator, 1)
         n = 4 if axiom.kind is AxiomKind.INDEPENDENCE else 3
         small = SearchConfig(object_counts=(n,), domain="roundrobin" if n == 4 else "all")
+        # Without a judge, the grid takes no pair-orbit pass and yields
+        # every additivity pair.
         grid = list(islice(_grid(axiom, small, evaluator), 2000))
         if axiom is Axiom.FP:
             # The grid offers only inputs rated flat; the judge must refuse the rest.
@@ -238,7 +270,7 @@ def test_memoized_verdicts_agree_with_checker_on_a_full_grid(axiom, monkeypatch)
     config = SearchConfig(object_counts=(3,), domain="roundrobin")
     evaluator = _Evaluator(method, orbits=axiom is not Axiom.NEU)
     judge = _JUDGES[axiom.kind](axiom, evaluator, config.max_matches)
-    candidates = list(_grid(axiom, config, evaluator))
+    candidates = list(_grid(axiom, config, evaluator))  # no judge given: every pair, no pair-orbit pass
     assert len(candidates) == (135 if axiom is Axiom.NEU else 378)
     admissible = flagged = 0
     for candidate in candidates:
@@ -512,3 +544,167 @@ def test_random_mode_draws_full_budget_without_hits():
     assert not result.found
     assert result.examined == 150
     assert result.exhausted
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_random_rcs_candidates_lie_in_their_domain(domain):
+    # The second input keeps the first one's schedule but draws new
+    # results, and an irreducible schedule can carry reducible results.
+    predicate = {
+        "all": lambda problem: True,
+        "connected": is_connected,
+        "irreducible": is_irreducible,
+        "roundrobin": is_round_robin,
+    }[domain]
+    config = SearchConfig(object_counts=(3, 4), max_matches=2, domain=domain, mode="random", seed=1, budget=500)
+    drawn = 0
+    for index in range(config.budget):
+        candidate = _random_candidate(Axiom.RCS, _draw_rng(config.seed, index), config)
+        if candidate is None:
+            continue
+        first, second = (slot[0] for slot in candidate)
+        assert add(first, transpose(first)) == add(second, transpose(second)), candidate
+        assert predicate(_problem(first)) and predicate(_problem(second)), candidate
+        drawn += 1
+    assert drawn > config.budget // 2
+
+
+# --- the pair-orbit pass against plain scans ---------------------------------
+
+_SETTINGS = [Method("score"), Method("grs", "reasonable"), Method("grs", Fraction(1, 2)),
+             Method("ls"), Method("fb"), Method("dfb"), Method("cfb")]
+_SETTING_IDS = ["score", "grs-reasonable", "grs-half", "ls", "fb", "dfb", "cfb"]
+_ADDITIVITY = [Axiom.CS, Axiom.EP, Axiom.FP, Axiom.RCS]
+_UNLIMITED = 10**6
+
+
+class _RatedOnce:
+    """The method, rating each matrix once: the plain scan's only shortcut."""
+
+    def __init__(self, method):
+        self.method, self.label, self.seen = method, method.label, {}
+
+    def rate(self, problem):
+        key = problem.scaled, problem.denominator
+        if key not in self.seen:
+            try:
+                self.seen[key] = self.method.rate(problem)
+            except MethodPreconditionError as exc:
+                self.seen[key] = exc
+        rating = self.seen[key]
+        if isinstance(rating, Exception):
+            raise rating.with_traceback(None)
+        return rating
+
+
+def _plain_scan(method, axiom, config):
+    """Per pair of the canonical walk, whether run_check admits it and the
+    hit it makes, if any: every pair of each object count's inputs, in
+    enumeration order, RCS within each schedule group in order of first
+    appearance, and FP over the inputs the method rates flat."""
+    rated = _RatedOnce(method)
+    for n in config.object_counts:
+        inputs = list(enumerate_doubled(n, config.max_matches, config.domain))
+        if axiom is Axiom.FP:
+            flat = []
+            for dt in inputs:
+                try:
+                    values = method.rate(_problem(dt)).values
+                except MethodPreconditionError:
+                    continue
+                if all(v == values[0] for v in values):
+                    flat.append(dt)
+            inputs = flat
+        groups = {}
+        for dt in inputs:
+            groups.setdefault(add(dt, transpose(dt)) if axiom is Axiom.RCS else None, []).append(dt)
+        for group in groups.values():
+            for a, b in combinations_with_replacement(group, 2):
+                witness = PairWitness(_problem(a), _problem(b))
+                try:
+                    report = run_check(axiom, rated, witness)
+                except (WitnessError, PreconditionUnmet):
+                    yield False, None
+                    continue
+                yield True, None if report.satisfied else SearchHit(witness, report)
+
+
+def _stop_at(steps, limit):
+    """The search result of the steps of a plain scan, under ``limit``."""
+    examined = admissible = 0
+    hits = []
+    for admitted, hit in steps:
+        examined += 1
+        admissible += admitted
+        if hit is not None:
+            hits.append(hit)
+            if len(hits) == limit:
+                return SearchResult(tuple(hits), examined, admissible, exhausted=False)
+    return SearchResult(tuple(hits), examined, admissible, exhausted=True)
+
+
+@pytest.mark.parametrize("method", _SETTINGS, ids=_SETTING_IDS)
+@pytest.mark.parametrize("max_matches, counts", [(1, (2, 3)), (2, (2,))], ids=["M1-n2-3", "M2-n2"])
+def test_pair_orbit_pass_matches_a_plain_scan(method, max_matches, counts):
+    # Every pair of every small grid through run_check. Two object counts
+    # in one search, so that a count the pass decides follows one with
+    # hits below the limit. On n = 3 the schedule groups of the
+    # non-round-robin domains are not closed under relabelling.
+    for domain, axiom in product(DOMAINS, _ADDITIVITY):
+        config = SearchConfig(object_counts=counts, max_matches=max_matches, domain=domain)
+        steps = list(_plain_scan(method, axiom, config))
+        for limit in (1, 5, _UNLIMITED):
+            expected = _stop_at(steps, limit)
+            assert search(method, axiom, replace(config, limit=limit)) == expected, (domain, axiom, limit)
+
+
+@pytest.mark.parametrize(
+    "config, axioms",
+    [(SearchConfig(object_counts=(3,), max_matches=2, domain=domain), _ADDITIVITY)
+     for domain in ("connected", "irreducible", "roundrobin")]
+    # All single-match 4-object round robins share one schedule, so RCS
+    # pairs the same inputs as CS, under the same rule.
+    + [(SearchConfig(object_counts=(4,), max_matches=1, domain="roundrobin"), [Axiom.CS, Axiom.EP, Axiom.FP])],
+    ids=["n3-M2-connected", "n3-M2-irreducible", "n3-M2-roundrobin", "n4-M1-roundrobin"],
+)
+def test_pair_orbit_pass_matches_the_canonical_walk_on_larger_grids(config, axioms, monkeypatch):
+    # These grids have up to 266 085 pairs, too many to put each through
+    # run_check, so the reference is the search with the pass turned
+    # off: every object count falls back to the canonical walk, which
+    # the tests above check against the checker pair by pair. A grid with
+    # no violation gives the same result at every limit; past the fifth
+    # hit a violated grid runs only the canonical walk.
+    search_module = importlib.import_module("pairrank.search")
+    for axiom, method in product(axioms, _SETTINGS):
+        for limit in (5, 1):
+            got = search(method, axiom, replace(config, limit=limit))
+            with monkeypatch.context() as patch:
+                patch.setattr(search_module, "_settle", lambda judge, orbits: None)
+                expected = search(method, axiom, replace(config, limit=limit))
+            assert got == expected, (axiom, method, limit)
+            if not got.found:
+                break
+
+
+@pytest.mark.parametrize("axiom", [Axiom.CS, Axiom.EP])
+def test_pair_orbit_pass_hands_a_violation_in_row_0_to_the_walk(axiom, monkeypatch):
+    # Least squares fails CS and EP on the first input of the connected
+    # 4-object grid and its fourth partner. The pass starts with that
+    # input, stops at the same pair, and the walk reports it.
+    search_module = importlib.import_module("pairrank.search")
+    settle = search_module._settle
+    judged, settled = [], []
+
+    def spy(judge, orbits):
+        settled.append(settle(lambda *pair: judged.append(pair) or judge(*pair), orbits))
+        return settled[-1]
+
+    monkeypatch.setattr(search_module, "_settle", spy)
+    method = Method("ls")
+    config = SearchConfig(object_counts=(4,), max_matches=1, domain="connected")
+    for limit in (1, 5):
+        judged.clear()
+        result = search(method, axiom, replace(config, limit=limit))
+        assert result == _stop_at(_plain_scan(method, axiom, config), limit)
+        assert settled[-1] is None and len(judged) == 4
+        assert result.examined == 4 if limit == 1 else result.examined > 4
