@@ -33,7 +33,7 @@ F = Fraction
 
 def _problem(rows) -> RankingProblem:
     labels = tuple(f"X{i + 1}" for i in range(len(rows)))
-    return RankingProblem(labels, tuple(tuple(F(v) for v in row) for row in rows))
+    return RankingProblem(labels, rows)
 
 
 def _values(*entries) -> tuple[Fraction, ...]:

@@ -1,50 +1,46 @@
 """Exact linear algebra over the rationals, computed in integers.
 
-Inputs are nested sequences of ints or rationals; results are lists of
-ints, over one denominator D. Nothing here ever touches floating point.
+Inputs are nested sequences of ints, and only ints: a float, a Fraction
+or a bool entry raises TypeError. Results are lists of ints, over one
+denominator D. Nothing here ever touches floating point.
 
 Both kernels run fraction-free forward elimination over Python ints,
 :func:`_eliminate` (E. H. Bareiss, *Sylvester's identity and multistep
 integer-preserving Gaussian elimination*, Math. Comp. 22, 1968), then
-integer back substitution, :func:`_back_substitute`. Rational input is
-first scaled to integers row by row, each row by the lcm of its
-denominators; that changes neither the solution of a system nor the
-nullspace of a matrix. With ``p`` the new pivot and ``previous`` the
-one before it (1 at the start), every row below the pivot row becomes
-``(p * row - f * pivot_row) // previous`` right of the pivot column,
-``f`` being the row's entry in that column. By Sylvester's identity
-every such entry is, up to sign, a minor of the scaled input, so each
-division is exact and no entry outgrows a minor. The results are the
-integer vector D x, with D the last pivot: by Cramer's rule its entries
-are minors too, so the back substitution's divisions are exact as well,
-and a nonzero remainder is raised as an internal error.
+integer back substitution, :func:`_back_substitute`. With ``p`` the new
+pivot and ``previous`` the one before it (1 at the start), every row
+below the pivot row becomes ``(p * row - f * pivot_row) // previous``
+right of the pivot column, ``f`` being the row's entry in that column.
+By Sylvester's identity every such entry is, up to sign, a minor of the
+input, so each division is exact and no entry outgrows a minor. The
+results are the integer vector D x, with D the last pivot: by Cramer's
+rule its entries are minors too, so the back substitution's divisions
+are exact as well, and a nonzero remainder is raised as an internal
+error.
 """
 
 from __future__ import annotations
 
-import math
 import operator
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import FullRank, RankTooLow, SingularMatrix
 
-Matrix = Sequence[Sequence[int | Fraction]]
+Matrix = Sequence[Sequence[int]]
 Vector = list[int]
 
 
-def mat_vec(a: Matrix, x: Sequence[int | Fraction]) -> list[int | Fraction]:
-    """The product a x, for rows as long as x; integer input gives integers."""
+def mat_vec(a: Matrix, x: Sequence[int]) -> list[int]:
+    """The product a x, for rows as long as x."""
     return [sum(map(operator.mul, row, x)) for row in a]
 
 
 def _integer_row(row) -> list[int]:
-    """``row`` times the lcm of its denominators, as a new list of ints."""
+    """A new list of ``row``'s entries; any entry but an int, even a bool, raises TypeError."""
     if all(type(v) is int for v in row):
         return list(row)
-    values = [v if isinstance(v, int) else Fraction(v) for v in row]
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
+    bad = next(v for v in row if type(v) is not int)
+    raise TypeError(f"linalg takes ints only, got {bad!r}")
 
 
 def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
@@ -97,16 +93,16 @@ def _back_substitute(rows: list[list[int]], pivots: list[int], v: Vector) -> Vec
     return v
 
 
-def solve(a: Matrix, b: Sequence[int | Fraction]) -> tuple[Vector, int]:
+def solve(a: Matrix, b: Sequence[int]) -> tuple[Vector, int]:
     """Solve the square system a x = b exactly; return ``(X, D)``, x = X / D.
 
-    Each row of ``[a | b]`` is scaled to integers and :func:`_eliminate`
-    reduces its first n columns. ``(X, -D)`` is in the nullspace of
-    ``[a | b]``, so back substitution gives ``X[k] = (D b[k] - sum of
-    U[k][j] X[j] over k < j < n) / U[k][k]``, with b the reduced last
-    column: the integers of Cramer's rule (D may be negative), and
-    a X = D b. Raises SingularMatrix, naming the first column without a pivot, if
-    the system has no unique solution.
+    :func:`_eliminate` reduces the first n columns of ``[a | b]``.
+    ``(X, -D)`` is in the nullspace of ``[a | b]``, so back substitution
+    gives ``X[k] = (D b[k] - sum of U[k][j] X[j] over k < j < n) /
+    U[k][k]``, with b the reduced last column: the integers of Cramer's
+    rule (D may be negative), and a X = D b. Raises SingularMatrix,
+    naming the first column without a pivot, if the system has no
+    unique solution.
     """
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
@@ -122,14 +118,13 @@ def solve(a: Matrix, b: Sequence[int | Fraction]) -> tuple[Vector, int]:
 def nullspace_1d(a: Matrix) -> Vector:
     """Return a nonzero vector spanning the nullspace of ``a``.
 
-    Each row is scaled to integers and :func:`_eliminate` reduces the
-    whole matrix. Exactly one free column must remain: with none the
-    nullspace is trivial (FullRank), with two or more it is not a line
-    (RankTooLow) and the caller's model assumptions are broken. The
-    returned vector is D x for the member x with 1 in the free column:
-    D there, the rest by back substitution. Its entries are minors of
-    the scaled input, not 1 in the free coordinate; callers normalize
-    to taste.
+    :func:`_eliminate` reduces the whole matrix. Exactly one free column
+    must remain: with none the nullspace is trivial (FullRank), with two
+    or more it is not a line (RankTooLow) and the caller's model
+    assumptions are broken. The returned vector is D x for the member x
+    with 1 in the free column: D there, the rest by back substitution.
+    Its entries are minors of the input, not 1 in the free coordinate;
+    callers normalize to taste.
     """
     if not a:
         raise ValueError("empty matrix")

@@ -14,8 +14,9 @@ denominator, ``t[i][j] = scaled[i][j] / denominator``, with the
 smallest denominator that makes every numerator an integer, so equal
 tournaments are stored, compare and hash alike. Values enter and leave
 the API as :class:`fractions.Fraction`: the constructor takes exact
-rationals and ``tournament`` gives them back. Floats are rejected at
-construction time so no rounding error can enter a problem.
+rationals, converts them once to integers over their lcm, and validates
+those; ``tournament`` gives them back. Floats are rejected at the
+boundary so no rounding error can enter a problem.
 
 The structural predicates and transforms are kernels over integer
 matrices. None of them depends on the common scale, so they apply
@@ -42,8 +43,6 @@ from .errors import (
     UnknownLabel,
 )
 
-ZERO = Fraction(0)
-
 Matrix = tuple[tuple[int, ...], ...]
 
 
@@ -65,9 +64,10 @@ def as_rational(value) -> Fraction:
 class RankingProblem:
     """Labelled objects plus their tournament matrix.
 
-    ``RankingProblem(labels, tournament)`` takes exact rationals;
-    :meth:`from_scaled` takes integers over a denominator. Both check
-    every structural invariant, so an instance that exists is valid.
+    ``RankingProblem(labels, tournament)`` takes exact rationals and
+    scales them to integers over their lcm; :meth:`from_scaled` takes
+    integers over a denominator. Both then run the same integer check
+    of every structural invariant, so an instance that exists is valid.
     """
 
     labels: tuple[str, ...]
@@ -75,7 +75,10 @@ class RankingProblem:
     denominator: int
 
     def __init__(self, labels, tournament):
-        self.__post_init__(labels, tournament, None)
+        rows = [tuple(map(as_rational, row)) for row in tournament]
+        d = math.lcm(*(v.denominator for row in rows for v in row))
+        scaled = [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+        self.__post_init__(labels, scaled, d)
 
     @classmethod
     def from_scaled(cls, labels, scaled, denominator: int) -> "RankingProblem":
@@ -85,32 +88,23 @@ class RankingProblem:
         return problem
 
     def __post_init__(self, labels, rows, denominator):
-        # The one validation step every constructor runs. ``denominator``
-        # None means ``rows`` holds rationals, otherwise integers over it.
+        # The one validation step every constructor runs, on integers
+        # ``rows`` over ``denominator``.
         labels = tuple(str(label) for label in labels)
         if len(labels) < 2:
             raise FewerThanTwoObjects(f"need at least two objects, got {len(labels)}")
         if len(set(labels)) != len(labels):
             raise DuplicateLabel(f"labels are not distinct: {labels}")
         n = len(labels)
-        convert = as_rational if denominator is None else operator.index
         checked = []
         for i, row in enumerate(rows):
-            row = tuple(map(convert, row))
+            row = tuple(map(operator.index, row))
             if len(row) != n:
                 raise ValueError(f"tournament row {i} has {len(row)} entries, expected {n}")
             checked.append(row)
         if len(checked) != n:
             raise ValueError(f"tournament has {len(checked)} rows, expected {n}")
-        fractions = None
-        if denominator is None:
-            fractions = tuple(checked)
-            denominator = math.lcm(*(v.denominator for row in fractions for v in row))
-            checked = [
-                tuple(v.numerator * (denominator // v.denominator) for v in row)
-                for row in fractions
-            ]
-        elif operator.index(denominator) <= 0:
+        if operator.index(denominator) <= 0:
             raise ValueError(f"denominator must be positive, got {denominator}")
         for i in range(n):
             if checked[i][i] != 0:
@@ -134,8 +128,6 @@ class RankingProblem:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "scaled", tuple(checked))
         object.__setattr__(self, "denominator", denominator)
-        if fractions is not None:
-            object.__setattr__(self, "tournament", fractions)
 
     @cached_property
     def tournament(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -176,7 +168,7 @@ def build_problem(labels: Iterable, entries: Iterable[tuple]) -> RankingProblem:
     labels = tuple(str(label) for label in labels)
     index = {label: k for k, label in enumerate(labels)}
     n = len(labels)
-    totals = [[ZERO] * n for _ in range(n)]
+    totals = [[0] * n for _ in range(n)]
     for entry in entries:
         try:
             ref_i, ref_j, value = entry
@@ -188,7 +180,7 @@ def build_problem(labels: Iterable, entries: Iterable[tuple]) -> RankingProblem:
         except KeyError as exc:
             raise UnknownLabel(f"entry references unknown label {exc.args[0]!r}") from None
         totals[i][j] += as_rational(value)
-    return RankingProblem(labels, tuple(tuple(row) for row in totals))
+    return RankingProblem(labels, totals)
 
 
 def derive(problem: RankingProblem) -> DerivedStructure:

@@ -165,9 +165,7 @@ def _example_4(t: _Tally) -> None:
     x = generalized_row_sum(p, Fraction(1, 3))
     for i, lab in enumerate(p.labels):
         t.exact(f"grs[eps=1/3] {lab}", x.values[i], fx.EXAMPLE_4_ROW_SUM[i])
-    doubled = RankingProblem(
-        p.labels, tuple(tuple(2 * v for v in row) for row in p.tournament)
-    )
+    doubled = sum_problems(p, p)
     xd = generalized_row_sum(doubled, Fraction(1, 3))
     for i, lab in enumerate(p.labels):
         t.decimal(

@@ -13,8 +13,8 @@ F = Fraction
 
 
 def test_solve_small_system_exactly():
-    a = [[F(2), F(1)], [F(1), F(3)]]
-    b = [F(5), F(10)]
+    a = [[2, 1], [1, 3]]
+    b = [5, 10]
     x, d = solve(a, b)
     assert [F(v, d) for v in x] == [F(1), F(3)]
     assert mat_vec(a, x) == [d * v for v in b]
@@ -27,6 +27,7 @@ def test_solve_residual_is_exact_on_random_systems():
         n = rng.randint(2, 5)
         a = [[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
         b = [F(rng.randint(-9, 9)) for _ in range(n)]
+        a, b = _scaled_system(a, b)
         try:
             x, d = solve(a, b)
         except SingularMatrix:
@@ -39,11 +40,11 @@ def test_solve_residual_is_exact_on_random_systems():
 
 def test_solve_rejects_singular_and_ragged():
     with pytest.raises(SingularMatrix):
-        solve([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)])
+        solve([[1, 2], [2, 4]], [1, 1])
     with pytest.raises(ValueError):
-        solve([[F(1), F(2)]], [F(1)])
+        solve([[1, 2]], [1])
     with pytest.raises(ValueError):
-        solve([[F(1), F(2)], [F(1)]], [F(1), F(1)])
+        solve([[1, 2], [1]], [1, 1])
 
 
 def test_nullspace_of_connected_laplacian_is_constant():
@@ -56,15 +57,15 @@ def test_nullspace_of_connected_laplacian_is_constant():
 
 def test_nullspace_requires_dimension_one():
     with pytest.raises(FullRank):
-        nullspace_1d([[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]])
+        nullspace_1d([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(RankTooLow):
-        nullspace_1d([[F(0), F(0)], [F(0), F(0)]])
+        nullspace_1d([[0, 0], [0, 0]])
     with pytest.raises(ValueError):
         nullspace_1d([])
 
 
 def test_nullspace_member_is_verified():
-    a = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(1), F(0), F(1)]]
+    a = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
     # rank 2: rows 1 and 2 are proportional
     v = nullspace_1d(a)
     assert any(x != 0 for x in v)
@@ -119,12 +120,12 @@ def test_kernels_agree_with_sympy_oracle():
         basis = m.nullspace()
         if not basis:
             with pytest.raises(FullRank):
-                nullspace_1d(a)
+                nullspace_1d(_scaled(a))
         elif len(basis) > 1:
             with pytest.raises(RankTooLow):
-                nullspace_1d(a)
+                nullspace_1d(_scaled(a))
         else:
-            v = nullspace_1d(a)
+            v = nullspace_1d(_scaled(a))
             w = [fraction(x) for x in basis[0]]
             k = next(i for i, x in enumerate(w) if x)
             ratio = v[k] / w[k]
@@ -135,12 +136,12 @@ def test_kernels_agree_with_sympy_oracle():
             b = [_sparse_rational(rng) for _ in range(n)]
             if m.rank() == n:
                 expected = [fraction(x) for x in m.LUsolve(exact([[v] for v in b]))]
-                x, d = solve(a, b)
+                x, d = solve(*_scaled_system(a, b))
                 assert [F(v, d) for v in x] == expected
                 solved += 1
             else:
                 with pytest.raises(SingularMatrix):
-                    solve(a, b)
+                    solve(*_scaled_system(a, b))
                 singular += 1
     assert solved > 40 and singular > 40
     assert skipped > 20 and swapped > 20
@@ -151,10 +152,10 @@ def test_kernels_agree_with_sympy_oracle():
         a = _matrix_of_rank(rng, n, n, n)
         b = [_sparse_rational(rng) for _ in range(n)]
         expected = [fraction(x) for x in exact(a).LUsolve(exact([[v] for v in b]))]
-        x, d = solve(a, b)
+        x, d = solve(*_scaled_system(a, b))
         assert [F(v, d) for v in x] == expected
         (basis,) = exact(a[:-1]).nullspace()
-        v = nullspace_1d(a[:-1])
+        v = nullspace_1d(_scaled(a[:-1]))
         w = [fraction(x) for x in basis]
         ratio = F(v[-1]) / w[-1]
         assert ratio != 0 and v == [ratio * x for x in w]
@@ -163,6 +164,17 @@ def test_kernels_agree_with_sympy_oracle():
 def _scaled_row(row):
     scale = math.lcm(*(F(v).denominator for v in row))
     return [int(F(v) * scale) for v in row]
+
+
+def _scaled(a):
+    """Each row times the lcm of its denominators: the same nullspace, in ints."""
+    return [_scaled_row(row) for row in a]
+
+
+def _scaled_system(a, b):
+    """Each row of ``[a | b]`` scaled jointly: the same solution, in ints."""
+    rows = [_scaled_row([*row, v]) for row, v in zip(a, b)]
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
 
 
 def _gauss_jordan(rows, columns):
@@ -231,12 +243,12 @@ def test_kernels_match_a_gauss_jordan_reference():
     rng = random.Random(77)
     solved = nulled = 0
     for a in _cases(rng):
-        v = _outcome(nullspace_1d, a)
+        v = _outcome(nullspace_1d, _scaled(a))
         assert v == _outcome(_reference_nullspace, a)
         nulled += isinstance(v, list)
         if len(a) == len(a[0]):
             b = [_sparse_rational(rng) for _ in a]
-            x = _outcome(solve, a, b)
+            x = _outcome(solve, *_scaled_system(a, b))
             assert x == _outcome(_reference_solve, a, b)
             solved += isinstance(x, tuple)
     assert solved > 40 and nulled > 40
@@ -262,12 +274,19 @@ def test_integer_rows_are_fresh_lists_of_ints():
     kept = [row[:] for row in a]
     nullspace_1d(a)
     assert a == kept
+    square, b = [[2, 1], [1, 3]], [1, 0]
+    solve(square, b)
+    assert square == [[2, 1], [1, 3]] and b == [1, 0]
     row = [3, -1, 0]
     assert _integer_row(row) == row and _integer_row(row) is not row
-    # bool is a subclass of int; it is scaled like any rational and comes out an int.
-    for mixed, expected in (([True, 2], [1, 2]), ([True, 2, F(1, 2)], [2, 4, 1])):
-        assert _integer_row(mixed) == expected
-        assert {type(v) for v in _integer_row(mixed)} == {int}
+    # Only ints: a float, a Fraction or a bool (a subclass of int) is refused.
+    for bad in (0.1, F(1, 2), True):
+        with pytest.raises(TypeError):
+            solve([[bad, 1], [1, 3]], [1, 0])
+        with pytest.raises(TypeError):
+            solve([[2, 1], [1, 3]], [1, bad])
+        with pytest.raises(TypeError):
+            nullspace_1d([[1, 2, 3], [2, 4, bad], [1, 0, 1]])
 
 
 def _bareiss_determinant(m):
@@ -295,13 +314,13 @@ def test_last_pivot_is_the_determinant_up_to_sign():
     for n in [*(rng.randint(1, 6) for _ in range(60)), 12, 12, 32]:
         a = _matrix_of_rank(rng, n, n, n)
         b = [_sparse_rational(rng) for _ in range(n)]
-        scaled = [_scaled_row([*row, v])[:n] for row, v in zip(a, b)]
+        scaled, b = _scaled_system(a, b)
         det = sympy.Matrix(scaled).det()
         if det == 0:
             with pytest.raises(SingularMatrix):
-                solve(a, b)
+                solve(scaled, b)
             continue
-        x, d = solve(a, b)
+        x, d = solve(scaled, b)
         assert abs(d) == abs(int(det))
         checked += 1
     assert checked > 30

@@ -67,11 +67,18 @@ def test_scaled_construction_validates_like_fractions():
         (((0, -2), (4, 0)), NegativeEntry),
         (((2, 0), (2, 0)), DiagonalNonZero),
         (((0, 1), (2, 0)), NonIntegerPairSum),
-        (((0, 1.0), (1, 0)), TypeError),
-        (((0, F(1)), (1, 0)), TypeError),
         (((0, 1, 1), (1, 0)), ValueError),
     ):
-        with pytest.raises(error):
+        # The same structural defect at scale 1/2, through both
+        # constructors: one validator, so one error and one message.
+        with pytest.raises(error) as scaled:
+            RankingProblem.from_scaled(labels, rows, 2)
+        with pytest.raises(error) as rational:
+            RankingProblem(labels, tuple(tuple(F(v, 2) for v in row) for row in rows))
+        assert type(rational.value) is type(scaled.value)
+        assert str(rational.value) == str(scaled.value)
+    for rows in (((0, 1.0), (1, 0)), ((0, F(1)), (1, 0))):
+        with pytest.raises(TypeError):
             RankingProblem.from_scaled(labels, rows, 2)
     with pytest.raises(ValueError):
         RankingProblem.from_scaled(labels, ((0, 1), (1, 0)), 0)
