@@ -21,6 +21,7 @@ implication fails, with exact ratings attached.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -131,10 +132,6 @@ class AuditReport:
         return "satisfied" if self.satisfied else "violated"
 
 
-def _is_flat(values) -> bool:
-    return all(v == values[0] for v in values)
-
-
 def _compare(values, i: int, j: int) -> int:
     a, b = values[i], values[j]
     return (a > b) - (a < b)
@@ -171,30 +168,10 @@ def _rate(method: Method, problem: RankingProblem, role: str) -> RatingVector:
 
 # --- shared comparison cores ----------------------------------------------
 #
-# The cores compare ratings only within one vector, so they work on any
-# indexable values that order like the ratings: the checkers pass each
-# rating's integer numerators, the counterexample search its weak orders.
-
-def invariance_failures(axiom: Axiom, before, after, sigma: Permutation | None = None):
-    """Pairs (i, j) with i < j on which an invariance axiom fails."""
-    if axiom.kind is not AxiomKind.INVARIANCE:
-        raise ValueError(f"{axiom.ident} is not an invariance axiom")
-    neu, sym = axiom is Axiom.NEU, axiom is Axiom.SYM
-    n = len(before)
-    bad = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = _compare(before, i, j)
-            if neu:
-                ok = c == _compare(after, sigma(i), sigma(j))
-            elif sym:
-                ok = c == 0
-            else:
-                ok = c == -_compare(after, i, j)
-            if not ok:
-                bad.append((i, j))
-    return bad
-
+# Each axiom is decided by a rule: a few bitwise operations on the
+# pair_masks of the ratings involved, giving the mask of failing pairs.
+# Masks compare ratings only within one vector, so the checkers pass each
+# rating's integer numerators and the counterexample search its weak orders.
 
 def pair_masks(values) -> tuple[int, int, int]:
     """How ``values`` order each pair (i, j) with i < j, as three bit
@@ -214,7 +191,39 @@ def pair_masks(values) -> tuple[int, int, int]:
 
 def mask_pairs(mask: int, n: int) -> list[tuple[int, int]]:
     """The pairs (i, j), i < j, of n objects whose bits are set in ``mask``."""
-    return [pair for bit, pair in enumerate(combinations(range(n), 2)) if mask >> bit & 1]
+    return [pair for bit, pair in enumerate(combinations(range(n), 2)) if mask >> bit & 1] if mask else []
+
+
+def disjoint_pairs(n: int, pair) -> int:
+    """The mask of the pairs of n objects that share no object with ``pair``."""
+    return sum(1 << bit for bit, (i, j) in enumerate(combinations(range(n), 2)) if i not in pair and j not in pair)
+
+
+def _moved(before, after) -> int:
+    # The pairs that two pair_masks order differently.
+    return (before[0] ^ after[0]) | (before[1] ^ after[1])
+
+
+def invariance_rule(axiom: Axiom):
+    """The rule of an invariance axiom on bit masks: a function of the
+    :func:`pair_masks` of the rating before and after the change that
+    gives the mask of the pairs on which the axiom fails. For NEU, entry
+    i of ``after`` is the relabelled problem's rating of object sigma(i)."""
+    if axiom.kind is not AxiomKind.INVARIANCE:
+        raise ValueError(f"{axiom.ident} is not an invariance axiom")
+    if axiom is Axiom.NEU:
+        return _moved
+    if axiom is Axiom.SYM:  # a flat problem is rated with every pair tied
+        return lambda before, after: before[0] | before[1]
+    return lambda before, after: _moved(before, (after[1], after[0], after[2]))  # INV swaps above and below
+
+
+def invariance_failures(axiom: Axiom, before, after, sigma: Permutation | None = None):
+    """Pairs (i, j) with i < j on which an invariance axiom fails."""
+    rule = invariance_rule(axiom)
+    if axiom is Axiom.NEU:
+        after = [after[k] for k in sigma.image]
+    return mask_pairs(rule(pair_masks(before), pair_masks(after)), len(before))
 
 
 def _consistency_breaks(first, second, total) -> int:
@@ -250,20 +259,17 @@ def additivity_failures(axiom: Axiom, first, second, total):
     return mask_pairs(rule(pair_masks(first), pair_masks(second), pair_masks(total)), len(total))
 
 
+def independence_breaks(first, second, disjoint: int) -> int:
+    """The rule of IIM and IIR on bit masks: the pairs of ``disjoint``,
+    the :func:`disjoint_pairs` of the edited pair, that the
+    :func:`pair_masks` ``first`` and ``second`` order differently."""
+    return _moved(first, second) & disjoint
+
+
 def independence_failures(first, second, pair):
     """Pairs disjoint from the edited one whose relative order moved."""
     n = len(first)
-    k, l = pair
-    bad = []
-    for i in range(n):
-        if i in (k, l):
-            continue
-        for j in range(i + 1, n):
-            if j in (k, l):
-                continue
-            if _compare(first, i, j) != _compare(second, i, j):
-                bad.append((i, j))
-    return bad
+    return mask_pairs(independence_breaks(pair_masks(first), pair_masks(second), disjoint_pairs(n, pair)), n)
 
 
 # --- the three checkers ----------------------------------------------------
@@ -325,7 +331,7 @@ def check_additivity(axiom: Axiom, method: Method, witness: PairWitness) -> Audi
     labels = first.labels
     f = _rate(method, first, "the first problem")
     g = _rate(method, second, "the second problem")
-    if axiom is Axiom.FP and not (_is_flat(f.scaled) and _is_flat(g.scaled)):
+    if axiom is Axiom.FP and any(above | below for above, below, _ in map(pair_masks, (f.scaled, g.scaled))):
         raise NotFlat("flatness preservation is only about inputs rated flat")
     total = _rate(method, sum_problems(first, second), "the summed problem")
     bad = additivity_failures(axiom, f.scaled, g.scaled, total.scaled)
@@ -347,7 +353,7 @@ def check_independence(axiom: Axiom, method: Method, witness: ChangedPairWitness
     n = first.size
     if n < 4:
         raise TooFewObjects("independence needs a pair disjoint from the edited one")
-    k, l = witness.pair
+    k, l = map(operator.index, witness.pair)
     if not (0 <= k < n and 0 <= l < n) or k == l:
         raise ValueError(f"edited pair {witness.pair} is not a pair of distinct objects")
     k, l = min(k, l), max(k, l)

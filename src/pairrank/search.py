@@ -33,22 +33,19 @@ relabels the ratings and nothing else. So on up to four objects the
 evaluator rates only one canonical representative per relabelling orbit
 and maps its weak order back to each member, which changes no verdict; a
 NEU search, which tests exactly that property, rates every matrix
-itself. The comparison cores the public checkers share compare ratings
-only within one vector, so they give the same verdicts on weak orders.
-The invariance and independence judges keep those verdicts for the
-search, keyed by the weak orders compared. The additivity judge fills
-an input's slot the first time it reads it, with the input packed into
-an int and three bit masks over its object pairs: ranked above, below
-and tied. It looks a sum up by adding two codes and builds it only the
-first time it is rated, and decides a pair of inputs with
-:func:`~pairrank.axioms.additivity_rule`, a few bitwise operations on
-the masks of the inputs and of the sum; ``additivity_failures`` runs on
-the same rule, so the checker and the search cannot disagree. A judge
-returns ``None`` exactly where the checker would refuse the witness,
-and the failing object pairs otherwise, so only a flagged candidate is
-built into a witness. That witness is replayed through the public
-checker before it is returned, in both modes, so a reported witness is
-never a scan artifact.
+itself. Every judge decides with the rule the public checker runs on:
+a few bitwise operations on three bit masks per weak order, the object
+pairs it ranks above, below and tied (:func:`~pairrank.axioms.pair_masks`).
+The rules compare ratings only within one vector, so they give the same
+verdicts on weak orders as on ratings. The additivity judge fills an
+input's slot the first time it reads it, with the input packed into an
+int and its masks, and looks a sum up by adding two codes, building it
+only the first time it is rated. A judge returns ``None`` exactly where
+the checker would refuse the witness, and the failing object pairs
+otherwise, so only a flagged candidate is built into a witness. That
+witness is replayed through the public checker before it is returned,
+in both modes, and must fail on the same pairs, so a reported witness
+is never a scan artifact.
 
 On up to four objects, exhaustive additivity also works one pair orbit
 at a time. Relabelling both inputs of a pair at once relabels their
@@ -66,6 +63,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, combinations_with_replacement, groupby, permutations, product
 
 from .axioms import (
@@ -74,11 +72,14 @@ from .axioms import (
     ChangedPairWitness,
     PairWitness,
     SingleWitness,
-    _is_flat,
-    additivity_failures,  # not called here, but wrapped here with the other cores by the benchmark tracer
+    # Not called here, but the benchmark tracer wraps the three cores here.
+    additivity_failures,
     additivity_rule,
+    disjoint_pairs,
+    independence_breaks,
     independence_failures,
     invariance_failures,
+    invariance_rule,
     mask_pairs,
     pair_masks,
     run_check,
@@ -242,11 +243,12 @@ class _Evaluator(dict):
     ``evaluator[dt]`` rates a candidate once, through the method's public
     implementation, and keeps its weak order: the dense rank 0..k-1 of
     each rating, taken from the rating's integer numerators, which order
-    like the ratings. Equal weak orders share one tuple. ``None`` marks a
-    candidate the method is undefined on. ``rate`` computes a weak order
-    without keeping it under ``dt``: the additivity judge rates sums that
-    way and keeps only their pair masks, under the sum's code, in a
-    table of its own.
+    like the ratings. Equal weak orders share one tuple, and
+    ``masks(order)`` gives its :func:`~pairrank.axioms.pair_masks`, which
+    every judge decides on. ``None`` marks a candidate the method is
+    undefined on. ``rate`` computes a weak order without keeping it under
+    ``dt``: the additivity judge rates sums that way and keeps only their
+    pair masks, under the sum's code, in a table of its own.
 
     With ``orbits`` on, the evaluator rates one representative per
     relabelling orbit of a matrix on at most ``ORBIT_OBJECTS`` objects
@@ -274,6 +276,7 @@ class _Evaluator(dict):
         self.method = method
         self.orbits = orbits
         self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.masks = cache(pair_masks)
 
     def _weak_order(self, dt: Matrix) -> tuple[int, ...] | None:
         try:
@@ -388,8 +391,8 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator, judge=None,
             # filter below canonicalises nothing a second time.
             cands = [(dt, evaluator.representative(dt) if by_orbit else None) for dt in cands]
             if axiom is Axiom.FP:
-                # Only inputs the method rates flat can witness this axiom.
-                cands = [c for c in cands if (v := evaluator[c[0]]) is not None and _is_flat(v)]
+                # Only inputs rated flat (dense ranks all 0) can witness this axiom.
+                cands = [c for c in cands if (v := evaluator[c[0]]) is not None and not any(v)]
             # One slot per input, which the judge fills when it first
             # reads it; RCS pairs only inputs of one schedule.
             groups: dict[Matrix | None, list] = {}
@@ -535,48 +538,37 @@ def _draw_rng(seed: int, index: int) -> random.Random:
 # --- how a candidate is judged ----------------------------------------------
 #
 # A judge returns the object pairs on which the axiom fails, or None
-# when the public checker would refuse the candidate's witness. The
-# invariance and independence judges keep their core's verdicts for the
-# search, keyed by the weak orders compared plus the relabelling or the
-# edited pair; a verdict list is shared by every candidate with its key
-# and is never mutated. On a miss those cores are looked up at call
-# time, so they can be wrapped. The additivity judge needs no such memo:
-# it applies ``additivity_rule``, the rule ``additivity_failures`` runs
-# on, to pair bit masks, and the search never calls that core itself.
-
-class _Lazy(dict):
-    """A dict that fills a missing key with ``fill(key)``."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
-
+# when the public checker would refuse the candidate's witness. Each
+# applies its family's rule on pair bit masks (``invariance_rule``,
+# ``additivity_rule``, ``independence_breaks``), the rule the matching
+# ``*_failures`` core runs on, and never calls a core itself.
 
 def _invariance_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
     neu, sym = axiom is Axiom.NEU, axiom is Axiom.SYM
-    verdicts = _Lazy(lambda key: invariance_failures(axiom, *key))
+    breaks = invariance_rule(axiom)
+    masks = evaluator.masks
     # One item getter per relabelling, as in model.relabel: picking rows,
     # then entries, in the order of the objects sigma moves to 0, 1, ...
-    relabellers = _Lazy(lambda image: operator.itemgetter(*sorted(range(len(image)), key=image.__getitem__)))
+    relabellers = cache(lambda image: operator.itemgetter(*sorted(range(len(image)), key=image.__getitem__)))
 
     def judge(dt, sigma):
         before = evaluator[dt]
         if before is None:
             return None
         if neu:
-            pick = relabellers[sigma.image]
+            pick = relabellers(sigma.image)
             after = evaluator[tuple(map(pick, pick(dt)))]
+            if after is None:
+                return None
+            # Object i is rated at position sigma(i) of the relabelled problem.
+            after = tuple(map(after.__getitem__, sigma.image))
         elif sym:
             after = before
         else:
             after = evaluator[transpose(dt)]
         if after is None:
             return None
-        return verdicts[before, after, sigma]
+        return mask_pairs(breaks(masks(before), masks(after)), len(dt))
 
     return judge
 
@@ -590,11 +582,11 @@ def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
     # Inputs and sums share one table of pair masks, so a matrix that is
     # both is rated once.
     radix = 4 * max_matches + 1
-    masks = _Lazy(pair_masks)
+    masks = evaluator.masks
     by_code: dict[int, tuple[int, int, int] | None] = {}
 
     def masks_of(order):
-        return None if order is None else masks[order]
+        return None if order is None else masks(order)
 
     def enter(slot):
         """Fill an input slot ``[dt, None]`` with its record: the code of
@@ -637,14 +629,14 @@ def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
             total = by_code[code] = masks_of(evaluator.rate(add(first[0], second[0])))
         if total is None:
             return None
-        bad = breaks(f, g, total)
-        return mask_pairs(bad, len(first[0])) if bad else []
+        return mask_pairs(breaks(f, g, total), len(first[0]))
 
     return judge
 
 
 def _independence_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
-    verdicts = _Lazy(lambda key: independence_failures(*key))
+    masks = evaluator.masks
+    disjoint = cache(disjoint_pairs)
 
     def judge(first, second, pair):
         f = evaluator[first]
@@ -653,7 +645,8 @@ def _independence_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
         g = evaluator[second]
         if g is None:
             return None
-        return verdicts[f, g, pair]
+        n = len(first)
+        return mask_pairs(independence_breaks(masks(f), masks(g), disjoint(n, pair)), n)
 
     return judge
 
@@ -712,8 +705,8 @@ def search(method: Method, axiom: Axiom, config: SearchConfig) -> SearchResult:
         if bad:
             witness = _witness(axiom, candidate)
             report = run_check(axiom, method, witness)
-            if report.satisfied:
-                raise RuntimeError("internal: scan flagged a witness the checker accepts")
+            if [v.objects for v in report.violations] != bad:
+                raise RuntimeError("internal: scan and checker fail different pairs of a witness")
             hits.append(SearchHit(witness, report))
             if len(hits) >= config.limit:
                 break

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 from conftest import (
@@ -38,7 +38,15 @@ from pairrank.errors import (
     PreconditionUnmet,
     TooFewObjects,
 )
-from pairrank.axioms import additivity_failures, additivity_rule, mask_pairs, pair_masks
+from pairrank.axioms import (
+    additivity_failures,
+    additivity_rule,
+    independence_failures,
+    invariance_failures,
+    invariance_rule,
+    mask_pairs,
+    pair_masks,
+)
 from pairrank.fixtures import (
     EXAMPLE_2,
     EXAMPLE_3,
@@ -307,6 +315,14 @@ def test_independence_witness_shape_errors():
         )
 
 
+def test_edited_pair_must_be_integers_before_any_rating(monkeypatch):
+    rated = []
+    monkeypatch.setattr(Method, "rate", lambda self, problem: rated.append(problem))
+    with pytest.raises(TypeError):
+        check_independence(Axiom.IIR, Method("score"), ChangedPairWitness(*EXAMPLE_7, (2.0, 3)))
+    assert rated == []
+
+
 def test_label_mismatch_is_rejected():
     relabelled = RankingProblem(("Y1", "Y2", "Y3", "Y4"), EXAMPLE_7[1].tournament)
     with pytest.raises(LabelMismatch):
@@ -453,3 +469,55 @@ def test_pair_masks_partition_the_pairs():
     assert mask_pairs(above, 4) == [(0, 1), (0, 3), (1, 3), (2, 3)]
     assert mask_pairs(below, 4) == [(1, 2)]
     assert mask_pairs(ties, 4) == [(0, 2)]
+
+
+# --- the invariance and independence rules on pair bit masks ---------------
+
+def _compare(values, i, j):
+    return (values[i] > values[j]) - (values[i] < values[j])
+
+
+def _loop_invariance(axiom, before, after, sigma):
+    # The pair loop invariance_failures ran before the mask rules.
+    bad = []
+    for i, j in combinations(range(len(before)), 2):
+        c = _compare(before, i, j)
+        if axiom is Axiom.NEU:
+            ok = c == _compare(after, sigma(i), sigma(j))
+        elif axiom is Axiom.SYM:
+            ok = c == 0
+        else:
+            ok = c == -_compare(after, i, j)
+        if not ok:
+            bad.append((i, j))
+    return bad
+
+
+def _loop_independence(first, second, pair):
+    # The pair loop independence_failures ran before the mask rule.
+    return [
+        (i, j)
+        for i, j in combinations(range(len(first)), 2)
+        if not {i, j} & set(pair) and _compare(first, i, j) != _compare(second, i, j)
+    ]
+
+
+def test_invariance_and_independence_rules_match_the_pair_loops():
+    # Every pair of weak orders on 3 and 4 objects, as dense ranks, with
+    # every relabelling for NEU and every edited pair for IIM and IIR.
+    for n, count in ((3, 13), (4, 75)):
+        orders = sorted({tuple(sorted(set(v)).index(x) for x in v) for v in product(range(n), repeat=n)})
+        assert len(orders) == count
+        sigmas = [Permutation(p) for p in permutations(range(n))]
+        pairs = list(combinations(range(n), 2))
+        for before, after in product(orders, repeat=2):
+            for sigma in sigmas:
+                assert invariance_failures(Axiom.NEU, before, after, sigma) == _loop_invariance(
+                    Axiom.NEU, before, after, sigma
+                ), (before, after, sigma)
+            for axiom in (Axiom.SYM, Axiom.INV):
+                assert invariance_failures(axiom, before, after) == _loop_invariance(axiom, before, after, None)
+            for pair in pairs:
+                assert independence_failures(before, after, pair) == _loop_independence(before, after, pair)
+    with pytest.raises(ValueError, match="not an invariance axiom"):
+        invariance_rule(Axiom.IIR)
