@@ -26,14 +26,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import RankingProblem
+from .model import RankingProblem, default_labels
 
 F = Fraction
 
 
 def _problem(rows) -> RankingProblem:
-    labels = tuple(f"X{i + 1}" for i in range(len(rows)))
-    return RankingProblem(labels, rows)
+    return RankingProblem(default_labels(len(rows)), rows)
 
 
 def _values(*entries) -> tuple[Fraction, ...]:

@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
 )
 from .methods import RatingVector, ranking
-from .model import RankingProblem, build_problem
+from .model import RankingProblem, build_problem, default_labels
 
 _RATIONAL = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d{1,6}))?")
 
@@ -130,7 +130,7 @@ def parse_matrix(text: str) -> RankingProblem:
     except ValueError:
         raise ParseError(f"line {lineno}: expected the object count, got {head!r}") from None
     if labels is None:
-        labels = tuple(f"X{i + 1}" for i in range(n))
+        labels = default_labels(n)
     if len(labels) != n:
         raise ParseError(f"{len(labels)} labels for {n} objects")
     body = lines[1:]

@@ -173,11 +173,9 @@ def least_squares(problem: RankingProblem) -> RatingVector:
     return RatingVector("ls", problem.labels, x, pivot * problem.denominator)
 
 
-def _fair_bets_vector(problem: RankingProblem, checked: bool = False) -> tuple[list[int], int]:
+def _fair_bets_vector(problem: RankingProblem) -> tuple[list[int], int]:
     """Fixed point v of an irreducible problem, and sum(v) to divide by."""
-    # Reversing every result keeps a digraph strongly connected, so a
-    # problem's reversal is ``checked`` once the problem passed.
-    if not checked and not is_irreducible(problem):
+    if not is_irreducible(problem):
         raise ReducibleProblem("results digraph is not strongly connected")
     # The nullspace and its normalized member do not depend on the
     # common scale, so the integer matrix stands in for the tournament.
@@ -224,7 +222,7 @@ def dual_fair_bets(problem: RankingProblem) -> RatingVector:
 def copeland_fair_bets(problem: RankingProblem) -> RatingVector:
     """Sum of fair bets and dual fair bets, rewarding wins and punishing losses."""
     w, w_total = _fair_bets_vector(problem)
-    l, l_total = _fair_bets_vector(negate(problem), checked=True)
+    l, l_total = _fair_bets_vector(negate(problem))
     # w / sum(w) - l / sum(l), over the product of the two sums.
     scaled = [a * l_total - b * w_total for a, b in zip(w, l)]
     return RatingVector("cfb", problem.labels, scaled, w_total * l_total)

@@ -60,6 +60,11 @@ def as_rational(value) -> Fraction:
     return Fraction(value)
 
 
+def default_labels(n: int) -> tuple[str, ...]:
+    """The labels ``X1..Xn`` of a problem whose objects are not named."""
+    return tuple(f"X{i + 1}" for i in range(n))
+
+
 @dataclass(frozen=True, init=False)
 class RankingProblem:
     """Labelled objects plus their tournament matrix.

@@ -27,13 +27,14 @@ IIM and IIR), and the grid also skips FP inputs the method does not rate
 flat, which cannot witness that axiom.
 
 One judge per axiom family decides a candidate exactly. The evaluator
-rates each matrix once per search and keeps its weak order, the dense
-ranks of its ratings. Every method is neutral: relabelling the objects
-relabels the ratings and nothing else. So on up to four objects the
-evaluator rates only one canonical representative per relabelling orbit
-and maps its weak order back to each member, which changes no verdict; a
-NEU search, which tests exactly that property, rates every matrix
-itself. Every judge decides with the rule the public checker runs on:
+depends on the method only: it rates each matrix once per search and
+keeps its weak order, the dense ranks of its ratings. Every method is
+neutral: relabelling the objects relabels the ratings and nothing else.
+So on up to four objects the evaluator rates only one canonical
+representative per relabelling orbit and maps its weak order back to
+each member, which changes no verdict. The NEU judge, which tests
+exactly that property, rates every matrix directly, in a table of its
+own. Every judge decides with the rule the public checker runs on:
 a few bitwise operations on three bit masks per weak order, the object
 pairs it ranks above, below and tied (:func:`~pairrank.axioms.pair_masks`).
 The rules compare ratings only within one vector, so they give the same
@@ -92,6 +93,7 @@ from .model import (
     RankingProblem,
     add,
     connected,
+    default_labels,
     flat,
     irreducible,
     round_robin,
@@ -161,12 +163,8 @@ class SearchResult:
         return bool(self.hits)
 
 
-def _labels(n: int) -> tuple[str, ...]:
-    return tuple(f"X{i + 1}" for i in range(n))
-
-
 def _problem(dt: Matrix) -> RankingProblem:
-    return RankingProblem.from_scaled(_labels(len(dt)), dt, 2)
+    return RankingProblem.from_scaled(default_labels(len(dt)), dt, 2)
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -238,30 +236,30 @@ ORBIT_OBJECTS = 4
 
 
 class _Evaluator(dict):
-    """Weak orders of candidate matrices, computed on first lookup.
+    """Weak orders of candidate matrices under one method, whatever the
+    axiom, computed on first lookup.
 
-    ``evaluator[dt]`` rates a candidate once, through the method's public
-    implementation, and keeps its weak order: the dense rank 0..k-1 of
-    each rating, taken from the rating's integer numerators, which order
-    like the ratings. Equal weak orders share one tuple, and
-    ``masks(order)`` gives its :func:`~pairrank.axioms.pair_masks`, which
-    every judge decides on. ``None`` marks a candidate the method is
-    undefined on. ``rate`` computes a weak order without keeping it under
-    ``dt``: the additivity judge rates sums that way and keeps only their
-    pair masks, under the sum's code, in a table of its own.
+    ``weak_order(dt)`` rates ``dt`` directly, through the method's public
+    implementation, and gives the dense rank 0..k-1 of each rating, taken
+    from the rating's integer numerators, which order like the ratings.
+    Equal weak orders share one tuple, and ``masks(order)`` gives its
+    :func:`~pairrank.axioms.pair_masks`, which every judge decides on.
+    ``None`` marks a candidate the method is undefined on.
+    ``evaluator[dt]`` keeps the weak order of ``dt``; ``rate`` computes it
+    without keeping it: the additivity judge rates sums that way and
+    keeps only their pair masks, under the sum's code, in its own table.
 
-    With ``orbits`` on, the evaluator rates one representative per
-    relabelling orbit of a matrix on at most ``ORBIT_OBJECTS`` objects
-    (see :func:`_canonical`), keeps its weak order under the
-    representative, and maps it back to each member. That is exact
-    because every method is neutral: relabelling the objects relabels
-    their ratings and nothing else, and the preconditions a method checks
-    (connectivity, irreducibility, n and m) do not depend on the labels,
-    so ``None`` is shared too. A NEU search tests exactly that
-    assumption, so it turns ``orbits`` off and rates every relabelling
-    itself. Larger matrices are rated directly: at four objects a matrix
-    has at most 4! = 24 tie orders to try, and no larger size has been
-    measured.
+    Both rate one representative per relabelling orbit of a matrix on at
+    most ``ORBIT_OBJECTS`` objects (see :func:`_canonical`), keep its
+    weak order under the representative, and map it back to each member.
+    That is exact because every method is neutral: relabelling the
+    objects relabels their ratings and nothing else, and the
+    preconditions a method checks (connectivity, irreducibility, n and m)
+    do not depend on the labels, so ``None`` is shared too. The NEU judge
+    tests exactly that assumption, so it keeps a table of direct ratings
+    of its own. Larger matrices are rated directly: at four objects a
+    matrix has at most 4! = 24 tie orders to try, and no larger size has
+    been measured.
 
     The same neutrality lets the additivity grid judge one pair per
     orbit, since every other pair relabels one of those; a failing pair
@@ -271,14 +269,13 @@ class _Evaluator(dict):
     canonicalised twice.
     """
 
-    def __init__(self, method: Method, orbits: bool = True):
+    def __init__(self, method: Method):
         super().__init__()
         self.method = method
-        self.orbits = orbits
         self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.masks = cache(pair_masks)
 
-    def _weak_order(self, dt: Matrix) -> tuple[int, ...] | None:
+    def weak_order(self, dt: Matrix) -> tuple[int, ...] | None:
         try:
             keys = self.method.rate(_problem(dt)).scaled
         except MethodPreconditionError:
@@ -288,8 +285,8 @@ class _Evaluator(dict):
         return self.interned.setdefault(order, order)
 
     def rate(self, dt: Matrix) -> tuple[int, ...] | None:
-        if not self.orbits or len(dt) > ORBIT_OBJECTS:
-            return self._weak_order(dt)
+        if len(dt) > ORBIT_OBJECTS:
+            return self.weak_order(dt)
         return self._relabelled(*_canonical(dt))
 
     def representative(self, dt: Matrix) -> Matrix:
@@ -302,7 +299,7 @@ class _Evaluator(dict):
     def _relabelled(self, rep: Matrix, objs: tuple[int, ...]) -> tuple[int, ...] | None:
         shared = self.get(rep, _MISSING)
         if shared is _MISSING:
-            shared = self[rep] = self._weak_order(rep)
+            shared = self[rep] = self.weak_order(rep)
         if shared is None:
             return None
         # Position k of the representative is object objs[k] of dt.
@@ -366,11 +363,11 @@ def _pack(dt: Matrix, radix: int) -> int:
 
 # --- where candidates come from -------------------------------------------
 
-def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator, judge=None, settled=None):
+def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator, judge, settled: list[int]):
     """Every exhaustive-mode candidate, in canonical order.
 
-    Given the search's additivity ``judge``, an object count of at most
-    ``ORBIT_OBJECTS`` is first judged one pair orbit at a time (see
+    For additivity, an object count of at most ``ORBIT_OBJECTS`` is first
+    judged one pair orbit at a time by the search's ``judge`` (see
     :func:`_settle`). A count with no violation yields no candidates: its
     examined and admissible pair counts are added to ``settled`` instead.
     """
@@ -386,7 +383,7 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator, judge=None,
                 if axiom is not Axiom.SYM or flat(dt):
                     yield dt, None
         elif axiom.kind is AxiomKind.ADDITIVITY:
-            by_orbit = judge is not None and n <= ORBIT_OBJECTS
+            by_orbit = n <= ORBIT_OBJECTS
             # A representative rates its input on the way, so the FP
             # filter below canonicalises nothing a second time.
             cands = [(dt, evaluator.representative(dt) if by_orbit else None) for dt in cands]
@@ -547,17 +544,19 @@ def _invariance_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
     neu, sym = axiom is Axiom.NEU, axiom is Axiom.SYM
     breaks = invariance_rule(axiom)
     masks = evaluator.masks
+    # NEU tests the neutrality the orbit table assumes: it rates directly.
+    rated = cache(evaluator.weak_order) if neu else evaluator.__getitem__
     # One item getter per relabelling, as in model.relabel: picking rows,
     # then entries, in the order of the objects sigma moves to 0, 1, ...
     relabellers = cache(lambda image: operator.itemgetter(*sorted(range(len(image)), key=image.__getitem__)))
 
     def judge(dt, sigma):
-        before = evaluator[dt]
+        before = rated(dt)
         if before is None:
             return None
         if neu:
             pick = relabellers(sigma.image)
-            after = evaluator[tuple(map(pick, pick(dt)))]
+            after = rated(tuple(map(pick, pick(dt))))
             if after is None:
                 return None
             # Object i is rated at position sigma(i) of the relabelled problem.
@@ -565,7 +564,7 @@ def _invariance_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
         elif sym:
             after = before
         else:
-            after = evaluator[transpose(dt)]
+            after = rated(transpose(dt))
         if after is None:
             return None
         return mask_pairs(breaks(masks(before), masks(after)), len(dt))
@@ -579,14 +578,11 @@ def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
     # Inputs have entries in [0, 2 max_matches], so the entries of a sum
     # stay below the radix, and a sum's code is the code of one input
     # plus the digits of the other: no sum is built to be looked up.
-    # Inputs and sums share one table of pair masks, so a matrix that is
-    # both is rated once.
+    # Inputs are rated in the evaluator; ``by_code`` holds the pair masks
+    # of sums only, under their codes.
     radix = 4 * max_matches + 1
     masks = evaluator.masks
     by_code: dict[int, tuple[int, int, int] | None] = {}
-
-    def masks_of(order):
-        return None if order is None else masks(order)
 
     def enter(slot):
         """Fill an input slot ``[dt, None]`` with its record: the code of
@@ -595,12 +591,8 @@ def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
         dt = slot[0]
         if max(map(max, dt)) > 2 * max_matches:
             raise ValueError(f"entries of {dt} exceed twice max_matches={max_matches}")
-        code = _pack(dt, radix)
-        if code not in by_code:
-            by_code[code] = masks_of(evaluator[dt])
-        dt_masks = by_code[code]
-        n = len(dt)
-        slot[1] = () if dt_masks is None else (code, code - n * radix ** (n * n), dt_masks)
+        order, code, n = evaluator[dt], _pack(dt, radix), len(dt)
+        slot[1] = () if order is None else (code, code - n * radix ** (n * n), masks(order))
         return slot[1]
 
     def judge(first, second):
@@ -626,7 +618,8 @@ def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
         code += digits
         total = by_code.get(code, _MISSING)
         if total is _MISSING:
-            total = by_code[code] = masks_of(evaluator.rate(add(first[0], second[0])))
+            order = evaluator.rate(add(first[0], second[0]))
+            total = by_code[code] = None if order is None else masks(order)
         if total is None:
             return None
         return mask_pairs(breaks(f, g, total), len(first[0]))
@@ -682,7 +675,7 @@ def search(method: Method, axiom: Axiom, config: SearchConfig) -> SearchResult:
     is False exactly when the scan stopped early because the witness
     limit was reached.
     """
-    evaluator = _Evaluator(method, orbits=axiom is not Axiom.NEU)
+    evaluator = _Evaluator(method)
     judge = _JUDGES[axiom.kind](axiom, evaluator, config.max_matches)
     settled = [0, 0]  # examined and admissible pairs of the object counts _settle decided
     if config.mode == "random":

@@ -426,7 +426,8 @@ def test_each_rating_derives_and_checks_irreducibility_once(monkeypatch):
         "ls": (1, 0),
         "fb": (0, 1),
         "dfb": (0, 1),
-        "cfb": (0, 1),
+        # Fair bets of the problem and of its reversal, one check each.
+        "cfb": (0, 2),
     }
     for method in SETTINGS:
         calls.update(derive=0, is_irreducible=0)

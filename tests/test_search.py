@@ -168,7 +168,7 @@ def test_random_draws_do_not_collide_across_seeds():
     [Method("score"), Method("grs", "reasonable"), Method("ls"), Method("cfb")],
     ids=["score", "grs-reasonable", "ls", "cfb"],
 )
-def test_scan_agrees_with_checker(method):
+def test_scan_agrees_with_checker(method, monkeypatch):
     # A judge's verdict must be the checker's on every candidate either
     # source yields: None exactly where run_check refuses the witness,
     # and otherwise exactly the pairs it reports.
@@ -181,16 +181,17 @@ def test_scan_agrees_with_checker(method):
 
     rng = random.Random(19)
     evaluator = _Evaluator(method)
+    # With the pair-orbit pass deciding nothing, the grid yields every
+    # additivity pair.
+    monkeypatch.setattr(importlib.import_module("pairrank.search"), "_settle", lambda judge, orbits: None)
     for axiom in Axiom:
         judge = _JUDGES[axiom.kind](axiom, evaluator, 1)
         n = 4 if axiom.kind is AxiomKind.INDEPENDENCE else 3
         small = SearchConfig(object_counts=(n,), domain="roundrobin" if n == 4 else "all")
-        # Without a judge, the grid takes no pair-orbit pass and yields
-        # every additivity pair.
-        grid = list(islice(_grid(axiom, small, evaluator), 2000))
+        grid = list(islice(_grid(axiom, small, evaluator, judge, [0, 0]), 2000))
         if axiom is Axiom.FP:
             # The grid offers only inputs rated flat; the judge must refuse the rest.
-            grid += _grid(Axiom.CS, small, evaluator)
+            grid += _grid(Axiom.CS, small, evaluator, judge, [0, 0])
         for candidate in rng.sample(grid, min(len(grid), 25)):
             assert judge(*candidate) == checker_pairs(axiom, candidate)[0], (axiom, candidate)
 
@@ -266,10 +267,12 @@ def test_memoized_verdicts_agree_with_checker_on_a_full_grid(axiom, monkeypatch)
     for core in ("invariance_failures", "additivity_failures", "independence_failures"):
         original = getattr(search_module, core)
         monkeypatch.setattr(search_module, core, lambda *args, original=original: calls.append(args) or original(*args))
+    # The pair-orbit pass decides nothing, so the grid yields every pair.
+    monkeypatch.setattr(search_module, "_settle", lambda judge, orbits: None)
     config = SearchConfig(object_counts=(3,), domain="roundrobin")
-    evaluator = _Evaluator(method, orbits=axiom is not Axiom.NEU)
+    evaluator = _Evaluator(method)
     judge = _JUDGES[axiom.kind](axiom, evaluator, config.max_matches)
-    candidates = list(_grid(axiom, config, evaluator))  # no judge given: every pair, no pair-orbit pass
+    candidates = list(_grid(axiom, config, evaluator, judge, [0, 0]))
     assert len(candidates) == (135 if axiom is Axiom.NEU else 378)
     admissible = flagged = 0
     for candidate in candidates:
@@ -294,9 +297,11 @@ def test_verdicts_are_kept_per_permutation_and_edited_pair():
     dt = ((0, 2, 2), (0, 0, 2), (0, 0, 0))
     evaluator = _Evaluator(Method("score"))
     kept, moved = Permutation((1, 0, 2)), Permutation((0, 2, 1))
-    evaluator[dt] = (0, 1, 2)
+    # The NEU judge rates directly, so its orders are planted there.
+    planted = {dt: (0, 1, 2)}
     for sigma in (kept, moved):
-        evaluator[relabel(dt, sigma)] = (1, 0, 2)
+        planted[relabel(dt, sigma)] = (1, 0, 2)
+    evaluator.weak_order = planted.__getitem__
     judge = _JUDGES[AxiomKind.INVARIANCE](Axiom.NEU, evaluator, 1)
     assert judge(dt, kept) == []
     assert judge(dt, moved) == invariance_failures(Axiom.NEU, (0, 1, 2), (1, 0, 2), moved) == [(0, 2), (1, 2)]
@@ -368,9 +373,9 @@ def test_orbit_layer_rates_like_plain_rating(method):
     # two-match grid for n = 3. The four domains are subsets of "all"
     # for the same n and cap, so this covers each of them.
     grid = [dt for n, cap in ((3, 1), (4, 1), (3, 2)) for dt in enumerate_doubled(n, cap, "all")]
-    on, off = _Evaluator(method), _Evaluator(method, orbits=False)
+    on = _Evaluator(method)
     for dt in grid:
-        assert on.rate(dt) == off.rate(dt), dt
+        assert on.rate(dt) == on.weak_order(dt), dt
     # One rating per orbit, kept under its representative: the 4 889
     # matrices fall into far fewer.
     assert len(on) < len(grid) // 5
@@ -384,8 +389,9 @@ def test_neutrality_search_rates_every_relabelling(monkeypatch):
     method = Method("score")
     config = SearchConfig(object_counts=(3,), domain="roundrobin", limit=1000)
     evaluator = _Evaluator(method)
+    judge = _JUDGES[AxiomKind.INVARIANCE](Axiom.NEU, evaluator, config.max_matches)
     expected = []
-    for dt, sigma in _grid(Axiom.NEU, config, evaluator):
+    for dt, sigma in _grid(Axiom.NEU, config, evaluator, judge, [0, 0]):
         report = run_check(Axiom.NEU, method, _witness(Axiom.NEU, (dt, sigma)))
         if not report.satisfied:
             expected.append(SearchHit(_witness(Axiom.NEU, (dt, sigma)), report))
@@ -703,3 +709,54 @@ def test_pair_orbit_pass_hands_a_violation_in_row_0_to_the_walk(axiom, monkeypat
         assert result == _stop_at(_plain_scan(method, axiom, config), limit)
         assert settled[-1] is None and len(judged) == 4
         assert result.examined == 4 if limit == 1 else result.examined > 4
+
+
+# --- one evaluator per method ------------------------------------------------
+
+
+def _judged_like_the_checker(method, axiom, evaluator, monkeypatch):
+    """Judge every candidate of the single-match round robins on three
+    objects, four for IIM and IIR, with a judge on ``evaluator``, and
+    require run_check's verdict on each. Returns how many were flagged."""
+    judge = _JUDGES[axiom.kind](axiom, evaluator, 1)
+    config = SearchConfig(object_counts=(4 if axiom.kind is AxiomKind.INDEPENDENCE else 3,), domain="roundrobin")
+    with monkeypatch.context() as patch:
+        # The pair-orbit pass decides nothing, so the grid yields every pair.
+        patch.setattr(importlib.import_module("pairrank.search"), "_settle", lambda judge, orbits: None)
+        candidates = list(_grid(axiom, config, evaluator, judge, [0, 0]))
+    rated = _RatedOnce(method)
+    flagged = 0
+    for candidate in candidates:
+        try:
+            report = run_check(axiom, rated, _witness(axiom, candidate))
+        except (WitnessError, PreconditionUnmet):
+            expected = None
+        else:
+            expected = [v.objects for v in report.violations]
+        bad = judge(*candidate)
+        assert bad == expected, (axiom, candidate)
+        flagged += bool(bad)
+    return flagged
+
+
+@pytest.mark.parametrize("method", _SETTINGS, ids=_SETTING_IDS)
+def test_one_evaluator_serves_the_judges_of_every_axiom(method, monkeypatch):
+    # The evaluator depends on the method alone, so the judges of all nine
+    # axioms read one table, each filling it for the next, and every
+    # verdict is still the checker's.
+    evaluator = _Evaluator(method)
+    for axiom in Axiom:
+        _judged_like_the_checker(method, axiom, evaluator, monkeypatch)
+
+
+def test_a_shared_evaluator_keeps_neutrality_under_test(monkeypatch):
+    # Planted: score with ties broken by object index, which is not
+    # neutral. The evaluator's table holds one rating per relabelling
+    # orbit, which would hide exactly that, so the NEU judge must rate
+    # directly even when the table is already full.
+    monkeypatch.setitem(methods._PLAIN, "score", tie_broken_score)
+    method = Method("score")
+    evaluator = _Evaluator(method)
+    for dt in enumerate_doubled(3, 1, "roundrobin"):
+        evaluator[dt]
+    assert _judged_like_the_checker(method, Axiom.NEU, evaluator, monkeypatch)
