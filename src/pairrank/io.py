@@ -129,13 +129,14 @@ def parse_matrix(text: str) -> RankingProblem:
         n = int(head)
     except ValueError:
         raise ParseError(f"line {lineno}: expected the object count, got {head!r}") from None
+    # Count the rows before building labels: the count line may claim any size.
+    body = lines[1:]
+    if len(body) != n:
+        raise ParseError(f"expected {n} matrix rows, found {len(body)}")
     if labels is None:
         labels = default_labels(n)
     if len(labels) != n:
         raise ParseError(f"{len(labels)} labels for {n} objects")
-    body = lines[1:]
-    if len(body) != n:
-        raise ParseError(f"expected {n} matrix rows, found {len(body)}")
     rows = []
     known: dict[str, tuple[int, int]] = {}  # a file repeats few literals; read each once
     for lineno, line in body:

@@ -51,13 +51,16 @@ def as_rational(value) -> Fraction:
 
     Accepts Fraction, int, and strings such as ``"3"``, ``"-1/2"`` or
     ``"0.75"``. Floats are refused: they carry binary rounding error and
-    every quantity in this package is exact.
+    every quantity in this package is exact. ``"1/0"`` raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float {value!r}; pass a Fraction, int or string")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def default_labels(n: int) -> tuple[str, ...]:

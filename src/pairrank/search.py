@@ -13,18 +13,18 @@ relabel, sum) are the scale-free kernels of :mod:`pairrank.model`,
 applied to the grid directly; a problem is built only to rate a
 candidate not rated before, or to report a witness.
 
-A search is one scan over candidates from one of two sources: the grid
-walks the whole space in canonical order (exhaustive mode), and the
-draws make ``budget`` candidates from the seed (random mode). A
-candidate is a small tuple: ``(dt, sigma)`` for invariance, ``(first,
-second)`` for additivity, ``(first, second, pair)`` for independence,
-or ``None`` for a draw that failed. An additivity input is a slot
-``[dt, None]``: the grid makes one per input matrix, which every pair
-of its group shares, and each draw gets fresh ones. Both
-sources yield only the shape the axiom takes (a flat problem for SYM,
-one schedule for RCS, a single edited pair on at least four objects for
-IIM and IIR), and the grid also skips FP inputs the method does not rate
-flat, which cannot witness that axiom.
+A search is one scan over blocks of candidates from one of two sources:
+the grid walks the whole space in canonical order, one block per object
+count (exhaustive mode), and the draws make one block of ``budget``
+candidates from the seed (random mode). A candidate is a small tuple:
+``(dt, sigma)`` for invariance, ``(first, second)`` for additivity,
+``(first, second, pair)`` for independence, or ``None`` for a draw that
+failed. An additivity input is a slot ``[dt, None]``: the grid makes
+one per input matrix, which every pair of its group shares, and each
+draw gets fresh ones. Both sources yield only the shape the axiom takes
+(a flat problem for SYM, one schedule for RCS, a single edited pair on
+at least four objects for IIM and IIR), and the grid also skips FP
+inputs the method does not rate flat, which cannot witness that axiom.
 
 One judge per axiom family decides a candidate exactly. The evaluator
 depends on the method only: it rates each matrix once per search and
@@ -50,13 +50,13 @@ is never a scan artifact.
 
 On up to four objects, exhaustive additivity also works one pair orbit
 at a time. Relabelling both inputs of a pair at once relabels their
-sum, so a neutral method gives every pair of an orbit one verdict. The
-grid judges the first member of each orbit of inputs against every
-partner (for RCS, its own schedule group); if none fails, no pair of
-that object count fails, and the count is settled without yielding a
-candidate (:func:`_settle`). A failing pair does not say which pair the
-canonical walk meets first, so it hands the object count back to that
-walk, which reports the same witness, counts and replay as before.
+sum, so a neutral method gives every pair of an orbit one verdict. Such
+a block carries its schedule groups and input orbits, and the search
+first judges the first member of each orbit against every partner (for
+RCS, its own schedule group). If none fails, the count is settled in
+closed form without walking the block (:func:`_settle`). A failing pair
+does not say which pair the canonical walk meets first, so the search
+then walks the block: same witness, counts and replay as before.
 """
 
 from __future__ import annotations
@@ -261,12 +261,9 @@ class _Evaluator(dict):
     matrix has at most 4! = 24 tie orders to try, and no larger size has
     been measured.
 
-    The same neutrality lets the additivity grid judge one pair per
-    orbit, since every other pair relabels one of those; a failing pair
-    hands the object count back to the canonical walk, whose first
-    witness may lie in another orbit. ``representative`` gives the grid
-    the representative an input is rated through, so no input is
-    canonicalised twice.
+    ``representative`` gives the additivity grid the representative an
+    input is rated through, which names the input's orbit for
+    :func:`_settle`, so no input is canonicalised twice.
     """
 
     def __init__(self, method: Method):
@@ -363,65 +360,61 @@ def _pack(dt: Matrix, radix: int) -> int:
 
 # --- where candidates come from -------------------------------------------
 
-def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator, judge, settled: list[int]):
-    """Every exhaustive-mode candidate, in canonical order.
+def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
+    """Every exhaustive-mode candidate in canonical order, as one block
+    ``(candidates, by_orbit)`` per object count; the grid decides nothing.
 
-    For additivity, an object count of at most ``ORBIT_OBJECTS`` is first
-    judged one pair orbit at a time by the search's ``judge`` (see
-    :func:`_settle`). A count with no violation yields no candidates: its
-    examined and admissible pair counts are added to ``settled`` instead.
+    ``candidates`` is a lazy iterator that binds its own inputs, so blocks
+    may be taken before any is walked. ``by_orbit`` is None, except for
+    additivity on at most ``ORBIT_OBJECTS`` objects: then it is the
+    ``(groups, orbits)`` that :func:`_settle` may decide the count by.
     """
     for n in config.object_counts:
-        cands = enumerate_doubled(n, config.max_matches, config.domain)
-        if axiom is Axiom.NEU:
-            sigmas = [Permutation(p) for p in permutations(range(n)) if p != tuple(range(n))]
-            for dt in cands:
-                for sigma in sigmas:
-                    yield dt, sigma
-        elif axiom.kind is AxiomKind.INVARIANCE:
-            for dt in cands:
-                if axiom is not Axiom.SYM or flat(dt):
-                    yield dt, None
-        elif axiom.kind is AxiomKind.ADDITIVITY:
-            by_orbit = n <= ORBIT_OBJECTS
-            # A representative rates its input on the way, so the FP
-            # filter below canonicalises nothing a second time.
-            cands = [(dt, evaluator.representative(dt) if by_orbit else None) for dt in cands]
-            if axiom is Axiom.FP:
-                # Only inputs rated flat (dense ranks all 0) can witness this axiom.
-                cands = [c for c in cands if (v := evaluator[c[0]]) is not None and not any(v)]
-            # One slot per input, which the judge fills when it first
-            # reads it; RCS pairs only inputs of one schedule.
-            groups: dict[Matrix | None, list] = {}
-            orbits: dict[Matrix, list] = {}
-            for dt, rep in cands:
-                slot = [dt, None]
-                group = groups.setdefault(add(dt, transpose(dt)) if axiom is Axiom.RCS else None, [])
-                group.append(slot)
-                if by_orbit:
-                    orbits.setdefault(rep, [slot, group, 0])[2] += 1
-            if orbits:
-                admissible = _settle(judge, orbits.values())
-                if admissible is not None:
-                    settled[0] += sum(len(group) * (len(group) + 1) // 2 for group in groups.values())
-                    settled[1] += admissible
-                    continue
-            for group in groups.values():
-                yield from combinations_with_replacement(group, 2)
-        elif n >= 4:
-            test = _DOMAIN_TEST[config.domain]
-            pairs = _pairs(n)
-            for dt in cands:
-                for pair in pairs:
-                    for edited in _pair_edits(axiom, dt, *pair, config.max_matches):
-                        if test(edited):
-                            yield dt, edited, pair
+        if axiom.kind is not AxiomKind.ADDITIVITY:
+            yield _walk(axiom, config, n), None
+            continue
+        by_orbit = n <= ORBIT_OBJECTS
+        # One slot per input, which the judge fills when it first reads
+        # it; RCS pairs only inputs of one schedule.
+        groups: dict[Matrix | None, list] = {}
+        orbits: dict[Matrix, list] = {}
+        for dt in enumerate_doubled(n, config.max_matches, config.domain):
+            # The representative rates dt on the way, so the FP filter (only
+            # inputs rated flat, dense ranks all 0) canonicalises nothing twice.
+            rep = evaluator.representative(dt) if by_orbit else None
+            if axiom is Axiom.FP and ((v := evaluator[dt]) is None or any(v)):
+                continue
+            slot = [dt, None]
+            group = groups.setdefault(add(dt, transpose(dt)) if axiom is Axiom.RCS else None, [])
+            group.append(slot)
+            if by_orbit:
+                orbits.setdefault(rep, [slot, group, 0])[2] += 1
+        pairs = chain.from_iterable(combinations_with_replacement(group, 2) for group in groups.values())
+        yield pairs, (groups.values(), orbits.values()) if by_orbit else None
 
 
-def _settle(judge, orbits) -> int | None:
-    """The admissible pairs of an additivity grid with no violation, or
-    None at the first violation.
+def _walk(axiom: Axiom, config: SearchConfig, n: int):
+    """The invariance or independence candidates on ``n`` objects."""
+    cands = enumerate_doubled(n, config.max_matches, config.domain)
+    if axiom is Axiom.NEU:
+        sigmas = [Permutation(p) for p in permutations(range(n)) if p != tuple(range(n))]
+        yield from ((dt, sigma) for dt in cands for sigma in sigmas)
+    elif axiom.kind is AxiomKind.INVARIANCE:
+        yield from ((dt, None) for dt in cands if axiom is not Axiom.SYM or flat(dt))
+    elif n >= 4:
+        test, pairs = _DOMAIN_TEST[config.domain], _pairs(n)
+        for dt in cands:
+            for pair in pairs:
+                for edited in _pair_edits(axiom, dt, *pair, config.max_matches):
+                    if test(edited):
+                        yield dt, edited, pair
 
+
+def _settle(judge, groups, orbits) -> tuple[int, int] | None:
+    """The examined and admissible pairs of an additivity block with no
+    violation, or None at the first violation.
+
+    ``groups`` are the block's input groups: g (g + 1) / 2 pairs each.
     ``orbits`` holds, per relabelling orbit of inputs, the slot of its
     first member R, R's partners and the orbit's size. A grid pair
     (A, B) relabels to a pair (R, B'), where B' is a partner of R: the
@@ -441,7 +434,7 @@ def _settle(judge, orbits) -> int | None:
                 ordered += size
                 if partner is first:
                     diagonal += size
-    return (ordered + diagonal) // 2
+    return sum(len(group) * (len(group) + 1) // 2 for group in groups), (ordered + diagonal) // 2
 
 
 def _pair_edits(axiom, dt: Matrix, k: int, l: int, max_matches: int) -> list[Matrix]:
@@ -666,10 +659,12 @@ def _witness(axiom: Axiom, candidate):
 def search(method: Method, axiom: Axiom, config: SearchConfig) -> SearchResult:
     """Look for witnesses violating ``axiom`` under ``method``.
 
-    Exhaustive mode scans the whole candidate grid in canonical order
-    and is deterministic; random mode scans ``config.budget`` candidates
-    derived from the seed. Either way each candidate is judged exactly,
-    and each flagged one is replayed through the public checker. Returns
+    Exhaustive mode scans the whole candidate grid in canonical order,
+    one object count at a time, and is deterministic; a count that
+    :func:`_settle` decides is counted without being walked. Random mode
+    scans ``config.budget`` candidates derived from the seed. Either way
+    each candidate is judged exactly, and each flagged one is replayed
+    through the public checker. Returns
     the verified hits plus how many candidates were examined and how
     many were admissible (shape valid and method defined). ``exhausted``
     is False exactly when the scan stopped early because the witness
@@ -677,32 +672,32 @@ def search(method: Method, axiom: Axiom, config: SearchConfig) -> SearchResult:
     """
     evaluator = _Evaluator(method)
     judge = _JUDGES[axiom.kind](axiom, evaluator, config.max_matches)
-    settled = [0, 0]  # examined and admissible pairs of the object counts _settle decided
     if config.mode == "random":
-        source = (
-            _random_candidate(axiom, _draw_rng(config.seed, index), config)
-            for index in range(config.budget)
-        )
+        draws = (_random_candidate(axiom, _draw_rng(config.seed, index), config) for index in range(config.budget))
+        blocks = [(draws, None)]
     else:
-        source = _grid(axiom, config, evaluator, judge, settled)
+        blocks = _grid(axiom, config, evaluator)
     examined = admissible = 0
     hits: list[SearchHit] = []
-    for candidate in source:
-        examined += 1
-        if candidate is None:
+    for candidates, by_orbit in blocks:
+        counts = by_orbit and _settle(judge, *by_orbit)
+        if counts:
+            examined, admissible = examined + counts[0], admissible + counts[1]
             continue
-        bad = judge(*candidate)
-        if bad is None:
-            continue
-        admissible += 1
-        if bad:
-            witness = _witness(axiom, candidate)
-            report = run_check(axiom, method, witness)
-            if [v.objects for v in report.violations] != bad:
-                raise RuntimeError("internal: scan and checker fail different pairs of a witness")
-            hits.append(SearchHit(witness, report))
-            if len(hits) >= config.limit:
-                break
-    examined += settled[0]
-    admissible += settled[1]
-    return SearchResult(tuple(hits), examined, admissible, exhausted=len(hits) < config.limit)
+        for candidate in candidates:
+            examined += 1
+            if candidate is None:
+                continue
+            bad = judge(*candidate)
+            if bad is None:
+                continue
+            admissible += 1
+            if bad:
+                witness = _witness(axiom, candidate)
+                report = run_check(axiom, method, witness)
+                if [v.objects for v in report.violations] != bad:
+                    raise RuntimeError("internal: scan and checker fail different pairs of a witness")
+                hits.append(SearchHit(witness, report))
+                if len(hits) >= config.limit:
+                    return SearchResult(tuple(hits), examined, admissible, exhausted=False)
+    return SearchResult(tuple(hits), examined, admissible, exhausted=True)

@@ -141,6 +141,17 @@ def test_parse_matrix_errors_read_as_before():
                 _fraction_built("labels: X1 X2\n" + text)
 
 
+def test_parse_matrix_counts_rows_before_building_labels(monkeypatch):
+    # A file may claim any object count. Labels for it must not be built
+    # before the rows are counted, or a short file could exhaust memory.
+    def refuse(n):
+        raise AssertionError(f"default_labels({n}) called")
+
+    monkeypatch.setattr("pairrank.io.default_labels", refuse)
+    with pytest.raises(ParseError, match=r"^expected 1000000000 matrix rows, found 2$"):
+        parse_matrix("1000000000\n0 1\n1 0\n")
+
+
 def test_parse_matrix_defaults_and_errors():
     text = "3\n0 1 0\n0 0 1/2\n1 1/2 0\n"
     p = parse_matrix(text)

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_problem
 
 from pairrank import (
+    Method,
     Permutation,
     RankingProblem,
     build_problem,
@@ -22,12 +23,14 @@ from pairrank.errors import (
     DiagonalNonZero,
     DuplicateLabel,
     FewerThanTwoObjects,
+    InvalidEpsilon,
     LabelMismatch,
     NegativeEntry,
     NonIntegerPairSum,
     UnknownLabel,
 )
 from pairrank.fixtures import EXAMPLE_1, EXAMPLE_4
+from pairrank.model import as_rational
 from pairrank.search import enumerate_doubled
 
 F = Fraction
@@ -45,6 +48,19 @@ def test_construction_normalizes_entries():
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         RankingProblem(("a", "b"), ((0, 0.5), (0.5, 0)))
+
+
+def test_a_zero_denominator_is_a_value_error():
+    # Fraction("1/0") raises ZeroDivisionError, which is no ValueError:
+    # every entry point that reads a rational must still name the error.
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        as_rational("1/0")
+    with pytest.raises(InvalidEpsilon, match="zero denominator"):
+        Method("grs", "1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        RankingProblem(("a", "b"), ((0, "1/0"), (0, 0)))
+    with pytest.raises(ValueError, match="zero denominator"):
+        build_problem(("a", "b"), [("a", "b", "1/0")])
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import importlib
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice, permutations, product
+from itertools import chain, combinations_with_replacement, islice, permutations, product
 from math import comb, prod
 
 import pytest
@@ -38,6 +38,11 @@ from pairrank.search import (
     _witness,
     enumerate_doubled,
 )
+
+
+def _walked(axiom, config, evaluator):
+    """Every candidate of the grid, block after block, none settled."""
+    return chain.from_iterable(candidates for candidates, _ in _grid(axiom, config, evaluator))
 
 
 def test_enumeration_order_for_two_objects():
@@ -168,7 +173,7 @@ def test_random_draws_do_not_collide_across_seeds():
     [Method("score"), Method("grs", "reasonable"), Method("ls"), Method("cfb")],
     ids=["score", "grs-reasonable", "ls", "cfb"],
 )
-def test_scan_agrees_with_checker(method, monkeypatch):
+def test_scan_agrees_with_checker(method):
     # A judge's verdict must be the checker's on every candidate either
     # source yields: None exactly where run_check refuses the witness,
     # and otherwise exactly the pairs it reports.
@@ -181,17 +186,14 @@ def test_scan_agrees_with_checker(method, monkeypatch):
 
     rng = random.Random(19)
     evaluator = _Evaluator(method)
-    # With the pair-orbit pass deciding nothing, the grid yields every
-    # additivity pair.
-    monkeypatch.setattr(importlib.import_module("pairrank.search"), "_settle", lambda judge, orbits: None)
     for axiom in Axiom:
         judge = _JUDGES[axiom.kind](axiom, evaluator, 1)
         n = 4 if axiom.kind is AxiomKind.INDEPENDENCE else 3
         small = SearchConfig(object_counts=(n,), domain="roundrobin" if n == 4 else "all")
-        grid = list(islice(_grid(axiom, small, evaluator, judge, [0, 0]), 2000))
+        grid = list(islice(_walked(axiom, small, evaluator), 2000))
         if axiom is Axiom.FP:
             # The grid offers only inputs rated flat; the judge must refuse the rest.
-            grid += _grid(Axiom.CS, small, evaluator, judge, [0, 0])
+            grid += _walked(Axiom.CS, small, evaluator)
         for candidate in rng.sample(grid, min(len(grid), 25)):
             assert judge(*candidate) == checker_pairs(axiom, candidate)[0], (axiom, candidate)
 
@@ -214,6 +216,22 @@ def test_scan_agrees_with_checker(method, monkeypatch):
                 hits.append(SearchHit(_witness(axiom, candidate), report))
         result = search(method, axiom, config)
         assert (result.examined, result.admissible, result.hits) == (examined, admissible, tuple(hits))
+
+
+@pytest.mark.parametrize(
+    "axiom, counts",
+    [(Axiom.NEU, (3, 4)), (Axiom.IIM, (4, 5)), (Axiom.IIR, (4, 5)), (Axiom.CS, (3, 4))],
+    ids=["NEU", "IIM", "IIR", "CS"],
+)
+def test_grid_blocks_stand_on_their_own(axiom, counts):
+    # Each block binds its own inputs, relabellings, pairs and domain
+    # test, so taking every block before walking any changes nothing.
+    config = SearchConfig(object_counts=counts, domain="roundrobin")
+    taken = list(_grid(axiom, config, _Evaluator(Method("score"))))
+    eager = [list(islice(candidates, 200)) for candidates, _ in taken]
+    lazy = [list(islice(candidates, 200)) for candidates, _ in _grid(axiom, config, _Evaluator(Method("score")))]
+    assert len(eager) == len(counts) and all(eager)
+    assert eager == lazy
 
 
 def test_packed_codes_add_and_stay_apart():
@@ -254,40 +272,6 @@ def test_packed_codes_add_and_stay_apart():
     judge = _JUDGES[AxiomKind.ADDITIVITY](Axiom.CS, _Evaluator(Method("score")), 1)
     with pytest.raises(ValueError, match="max_matches"):
         judge([((0, 3), (1, 0)), None], [((0, 1), (1, 0)), None])
-
-
-@pytest.mark.parametrize("axiom", [Axiom.CS, Axiom.EP, Axiom.RCS, Axiom.NEU])
-def test_memoized_verdicts_agree_with_checker_on_a_full_grid(axiom, monkeypatch):
-    # Every candidate of a small grid, so that weak orders repeat; fair
-    # bets has CS, EP and RCS violations here.
-    method = Method("fb")
-    # The package re-exports ``search`` under the module's name.
-    search_module = importlib.import_module("pairrank.search")
-    calls = []
-    for core in ("invariance_failures", "additivity_failures", "independence_failures"):
-        original = getattr(search_module, core)
-        monkeypatch.setattr(search_module, core, lambda *args, original=original: calls.append(args) or original(*args))
-    # The pair-orbit pass decides nothing, so the grid yields every pair.
-    monkeypatch.setattr(search_module, "_settle", lambda judge, orbits: None)
-    config = SearchConfig(object_counts=(3,), domain="roundrobin")
-    evaluator = _Evaluator(method)
-    judge = _JUDGES[axiom.kind](axiom, evaluator, config.max_matches)
-    candidates = list(_grid(axiom, config, evaluator, judge, [0, 0]))
-    assert len(candidates) == (135 if axiom is Axiom.NEU else 378)
-    admissible = flagged = 0
-    for candidate in candidates:
-        bad = judge(*candidate)
-        try:
-            report = run_check(axiom, method, _witness(axiom, candidate))
-        except (WitnessError, PreconditionUnmet):
-            assert bad is None, candidate
-            continue
-        assert bad == [v.objects for v in report.violations], candidate
-        admissible += 1
-        flagged += bool(bad)
-    # Verdicts come from the mask rules, never the cores.
-    assert calls == []
-    assert flagged or axiom is Axiom.NEU
 
 
 def test_verdicts_are_kept_per_permutation_and_edited_pair():
@@ -388,10 +372,8 @@ def test_neutrality_search_rates_every_relabelling(monkeypatch):
     monkeypatch.setitem(methods._PLAIN, "score", tie_broken_score)
     method = Method("score")
     config = SearchConfig(object_counts=(3,), domain="roundrobin", limit=1000)
-    evaluator = _Evaluator(method)
-    judge = _JUDGES[AxiomKind.INVARIANCE](Axiom.NEU, evaluator, config.max_matches)
     expected = []
-    for dt, sigma in _grid(Axiom.NEU, config, evaluator, judge, [0, 0]):
+    for dt, sigma in _walked(Axiom.NEU, config, _Evaluator(method)):
         report = run_check(Axiom.NEU, method, _witness(Axiom.NEU, (dt, sigma)))
         if not report.satisfied:
             expected.append(SearchHit(_witness(Axiom.NEU, (dt, sigma)), report))
@@ -680,7 +662,7 @@ def test_pair_orbit_pass_matches_the_canonical_walk_on_larger_grids(config, axio
         for limit in (5, 1):
             got = search(method, axiom, replace(config, limit=limit))
             with monkeypatch.context() as patch:
-                patch.setattr(search_module, "_settle", lambda judge, orbits: None)
+                patch.setattr(search_module, "_settle", lambda judge, groups, orbits: None)
                 expected = search(method, axiom, replace(config, limit=limit))
             assert got == expected, (axiom, method, limit)
             if not got.found:
@@ -696,8 +678,8 @@ def test_pair_orbit_pass_hands_a_violation_in_row_0_to_the_walk(axiom, monkeypat
     settle = search_module._settle
     judged, settled = [], []
 
-    def spy(judge, orbits):
-        settled.append(settle(lambda *pair: judged.append(pair) or judge(*pair), orbits))
+    def spy(judge, groups, orbits):
+        settled.append(settle(lambda *pair: judged.append(pair) or judge(*pair), groups, orbits))
         return settled[-1]
 
     monkeypatch.setattr(search_module, "_settle", spy)
@@ -714,16 +696,15 @@ def test_pair_orbit_pass_hands_a_violation_in_row_0_to_the_walk(axiom, monkeypat
 # --- one evaluator per method ------------------------------------------------
 
 
-def _judged_like_the_checker(method, axiom, evaluator, monkeypatch):
+def _judged_like_the_checker(method, axiom, evaluator):
     """Judge every candidate of the single-match round robins on three
     objects, four for IIM and IIR, with a judge on ``evaluator``, and
-    require run_check's verdict on each. Returns how many were flagged."""
+    require run_check's verdict on each. Returns how many candidates
+    there were and how many were flagged."""
     judge = _JUDGES[axiom.kind](axiom, evaluator, 1)
     config = SearchConfig(object_counts=(4 if axiom.kind is AxiomKind.INDEPENDENCE else 3,), domain="roundrobin")
-    with monkeypatch.context() as patch:
-        # The pair-orbit pass decides nothing, so the grid yields every pair.
-        patch.setattr(importlib.import_module("pairrank.search"), "_settle", lambda judge, orbits: None)
-        candidates = list(_grid(axiom, config, evaluator, judge, [0, 0]))
+    # The grid settles nothing itself, so its blocks hold every pair.
+    candidates = list(_walked(axiom, config, evaluator))
     rated = _RatedOnce(method)
     flagged = 0
     for candidate in candidates:
@@ -736,17 +717,30 @@ def _judged_like_the_checker(method, axiom, evaluator, monkeypatch):
         bad = judge(*candidate)
         assert bad == expected, (axiom, candidate)
         flagged += bool(bad)
-    return flagged
+    return len(candidates), flagged
 
 
 @pytest.mark.parametrize("method", _SETTINGS, ids=_SETTING_IDS)
 def test_one_evaluator_serves_the_judges_of_every_axiom(method, monkeypatch):
     # The evaluator depends on the method alone, so the judges of all nine
     # axioms read one table, each filling it for the next, and every
-    # verdict is still the checker's.
+    # verdict is still the checker's. Verdicts come from the mask rules:
+    # no failure core is called.
+    search_module = importlib.import_module("pairrank.search")
+    calls = []
+    for core in ("invariance_failures", "additivity_failures", "independence_failures"):
+        original = getattr(search_module, core)
+        monkeypatch.setattr(search_module, core, lambda *args, original=original: calls.append(args) or original(*args))
     evaluator = _Evaluator(method)
     for axiom in Axiom:
-        _judged_like_the_checker(method, axiom, evaluator, monkeypatch)
+        count, flagged = _judged_like_the_checker(method, axiom, evaluator)
+        # 27 round robins: 5 relabellings each for NEU, 27 * 28 / 2 pairs.
+        if axiom in (Axiom.NEU, Axiom.CS, Axiom.EP, Axiom.RCS):
+            assert count == (135 if axiom is Axiom.NEU else 378), axiom
+        # Fair bets has CS, EP and RCS violations on this grid.
+        if method.key == "fb" and axiom in (Axiom.CS, Axiom.EP, Axiom.RCS):
+            assert flagged, axiom
+    assert calls == []
 
 
 def test_a_shared_evaluator_keeps_neutrality_under_test(monkeypatch):
@@ -759,4 +753,4 @@ def test_a_shared_evaluator_keeps_neutrality_under_test(monkeypatch):
     evaluator = _Evaluator(method)
     for dt in enumerate_doubled(3, 1, "roundrobin"):
         evaluator[dt]
-    assert _judged_like_the_checker(method, Axiom.NEU, evaluator, monkeypatch)
+    assert _judged_like_the_checker(method, Axiom.NEU, evaluator)[1]
