@@ -743,6 +743,25 @@ def test_one_evaluator_serves_the_judges_of_every_axiom(method, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("axiom", [Axiom.CS, Axiom.EP, Axiom.RCS, Axiom.NEU])
+def test_memoized_verdicts_agree_with_checker_on_a_full_grid(axiom, monkeypatch):
+    # Every candidate of a small grid, judged on a fresh evaluator, so the
+    # judge fills the rating table itself and reads its own entries back;
+    # fair bets has CS, EP and RCS violations here. Verdicts come from the
+    # mask rules, never a failure core.
+    method = Method("fb")
+    core = {Axiom.NEU: "invariance_failures"}.get(axiom, "additivity_failures")
+    # The package re-exports ``search`` under the module's name.
+    search_module = importlib.import_module("pairrank.search")
+    calls = []
+    original = getattr(search_module, core)
+    monkeypatch.setattr(search_module, core, lambda *args: calls.append(args) or original(*args))
+    count, flagged = _judged_like_the_checker(method, axiom, _Evaluator(method))
+    assert count == (135 if axiom is Axiom.NEU else 378)
+    assert calls == []
+    assert bool(flagged) is (axiom is not Axiom.NEU)
+
+
 def test_a_shared_evaluator_keeps_neutrality_under_test(monkeypatch):
     # Planted: score with ties broken by object index, which is not
     # neutral. The evaluator's table holds one rating per relabelling
