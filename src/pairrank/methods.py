@@ -124,7 +124,7 @@ def _reasonable_epsilon(problem: RankingProblem, derived) -> Fraction:
 def _checked_epsilon(epsilon) -> Fraction:
     try:
         value = as_rational(epsilon)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidEpsilon(str(exc)) from None
     if value <= 0:
         raise InvalidEpsilon(f"epsilon must be positive, got {value}")

@@ -16,7 +16,10 @@ candidate not rated before, or to report a witness.
 A search is one scan over blocks of candidates from one of two sources:
 the grid walks the whole space in canonical order, one block per object
 count (exhaustive mode), and the draws make one block of ``budget``
-candidates from the seed (random mode). A candidate is a small tuple:
+candidates from the seed (random mode). A block is a sequence of rows,
+each a run of candidates: one row per grid matrix for the axioms that
+take one matrix, on up to four objects, else one row for the whole
+block. A candidate is a small tuple:
 ``(dt, sigma)`` for invariance, ``(first, second)`` for additivity,
 ``(first, second, pair)`` for independence, or ``None`` for a draw that
 failed. An additivity input is a slot ``[dt, None]``: the grid makes
@@ -33,8 +36,8 @@ neutral: relabelling the objects relabels the ratings and nothing else.
 So on up to four objects the evaluator rates only one canonical
 representative per relabelling orbit and maps its weak order back to
 each member, which changes no verdict. The NEU judge, which tests
-exactly that property, rates every matrix directly, in a table of its
-own. Every judge decides with the rule the public checker runs on:
+exactly that property, rates every matrix it judges directly, in a table
+of its own. Every judge decides with the rule the public checker runs on:
 a few bitwise operations on three bit masks per weak order, the object
 pairs it ranks above, below and tied (:func:`~pairrank.axioms.pair_masks`).
 The rules compare ratings only within one vector, so they give the same
@@ -57,6 +60,22 @@ RCS, its own schedule group). If none fails, the count is settled in
 closed form without walking the block (:func:`_settle`). A failing pair
 does not say which pair the canonical walk meets first, so the search
 then walks the block: same witness, counts and replay as before.
+
+On up to four objects, exhaustive NEU, SYM, INV, IIM and IIR work one
+matrix orbit at a time. Each row names the orbit of its matrix, and the
+search walks the rows in canonical order but judges a row only if its
+matrix is the first member of its orbit, or that member's row was not
+clean; any other row takes the first member's examined and admissible
+counts unjudged, and never builds its candidates. SYM, INV, IIM and IIR
+read the orbit table, and their candidate sets (the flat filter, the
+domain test, the pair edits) are closed under relabelling, so every
+verdict follows the relabelling. The NEU judge rates directly, so there
+the first member R's row is clean only when all n! - 1 of its candidates
+are admissible and none fails. That rates every member sigma R directly
+and shows each one's weak order to be R's relabelled, so no candidate
+of a later member can fail either. Hits, their order, the counts at a
+limit stop and the replays are those of the full walk, and no row is
+judged twice.
 """
 
 from __future__ import annotations
@@ -65,7 +84,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, combinations_with_replacement, groupby, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, groupby, permutations, product, repeat
 
 from .axioms import (
     Axiom,
@@ -362,16 +381,19 @@ def _pack(dt: Matrix, radix: int) -> int:
 
 def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
     """Every exhaustive-mode candidate in canonical order, as one block
-    ``(candidates, by_orbit)`` per object count; the grid decides nothing.
+    ``(rows, by_orbit)`` per object count; the grid decides nothing.
 
-    ``candidates`` is a lazy iterator that binds its own inputs, so blocks
-    may be taken before any is walked. ``by_orbit`` is None, except for
+    ``rows`` is a lazy iterator of ``(orbit, candidates)`` that binds its
+    own inputs, so blocks may be taken before any is walked. An additivity
+    block is one row of all its pairs, with ``orbit`` None; the other
+    axioms make one row per grid matrix on up to ``ORBIT_OBJECTS``
+    objects (see :func:`_rows`). ``by_orbit`` is None, except for
     additivity on at most ``ORBIT_OBJECTS`` objects: then it is the
     ``(groups, orbits)`` that :func:`_settle` may decide the count by.
     """
     for n in config.object_counts:
         if axiom.kind is not AxiomKind.ADDITIVITY:
-            yield _walk(axiom, config, n), None
+            yield _rows(axiom, config, n), None
             continue
         by_orbit = n <= ORBIT_OBJECTS
         # One slot per input, which the judge fills when it first reads
@@ -390,24 +412,48 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
             if by_orbit:
                 orbits.setdefault(rep, [slot, group, 0])[2] += 1
         pairs = chain.from_iterable(combinations_with_replacement(group, 2) for group in groups.values())
-        yield pairs, (groups.values(), orbits.values()) if by_orbit else None
+        yield [(None, pairs)], (groups.values(), orbits.values()) if by_orbit else None
 
 
-def _walk(axiom: Axiom, config: SearchConfig, n: int):
-    """The invariance or independence candidates on ``n`` objects."""
-    cands = enumerate_doubled(n, config.max_matches, config.domain)
+def _rows(axiom: Axiom, config: SearchConfig, n: int):
+    """The invariance or independence candidates on ``n`` objects, as rows
+    ``(orbit, candidates)``.
+
+    On at most ``ORBIT_OBJECTS`` objects there is one row per grid matrix
+    (per flat one for SYM), and ``orbit`` names the relabelling orbit of
+    the matrix by the representative :func:`_canonical` gives it. Its
+    ``candidates`` are lazy: a row that :func:`search` settles by its
+    orbit never builds its edited pairs nor runs the domain test on them.
+    On more objects there is one row of all candidates, with ``orbit``
+    None.
+    """
+    if axiom.kind is AxiomKind.INDEPENDENCE and n < 4:
+        return
+    matrices = enumerate_doubled(n, config.max_matches, config.domain)
     if axiom is Axiom.NEU:
         sigmas = [Permutation(p) for p in permutations(range(n)) if p != tuple(range(n))]
-        yield from ((dt, sigma) for dt in cands for sigma in sigmas)
+        each = lambda dt: zip(repeat(dt), sigmas)
     elif axiom.kind is AxiomKind.INVARIANCE:
-        yield from ((dt, None) for dt in cands if axiom is not Axiom.SYM or flat(dt))
-    elif n >= 4:
+        if axiom is Axiom.SYM:
+            matrices = filter(flat, matrices)
+        each = lambda dt: ((dt, None),)
+    else:
         test, pairs = _DOMAIN_TEST[config.domain], _pairs(n)
-        for dt in cands:
-            for pair in pairs:
-                for edited in _pair_edits(axiom, dt, *pair, config.max_matches):
-                    if test(edited):
-                        yield dt, edited, pair
+        each = lambda dt: _edited(axiom, dt, pairs, test, config.max_matches)
+    if n > ORBIT_OBJECTS:
+        yield None, chain.from_iterable(map(each, matrices))
+        return
+    for dt in matrices:
+        yield _canonical(dt)[0], each(dt)
+
+
+def _edited(axiom: Axiom, dt: Matrix, pairs, test, max_matches: int):
+    """The independence candidates of ``dt``: each edit of each pair that
+    stays in the domain."""
+    for pair in pairs:
+        for edited in _pair_edits(axiom, dt, *pair, max_matches):
+            if test(edited):
+                yield dt, edited, pair
 
 
 def _settle(judge, groups, orbits) -> tuple[int, int] | None:
@@ -661,7 +707,8 @@ def search(method: Method, axiom: Axiom, config: SearchConfig) -> SearchResult:
 
     Exhaustive mode scans the whole candidate grid in canonical order,
     one object count at a time, and is deterministic; a count that
-    :func:`_settle` decides is counted without being walked. Random mode
+    :func:`_settle` decides is counted without being walked, and so is a
+    row whose orbit's first member was clean. Random mode
     scans ``config.budget`` candidates derived from the seed. Either way
     each candidate is judged exactly, and each flagged one is replayed
     through the public checker. Returns
@@ -674,30 +721,44 @@ def search(method: Method, axiom: Axiom, config: SearchConfig) -> SearchResult:
     judge = _JUDGES[axiom.kind](axiom, evaluator, config.max_matches)
     if config.mode == "random":
         draws = (_random_candidate(axiom, _draw_rng(config.seed, index), config) for index in range(config.budget))
-        blocks = [(draws, None)]
+        blocks = [([(None, draws)], None)]
     else:
         blocks = _grid(axiom, config, evaluator)
     examined = admissible = 0
     hits: list[SearchHit] = []
-    for candidates, by_orbit in blocks:
+    for rows, by_orbit in blocks:
         counts = by_orbit and _settle(judge, *by_orbit)
         if counts:
             examined, admissible = examined + counts[0], admissible + counts[1]
             continue
-        for candidate in candidates:
-            examined += 1
-            if candidate is None:
+        # Per relabelling orbit met in this block: the counts of its first
+        # member's row if that row was clean, else None.
+        clean: dict[Matrix, tuple[int, int] | None] = {}
+        for orbit, candidates in rows:
+            if counts := clean.get(orbit):
+                examined, admissible = examined + counts[0], admissible + counts[1]
                 continue
-            bad = judge(*candidate)
-            if bad is None:
-                continue
-            admissible += 1
-            if bad:
-                witness = _witness(axiom, candidate)
-                report = run_check(axiom, method, witness)
-                if [v.objects for v in report.violations] != bad:
-                    raise RuntimeError("internal: scan and checker fail different pairs of a witness")
-                hits.append(SearchHit(witness, report))
-                if len(hits) >= config.limit:
-                    return SearchResult(tuple(hits), examined, admissible, exhausted=False)
+            start = examined, admissible, len(hits)
+            for candidate in candidates:
+                examined += 1
+                if candidate is None:
+                    continue
+                bad = judge(*candidate)
+                if bad is None:
+                    continue
+                admissible += 1
+                if bad:
+                    witness = _witness(axiom, candidate)
+                    report = run_check(axiom, method, witness)
+                    if [v.objects for v in report.violations] != bad:
+                        raise RuntimeError("internal: scan and checker fail different pairs of a witness")
+                    hits.append(SearchHit(witness, report))
+                    if len(hits) >= config.limit:
+                        return SearchResult(tuple(hits), examined, admissible, exhausted=False)
+            if orbit is not None and orbit not in clean:
+                counts = examined - start[0], admissible - start[1]
+                # NEU rates directly, so only a first member whose every
+                # relabelling is admissible speaks for the others.
+                whole = axiom is not Axiom.NEU or counts[0] == counts[1]
+                clean[orbit] = counts if whole and len(hits) == start[2] else None
     return SearchResult(tuple(hits), examined, admissible, exhausted=True)

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,16 @@ def test_row_sum_rejects_bad_epsilon():
     for bad in (0, F(-1, 2), "not-a-number", 0.25):
         with pytest.raises(InvalidEpsilon):
             generalized_row_sum(EXAMPLE_4, bad)
+
+
+@pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_decimal_epsilon_is_invalid(bad):
+    # Fraction raises OverflowError on an infinite Decimal and ValueError
+    # on NaN; both are a bad epsilon, not a crash.
+    with pytest.raises(InvalidEpsilon):
+        Method("grs", Decimal(bad))
+    with pytest.raises(InvalidEpsilon):
+        generalized_row_sum(EXAMPLE_4, Decimal(bad))
 
 
 def test_row_sum_defining_system_holds_exactly():

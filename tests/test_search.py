@@ -2,8 +2,9 @@ import importlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations_with_replacement, islice, permutations, product
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 from conftest import tie_broken_score
@@ -23,7 +24,7 @@ from pairrank import (
 )
 from pairrank import methods
 from pairrank.axioms import PairWitness, invariance_failures
-from pairrank.errors import MethodPreconditionError, PreconditionUnmet, WitnessError
+from pairrank.errors import MethodPreconditionError, NoComparisons, PreconditionUnmet, WitnessError
 from pairrank.model import Permutation, add, relabel, transpose
 from pairrank.search import (
     DOMAINS,
@@ -41,8 +42,9 @@ from pairrank.search import (
 
 
 def _walked(axiom, config, evaluator):
-    """Every candidate of the grid, block after block, none settled."""
-    return chain.from_iterable(candidates for candidates, _ in _grid(axiom, config, evaluator))
+    """Every candidate of the grid, block after block and row after row,
+    none settled."""
+    return chain.from_iterable(candidates for rows, _ in _grid(axiom, config, evaluator) for _, candidates in rows)
 
 
 def test_enumeration_order_for_two_objects():
@@ -120,6 +122,27 @@ def test_enumeration_visits_the_closed_form_count(n, max_matches):
             (Axiom.EP, total * (total + 1) // 2),
             (Axiom.FP, flat * (flat + 1) // 2),
             (Axiom.RCS, sum(g * (g + 1) // 2 for g in sizes)),
+        ):
+            result = search(score, axiom, config)
+            assert (result.found, result.exhausted, result.examined) == (False, True, count), (domain, axiom)
+
+        # The single-matrix and edited-pair axioms, whose rows the search
+        # mostly settles by the first member of their orbit. NEU takes every
+        # relabelling but the identity; SYM the flat matrices, a = 0 on
+        # every pair, one per schedule; INV every matrix. IIR edits a pair
+        # to one of its 2m other results, and on round robins IIM may only
+        # do the same, (2m + 1)^pairs * pairs * 2m per match count m; both
+        # need four objects.
+        edits = 0
+        if n >= 4:
+            assert domain == "roundrobin"
+            edits = sum((2 * m + 1) ** pairs * pairs * 2 * m for m in range(1, max_matches + 1))
+        for axiom, count in (
+            (Axiom.NEU, total * (factorial(n) - 1)),
+            (Axiom.SYM, len(listed)),
+            (Axiom.INV, total),
+            (Axiom.IIM, edits),
+            (Axiom.IIR, edits),
         ):
             result = search(score, axiom, config)
             assert (result.found, result.exhausted, result.examined) == (False, True, count), (domain, axiom)
@@ -227,9 +250,12 @@ def test_grid_blocks_stand_on_their_own(axiom, counts):
     # Each block binds its own inputs, relabellings, pairs and domain
     # test, so taking every block before walking any changes nothing.
     config = SearchConfig(object_counts=counts, domain="roundrobin")
+    def first_200(rows):
+        return list(islice(chain.from_iterable(candidates for _, candidates in rows), 200))
+
     taken = list(_grid(axiom, config, _Evaluator(Method("score"))))
-    eager = [list(islice(candidates, 200)) for candidates, _ in taken]
-    lazy = [list(islice(candidates, 200)) for candidates, _ in _grid(axiom, config, _Evaluator(Method("score")))]
+    eager = [first_200(rows) for rows, _ in taken]
+    lazy = [first_200(rows) for rows, _ in _grid(axiom, config, _Evaluator(Method("score")))]
     assert len(eager) == len(counts) and all(eager)
     assert eager == lazy
 
@@ -691,6 +717,105 @@ def test_pair_orbit_pass_hands_a_violation_in_row_0_to_the_walk(axiom, monkeypat
         assert result == _stop_at(_plain_scan(method, axiom, config), limit)
         assert settled[-1] is None and len(judged) == 4
         assert result.examined == 4 if limit == 1 else result.examined > 4
+
+
+# --- the relabelling-orbit walk against the plain walk -----------------------
+
+_WALK_AXIOMS = [Axiom.SYM, Axiom.INV, Axiom.NEU, Axiom.IIM, Axiom.IIR]
+
+
+def _orbits_dropped(grid):
+    """``_grid`` with the orbit of every row dropped, so that the search
+    judges every row: the plain walk."""
+
+    def plain(*args):
+        for rows, by_orbit in grid(*args):
+            yield ((None, candidates) for _, candidates in rows), by_orbit
+
+    return plain
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SearchConfig(object_counts=(2, 3), max_matches=cap, domain=domain) for domain in DOMAINS for cap in (1, 2)]
+    + [SearchConfig(object_counts=(4,), max_matches=1, domain="roundrobin")],
+    ids=[f"n2-3-M{cap}-{domain}" for domain in DOMAINS for cap in (1, 2)] + ["n4-M1-roundrobin"],
+)
+def test_orbit_walk_matches_the_plain_walk(config, monkeypatch):
+    # Rows settled by the first member of their orbit must leave every
+    # count, hit and replay as the plain walk has them, at every limit.
+    # A grid with no violation gives the same result at every limit.
+    search_module = importlib.import_module("pairrank.search")
+    plain = _orbits_dropped(search_module._grid)
+    # Both sides replay the same witnesses, and the checker is
+    # deterministic, so each witness is checked once per cell.
+    replays = {}
+    checker = search_module.run_check
+
+    def replay(*args):
+        if args not in replays:
+            replays[args] = checker(*args)
+        return replays[args]
+
+    monkeypatch.setattr(search_module, "run_check", replay)
+    for axiom, method in product(_WALK_AXIOMS, _SETTINGS):
+        for limit in (_UNLIMITED, 5, 1):
+            got = search(method, axiom, replace(config, limit=limit))
+            with monkeypatch.context() as patch:
+                patch.setattr(search_module, "_grid", plain)
+                expected = search(method, axiom, replace(config, limit=limit))
+            assert got == expected, (axiom, method, limit)
+            if not got.found:
+                break
+
+
+def test_neutrality_search_judges_every_orbit_with_a_hidden_violation(monkeypatch):
+    # Planted: score with ties broken by object index on every round robin
+    # that is not the first member of its relabelling orbit in canonical
+    # order. First members are rated by plain score in every other orbit,
+    # and not at all in the rest. The later members must not be settled by
+    # a first member that saw them fail, nor by one that could not be
+    # compared with them: the search must find what run_check finds on
+    # every candidate of the walk, at every limit.
+    config = SearchConfig(object_counts=(3, 4), domain="roundrobin")
+    firsts = {}
+    for n in config.object_counts:
+        for dt in enumerate_doubled(n, 1, "roundrobin"):
+            firsts.setdefault(_canonical(dt)[0], dt)
+    first_is_rated = {rep: index % 2 == 0 for index, rep in enumerate(firsts)}
+    rated_first = {}
+    for rep, dt in firsts.items():
+        problem = _problem(dt)
+        rated_first[problem.scaled, problem.denominator] = first_is_rated[rep]
+
+    @cache
+    def planted(problem):
+        first = rated_first.get((problem.scaled, problem.denominator))
+        if first is None:
+            return tie_broken_score(problem)
+        if first:
+            return methods.score(problem)
+        raise NoComparisons("planted: undefined on the first member of an orbit")
+
+    monkeypatch.setitem(methods._PLAIN, "score", planted)
+    method = Method("score")
+    steps = []
+    later_members_hit = set()
+    for dt, sigma in _walked(Axiom.NEU, config, _Evaluator(method)):
+        witness = _witness(Axiom.NEU, (dt, sigma))
+        try:
+            report = run_check(Axiom.NEU, method, witness)
+        except PreconditionUnmet:
+            steps.append((False, None))
+            continue
+        steps.append((True, None if report.satisfied else SearchHit(witness, report)))
+        rep = _canonical(dt)[0]
+        if not report.satisfied and firsts[rep] != dt:
+            later_members_hit.add(first_is_rated[rep])
+    # Later members fail in orbits of both kinds.
+    assert later_members_hit == {True, False}
+    for limit in (1, 5, _UNLIMITED):
+        assert search(method, Axiom.NEU, replace(config, limit=limit)) == _stop_at(steps, limit), limit
 
 
 # --- one evaluator per method ------------------------------------------------
