@@ -23,7 +23,8 @@ block. A candidate is a small tuple:
 ``(dt, sigma)`` for invariance, ``(first, second)`` for additivity,
 ``(first, second, pair)`` for independence, or ``None`` for a draw that
 failed. An additivity input is a slot ``[dt, None]``: the grid makes
-one per input matrix, which every pair of its group shares, and each
+one per input matrix, which every pair of its group shares (on up to
+four objects it appends the number of the input's orbit), and each
 draw gets fresh ones. Both sources yield only the shape the axiom takes
 (a flat problem for SYM, one schedule for RCS, a single edited pair on
 at least four objects for IIM and IIR), and the grid also skips FP
@@ -51,15 +52,30 @@ witness is replayed through the public checker before it is returned,
 in both modes, and must fail on the same pairs, so a reported witness
 is never a scan artifact.
 
+On up to four objects the grid names the orbit of each of its matrices
+in one sweep per bucket, the matrices with one total number of matches.
+A relabelling keeps the total, the domain, the SYM flat filter and the
+FP filter, so a bucket and every part of it those filters keep are
+closed under relabelling. The sweep canonicalises the first member of
+each orbit it meets and marks that member's n! relabellings in the
+bucket; every later member takes the same representative, with its
+object order composed from the first member's (:func:`_sweep`). Only
+matrices outside the grid (sums, transposes, edits and draws) are
+canonicalised one by one (:func:`_canonical`).
+
 On up to four objects, exhaustive additivity also works one pair orbit
 at a time. Relabelling both inputs of a pair at once relabels their
 sum, so a neutral method gives every pair of an orbit one verdict. Such
-a block carries its schedule groups and input orbits, and the search
-first judges the first member of each orbit against every partner (for
-RCS, its own schedule group). If none fails, the count is settled in
-closed form without walking the block (:func:`_settle`). A failing pair
-does not say which pair the canonical walk meets first, so the search
-then walks the block: same witness, counts and replay as before.
+a block carries its schedule groups and input orbits, numbered in the
+order they first appear. The search first judges the first member of
+each orbit against every partner (for RCS, in its own schedule group)
+in its own orbit or a later one. Both rules are symmetric in the
+inputs, so a partner in a later orbit also stands for the swapped
+pairs, and each unordered pair of input orbits is judged from one row.
+If none fails, the count is settled in closed form without walking the
+block (:func:`_settle`). A failing pair does not say which pair the
+canonical walk meets first, so the search then walks the block: same
+witness, counts and replay as before.
 
 On up to four objects, exhaustive NEU, SYM, INV, IIM and IIR work one
 matrix orbit at a time. Each row names the orbit of its matrix, and the
@@ -82,9 +98,11 @@ from __future__ import annotations
 
 import operator
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, combinations_with_replacement, groupby, permutations, product, repeat
+from itertools import chain, combinations, combinations_with_replacement, compress, groupby, permutations, product, repeat
 
 from .axioms import (
     Axiom,
@@ -222,13 +240,17 @@ def _build_dt(n: int, pairs, mvec, avec) -> Matrix:
     return tuple(tuple(row) for row in dt)
 
 
-def enumerate_doubled(n: int, max_matches: int, domain: str):
-    """Yield the candidate matrices (at denominator 2) for one object
-    count, in canonical order."""
+def _buckets(n: int, max_matches: int, domain: str):
+    """The candidate matrices (at denominator 2) for one object count, in
+    canonical order, as one sorted list per total number of matches.
+
+    A relabelling keeps the total and the domain, so each bucket is
+    closed under relabelling. No bucket is kept once it is yielded, so a
+    consumer that drops it frees it before the next one is built.
+    """
     pairs = _pairs(n)
-    # One group of match schedules per total number of matches, each
-    # group's candidates sorted. A round robin's total is m C(n, 2), and
-    # its schedule makes it a round robin, so no candidate needs the test.
+    # A round robin's total is m C(n, 2), and its schedule makes it a
+    # round robin, so no candidate needs the test.
     if domain == "roundrobin":
         groups = ([(m,) * len(pairs)] for m in range(1, max_matches + 1))
         test = _DOMAIN_TEST["all"]
@@ -236,15 +258,22 @@ def enumerate_doubled(n: int, max_matches: int, domain: str):
         totals = range(len(pairs) * max_matches + 1)
         groups = (_compositions(total, len(pairs), max_matches) for total in totals)
         test = _DOMAIN_TEST[domain]
+    # Equal rows share one tuple, which keeps a bucket small and quick to
+    # sort and search.
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    share = lambda dt: tuple(map(rows.setdefault, dt, dt))
     for schedules in groups:
-        bucket = []
-        for mvec in schedules:
-            for avec in product(*(range(-m, m + 1) for m in mvec)):
-                dt = _build_dt(n, pairs, mvec, avec)
-                if test(dt):
-                    bucket.append(dt)
-        bucket.sort()
-        yield from bucket
+        yield sorted(map(share, filter(test, (
+            _build_dt(n, pairs, mvec, avec)
+            for mvec in schedules
+            for avec in product(*(range(-m, m + 1) for m in mvec))
+        ))))
+
+
+def enumerate_doubled(n: int, max_matches: int, domain: str):
+    """The candidate matrices (at denominator 2) for one object count, in
+    canonical order."""
+    return chain.from_iterable(_buckets(n, max_matches, domain))
 
 
 _MISSING = object()
@@ -280,9 +309,12 @@ class _Evaluator(dict):
     matrix has at most 4! = 24 tie orders to try, and no larger size has
     been measured.
 
-    ``representative`` gives the additivity grid the representative an
-    input is rated through, which names the input's orbit for
-    :func:`_settle`, so no input is canonicalised twice.
+    A matrix outside the grid (a sum, a transpose, an edit, a draw) is
+    named by :func:`_canonical`. A grid matrix already has its name from
+    the sweep of its bucket (:func:`_sweep`), and the additivity grid
+    stores its weak order with ``relabelled(rep, objs)``, so no input is
+    canonicalised again; the additivity judge looks a sum up here before
+    it rates it, so a sum equal to an input is not named twice either.
     """
 
     def __init__(self, method: Method):
@@ -303,16 +335,11 @@ class _Evaluator(dict):
     def rate(self, dt: Matrix) -> tuple[int, ...] | None:
         if len(dt) > ORBIT_OBJECTS:
             return self.weak_order(dt)
-        return self._relabelled(*_canonical(dt))
+        return self.relabelled(*_canonical(dt))
 
-    def representative(self, dt: Matrix) -> Matrix:
-        """The representative of the orbit of ``dt``, which has at most
-        ``ORBIT_OBJECTS`` objects; ``dt`` is rated on the way."""
-        rep, objs = _canonical(dt)
-        self[dt] = self._relabelled(rep, objs)
-        return rep
-
-    def _relabelled(self, rep: Matrix, objs: tuple[int, ...]) -> tuple[int, ...] | None:
+    def relabelled(self, rep: Matrix, objs: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The weak order of the matrix whose object ``objs[k]`` sits at
+        position k of the representative ``rep``."""
         shared = self.get(rep, _MISSING)
         if shared is _MISSING:
             shared = self[rep] = self.weak_order(rep)
@@ -358,6 +385,53 @@ def _canonical(dt: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return best, tuple(objs)
 
 
+@cache
+def _relabellings(n: int) -> list[tuple[operator.itemgetter, tuple[int, ...]]]:
+    """Every relabelling p of ``n`` objects, the identity first, as a pair
+    ``(pick, inverse)``: ``pick`` takes rows, then entries, so that
+    ``image[k][l] = dt[p[k]][p[l]]``, and ``inverse`` is p's inverse."""
+    return [
+        (operator.itemgetter(*p), tuple(sorted(range(n), key=p.__getitem__)))
+        for p in permutations(range(n))
+    ]
+
+
+def _sweep(bucket: list[Matrix]):
+    """Each matrix of ``bucket``, in order, as ``(dt, rep, objs)``: the
+    representative :func:`_canonical` gives its orbit, and an object
+    order with ``rep[k][l] = dt[objs[k]][objs[l]]``.
+
+    ``bucket`` must be sorted and closed under relabelling, as every
+    bucket of :func:`_buckets` is, and so is any part of one that a
+    relabelling-closed filter keeps. The first member of an orbit met in
+    the walk is the only one canonicalised: it marks each of its n!
+    relabellings, found by bisection, with its orbit and the relabelling
+    that reaches it. A later member dt = p(first) then composes its
+    order from the first member's: ``objs[k] = p^-1(objs_first[k])``.
+    The marks live only while the bucket is walked: chained as
+    ``chain.from_iterable(map(_sweep, buckets))``, a bucket and its marks
+    are freed before the next bucket is built.
+    """
+    if not bucket:
+        return
+    relabellings = _relabellings(len(bucket[0]))
+    orbit_of = array("l", [-1]) * len(bucket)
+    moved_by = bytearray(len(bucket))
+    named: list[tuple[Matrix, tuple[int, ...]]] = []
+    for i, dt in enumerate(bucket):
+        if orbit_of[i] < 0:
+            for index, (pick, _) in enumerate(relabellings):
+                image = tuple(map(pick, pick(dt)))
+                j = bisect_left(bucket, image)
+                if j == len(bucket) or bucket[j] != image:
+                    raise RuntimeError("internal: a bucket is not closed under relabelling")
+                if orbit_of[j] < 0:
+                    orbit_of[j], moved_by[j] = len(named), index
+            named.append(_canonical(dt))
+        rep, objs = named[orbit_of[i]]
+        yield dt, rep, tuple(map(relabellings[moved_by[i]][1].__getitem__, objs))
+
+
 def _pack(dt: Matrix, radix: int) -> int:
     """``dt`` as one int: its object count, then its entries row by row
     as digits in base ``radix``.
@@ -396,21 +470,32 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
             yield _rows(axiom, config, n), None
             continue
         by_orbit = n <= ORBIT_OBJECTS
+        buckets = _buckets(n, config.max_matches, config.domain)
+        if by_orbit:
+            named = chain.from_iterable(map(_sweep, buckets))
+        else:
+            named = zip(chain.from_iterable(buckets), repeat(None), repeat(None))
         # One slot per input, which the judge fills when it first reads
         # it; RCS pairs only inputs of one schedule.
         groups: dict[Matrix | None, list] = {}
         orbits: dict[Matrix, list] = {}
-        for dt in enumerate_doubled(n, config.max_matches, config.domain):
-            # The representative rates dt on the way, so the FP filter (only
-            # inputs rated flat, dense ranks all 0) canonicalises nothing twice.
-            rep = evaluator.representative(dt) if by_orbit else None
+        for dt, rep, objs in named:
+            # Rate dt through its sweep name, so that neither the FP filter
+            # (only inputs rated flat, dense ranks all 0) nor the judge
+            # canonicalises it.
+            if by_orbit:
+                evaluator[dt] = evaluator.relabelled(rep, objs)
             if axiom is Axiom.FP and ((v := evaluator[dt]) is None or any(v)):
                 continue
             slot = [dt, None]
             group = groups.setdefault(add(dt, transpose(dt)) if axiom is Axiom.RCS else None, [])
             group.append(slot)
             if by_orbit:
-                orbits.setdefault(rep, [slot, group, 0])[2] += 1
+                # Orbits are numbered in the order they first appear, and
+                # the slot carries its orbit's number for _settle.
+                orbit = orbits.setdefault(rep, [slot, group, 0, len(orbits)])
+                orbit[2] += 1
+                slot.append(orbit[3])
         pairs = chain.from_iterable(combinations_with_replacement(group, 2) for group in groups.values())
         yield [(None, pairs)], (groups.values(), orbits.values()) if by_orbit else None
 
@@ -421,7 +506,8 @@ def _rows(axiom: Axiom, config: SearchConfig, n: int):
 
     On at most ``ORBIT_OBJECTS`` objects there is one row per grid matrix
     (per flat one for SYM), and ``orbit`` names the relabelling orbit of
-    the matrix by the representative :func:`_canonical` gives it. Its
+    the matrix by the representative the sweep of its bucket gives it
+    (:func:`_sweep`). Its
     ``candidates`` are lazy: a row that :func:`search` settles by its
     orbit never builds its edited pairs nor runs the domain test on them.
     On more objects there is one row of all candidates, with ``orbit``
@@ -429,22 +515,24 @@ def _rows(axiom: Axiom, config: SearchConfig, n: int):
     """
     if axiom.kind is AxiomKind.INDEPENDENCE and n < 4:
         return
-    matrices = enumerate_doubled(n, config.max_matches, config.domain)
+    buckets = _buckets(n, config.max_matches, config.domain)
     if axiom is Axiom.NEU:
         sigmas = [Permutation(p) for p in permutations(range(n)) if p != tuple(range(n))]
         each = lambda dt: zip(repeat(dt), sigmas)
     elif axiom.kind is AxiomKind.INVARIANCE:
         if axiom is Axiom.SYM:
-            matrices = filter(flat, matrices)
+            # map holds no bucket it has passed on, so the full bucket is
+            # freed before the next one is built.
+            buckets = map(lambda bucket: list(filter(flat, bucket)), buckets)
         each = lambda dt: ((dt, None),)
     else:
         test, pairs = _DOMAIN_TEST[config.domain], _pairs(n)
         each = lambda dt: _edited(axiom, dt, pairs, test, config.max_matches)
     if n > ORBIT_OBJECTS:
-        yield None, chain.from_iterable(map(each, matrices))
+        yield None, chain.from_iterable(map(each, chain.from_iterable(buckets)))
         return
-    for dt in matrices:
-        yield _canonical(dt)[0], each(dt)
+    for dt, rep, _ in chain.from_iterable(map(_sweep, buckets)):
+        yield rep, each(dt)
 
 
 def _edited(axiom: Axiom, dt: Matrix, pairs, test, max_matches: int):
@@ -461,23 +549,34 @@ def _settle(judge, groups, orbits) -> tuple[int, int] | None:
     violation, or None at the first violation.
 
     ``groups`` are the block's input groups: g (g + 1) / 2 pairs each.
-    ``orbits`` holds, per relabelling orbit of inputs, the slot of its
-    first member R, R's partners and the orbit's size. A grid pair
-    (A, B) relabels to a pair (R, B'), where B' is a partner of R: the
-    domains and the FP filter are closed under relabelling, and B' keeps
-    R's schedule when B keeps A's. A neutral method gives both the same
-    verdict, and both rules are symmetric in the inputs. An orbit of
-    size s stands for s ordered pairs per admissible partner; counting
-    the pairs (A, A) twice makes the ordered count twice the unordered.
+    ``orbits`` holds, per relabelling orbit of inputs in the order the
+    orbits first appear, the slot of its first member R, R's partners,
+    the orbit's size and its number; each slot carries its orbit's
+    number as its third entry. A grid pair (A, B) relabels to a pair
+    (R, B'), where B' is a partner of R in B's orbit: the domains and
+    the FP filter are closed under relabelling, and B' keeps R's
+    schedule when B keeps A's. A neutral method gives both the same
+    verdict. An orbit of size s stands for s ordered pairs per
+    admissible partner, and counting the pairs (A, A) twice makes the
+    ordered count twice the unordered.
+
+    Both rules are symmetric in the inputs, so the pairs with A in
+    orbit O and B in a later orbit O' have the verdicts of their swaps,
+    the pairs with A in O' and B in O. So R is judged only against the
+    partners in its own orbit or a later one, in their canonical order,
+    and an admissible partner in a later orbit counts for both: 2 s
+    ordered pairs. Each unordered pair of orbits is judged from one of
+    its two rows, not from both.
     """
     ordered = diagonal = 0
-    for first, partners, size in orbits:
-        for partner in partners:
+    number_of = operator.itemgetter(2)
+    for first, partners, size, number in orbits:
+        for partner in compress(partners, map(number.__le__, map(number_of, partners))):
             bad = judge(first, partner)
             if bad:
                 return None
             if bad is not None:
-                ordered += size
+                ordered += size if partner[2] == number else 2 * size
                 if partner is first:
                     diagonal += size
     return sum(len(group) * (len(group) + 1) // 2 for group in groups), (ordered + diagonal) // 2
@@ -657,7 +756,11 @@ def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
         code += digits
         total = by_code.get(code, _MISSING)
         if total is _MISSING:
-            order = evaluator.rate(add(first[0], second[0]))
+            # A sum may equal an input the evaluator has already named.
+            dt = add(first[0], second[0])
+            order = evaluator.get(dt, _MISSING)
+            if order is _MISSING:
+                order = evaluator.rate(dt)
             total = by_code[code] = None if order is None else masks(order)
         if total is None:
             return None

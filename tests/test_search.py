@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations_with_replacement, islice, permutations, product
 from math import comb, factorial, prod
+from operator import itemgetter
 
 import pytest
 from conftest import tie_broken_score
@@ -25,10 +26,11 @@ from pairrank import (
 from pairrank import methods
 from pairrank.axioms import PairWitness, invariance_failures
 from pairrank.errors import MethodPreconditionError, NoComparisons, PreconditionUnmet, WitnessError
-from pairrank.model import Permutation, add, relabel, transpose
+from pairrank.model import Permutation, add, flat, relabel, transpose
 from pairrank.search import (
     DOMAINS,
     _JUDGES,
+    _buckets,
     _canonical,
     _draw_rng,
     _Evaluator,
@@ -36,6 +38,7 @@ from pairrank.search import (
     _pack,
     _problem,
     _random_candidate,
+    _sweep,
     _witness,
     enumerate_doubled,
 )
@@ -359,6 +362,32 @@ def test_canonical_representatives_name_relabelling_orbits():
     assert len(rep_of_orbit) < len(sample)  # the relabelled copies share representatives
 
 
+def test_sweep_names_each_grid_matrix_as_canonical_does(monkeypatch):
+    # Every bucket of the full grids for n = 2 to 4 and one or two matches,
+    # in all four domains, leaving out the grids of more than 20 000
+    # matrices; and the flat part of each bucket, which SYM sweeps. The
+    # sweep gives each matrix the representative _canonical gives it, and
+    # an object order onto it, but canonicalises one member per orbit.
+    search_module = importlib.import_module("pairrank.search")
+    calls = []
+    monkeypatch.setattr(search_module, "_canonical", lambda dt: calls.append(dt) or _canonical(dt))
+    named = 0
+    for n, cap, domain in product((2, 3, 4), (1, 2), DOMAINS):
+        if (cap + 1) ** (n * (n - 1)) > 20_000 and domain != "roundrobin":
+            continue
+        for bucket in _buckets(n, cap, domain):
+            for part in (bucket, list(filter(flat, bucket))):
+                calls.clear()
+                reps = set()
+                for dt, rep, objs in _sweep(part):
+                    assert rep == _canonical(dt)[0], dt
+                    assert all(rep[k][l] == dt[objs[k]][objs[l]] for k in range(n) for l in range(n)), dt
+                    reps.add(rep)
+                    named += 1
+                assert len(calls) == len(reps)
+    assert named > 28_000
+
+
 def test_orbit_layer_stops_at_four_objects(monkeypatch):
     # Four objects all drawn: 24 tie orders, and the representative is
     # kept. Five objects are rated directly, without a canonical form.
@@ -594,7 +623,8 @@ class _RatedOnce:
         self.method, self.label, self.seen = method, method.label, {}
 
     def rate(self, problem):
-        key = problem.scaled, problem.denominator
+        # A relabelled problem has the same matrix under other labels.
+        key = problem.labels, problem.scaled, problem.denominator
         if key not in self.seen:
             try:
                 self.seen[key] = self.method.rate(problem)
@@ -717,6 +747,66 @@ def test_pair_orbit_pass_hands_a_violation_in_row_0_to_the_walk(axiom, monkeypat
         assert result == _stop_at(_plain_scan(method, axiom, config), limit)
         assert settled[-1] is None and len(judged) == 4
         assert result.examined == 4 if limit == 1 else result.examined > 4
+
+
+def _judged_by_the_pass(method, axiom, config, monkeypatch):
+    """The pairs the pair-orbit pass judges in a search, in order."""
+    search_module = importlib.import_module("pairrank.search")
+    settle = search_module._settle
+    judged = []
+    monkeypatch.setattr(
+        search_module, "_settle",
+        lambda judge, groups, orbits: settle(lambda *pair: judged.append(pair) or judge(*pair), groups, orbits),
+    )
+    result = search(method, axiom, config)
+    return result, judged
+
+
+@pytest.mark.parametrize("axiom", [Axiom.CS, Axiom.RCS])
+@pytest.mark.parametrize("n, count", [(3, 88), (4, 14_350)])
+def test_pair_orbit_pass_judges_each_pair_of_orbits_from_one_row(axiom, n, count, monkeypatch):
+    # Single-match round robins, whose inputs form one group. The first
+    # member of each input orbit is judged against the partners in its
+    # own orbit or a later one: 88 pairs on three objects, not 189, and
+    # 14 350 on four, not 30 618.
+    config = SearchConfig(object_counts=(n,), domain="roundrobin")
+    result, judged = _judged_by_the_pass(Method("score"), axiom, config, monkeypatch)
+    size = 3 ** comb(n, 2)
+    assert (result.found, result.examined, result.admissible) == (False, size * (size + 1) // 2, size * (size + 1) // 2)
+    assert len(judged) == count
+
+
+def test_pair_orbit_pass_meets_every_pair_orbit_from_one_row(monkeypatch):
+    # On the single-match 4-object round robins, an unordered pair {A, B}
+    # and all its relabellings form one pair orbit, named here by its
+    # least relabelled pair. The pass judges every pair orbit, and each
+    # from the row of one first member only; before, a pair orbit of two
+    # input orbits was judged from both rows. Within a row, a partner and
+    # its image under a relabelling that fixes the first member share a
+    # pair orbit, so there are fewer pair orbits than judged pairs.
+    config = SearchConfig(object_counts=(4,), domain="roundrobin")
+    _, judged = _judged_by_the_pass(Method("score"), Axiom.CS, config, monkeypatch)
+    picks = [itemgetter(*p) for p in permutations(range(4))]
+
+    def image(pick, dt):
+        return tuple(map(pick, pick(dt)))
+
+    rows = {}
+    for first, partner in judged:
+        orbit = min(
+            (a, b) if a <= b else (b, a)
+            for a, b in ((image(pick, first[0]), image(pick, partner[0])) for pick in picks)
+        )
+        assert rows.setdefault(orbit, first[0]) is first[0]
+    # Burnside: a relabelling fixes {A, B} if it fixes both, or swaps them.
+    grid = list(enumerate_doubled(4, 1, "roundrobin"))
+    fixed_pairs = 0
+    for pick in picks:
+        moved = {dt: image(pick, dt) for dt in grid}
+        fixed = sum(moved[dt] == dt for dt in grid)
+        swapped = sum(moved[moved[dt]] == dt != moved[dt] for dt in grid) // 2
+        fixed_pairs += fixed * (fixed + 1) // 2 + swapped
+    assert len(rows) == fixed_pairs // len(picks) == 11_337
 
 
 # --- the relabelling-orbit walk against the plain walk -----------------------
