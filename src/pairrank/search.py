@@ -18,17 +18,17 @@ the grid walks the whole space in canonical order, one block per object
 count (exhaustive mode), and the draws make one block of ``budget``
 candidates from the seed (random mode). A block is a sequence of rows,
 each a run of candidates: one row per grid matrix for the axioms that
-take one matrix, on up to four objects, else one row for the whole
-block. A candidate is a small tuple:
-``(dt, sigma)`` for invariance, ``(first, second)`` for additivity,
-``(first, second, pair)`` for independence, or ``None`` for a draw that
-failed. An additivity input is a slot ``[dt, None]``: the grid makes
-one per input matrix, which every pair of its group shares (on up to
-four objects it appends the number of the input's orbit), and each
-draw gets fresh ones. Both sources yield only the shape the axiom takes
-(a flat problem for SYM, one schedule for RCS, a single edited pair on
-at least four objects for IIM and IIR), and the grid also skips FP
-inputs the method does not rate flat, which cannot witness that axiom.
+take one matrix, else one row for the whole block. A candidate is a
+small tuple: ``(dt, sigma)`` for invariance, ``(first, second)`` for
+additivity, ``(first, second, pair)`` for independence, or ``None`` for
+a draw that failed. An additivity input is a slot ``[dt, None]``: the
+grid makes one per input matrix, which every pair of its group shares
+(on up to four objects it appends the number of the input's orbit),
+and each draw gets fresh ones. Both sources yield only the shape the
+axiom takes (a flat problem for SYM, one schedule for RCS, a single
+edited pair on at least four objects for IIM and IIR), and the grid
+also skips FP inputs the method does not rate flat, which cannot
+witness that axiom.
 
 One judge per axiom family decides a candidate exactly. The evaluator
 depends on the method only: it rates each matrix once per search and
@@ -59,9 +59,13 @@ FP filter, so a bucket and every part of it those filters keep are
 closed under relabelling. The sweep canonicalises the first member of
 each orbit it meets and marks that member's n! relabellings in the
 bucket; every later member takes the same representative, with its
-object order composed from the first member's (:func:`_sweep`). Only
-matrices outside the grid (sums, transposes, edits and draws) are
-canonicalised one by one (:func:`_canonical`).
+object order composed from the first member's (:func:`_sweep`). Above
+four objects the sweep names nothing, and every matrix takes the same
+path with no orbit to go by. Sums, transposes, edits and draws are
+canonicalised one by one (:func:`_canonical`), and so is the grid
+matrix of a judged SYM, INV, IIM or IIR row when it is first rated: the
+row carries the sweep's representative but not its object order. Only
+the additivity grid rates its inputs by their sweep names.
 
 On up to four objects, exhaustive additivity also works one pair orbit
 at a time. Relabelling both inputs of a pair at once relabels their
@@ -78,11 +82,12 @@ canonical walk meets first, so the search then walks the block: same
 witness, counts and replay as before.
 
 On up to four objects, exhaustive NEU, SYM, INV, IIM and IIR work one
-matrix orbit at a time. Each row names the orbit of its matrix, and the
-search walks the rows in canonical order but judges a row only if its
-matrix is the first member of its orbit, or that member's row was not
-clean; any other row takes the first member's examined and admissible
-counts unjudged, and never builds its candidates. SYM, INV, IIM and IIR
+matrix orbit at a time. Each row names the orbit of its matrix (above
+four objects none, and every row is judged), and the search walks the
+rows in canonical order but judges a row only if its matrix is the
+first member of its orbit, or that member's row was not clean; any
+other row takes the first member's examined and admissible counts
+unjudged, and never builds its candidates. SYM, INV, IIM and IIR
 read the orbit table, and their candidate sets (the flat filter, the
 domain test, the pair edits) are closed under relabelling, so every
 verdict follows the relabelling. The NEU judge rates directly, so there
@@ -253,21 +258,28 @@ def _buckets(n: int, max_matches: int, domain: str):
     # round robin, so no candidate needs the test.
     if domain == "roundrobin":
         groups = ([(m,) * len(pairs)] for m in range(1, max_matches + 1))
-        test = _DOMAIN_TEST["all"]
     else:
         totals = range(len(pairs) * max_matches + 1)
         groups = (_compositions(total, len(pairs), max_matches) for total in totals)
-        test = _DOMAIN_TEST[domain]
+    if domain in ("connected", "irreducible"):
+        # Which pairs meet decides connectivity, and irreducibility needs
+        # it, so each schedule is tested once, on its even split.
+        zeros = (0,) * len(pairs)
+        joined = lambda mvec: connected(_build_dt(n, pairs, mvec, zeros))
+        groups = (filter(joined, schedules) for schedules in groups)
     # Equal rows share one tuple, which keeps a bucket small and quick to
     # sort and search.
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     share = lambda dt: tuple(map(rows.setdefault, dt, dt))
     for schedules in groups:
-        yield sorted(map(share, filter(test, (
+        bucket = (
             _build_dt(n, pairs, mvec, avec)
             for mvec in schedules
             for avec in product(*(range(-m, m + 1) for m in mvec))
-        ))))
+        )
+        if domain == "irreducible":
+            bucket = filter(irreducible, bucket)
+        yield sorted(map(share, bucket))
 
 
 def enumerate_doubled(n: int, max_matches: int, domain: str):
@@ -305,14 +317,14 @@ class _Evaluator(dict):
     preconditions a method checks (connectivity, irreducibility, n and m)
     do not depend on the labels, so ``None`` is shared too. The NEU judge
     tests exactly that assumption, so it keeps a table of direct ratings
-    of its own. Larger matrices are rated directly: at four objects a
-    matrix has at most 4! = 24 tie orders to try, and no larger size has
-    been measured.
+    of its own. Larger matrices are rated directly, since
+    :func:`_canonical` may try n! orders of their objects.
 
-    A matrix outside the grid (a sum, a transpose, an edit, a draw) is
-    named by :func:`_canonical`. A grid matrix already has its name from
-    the sweep of its bucket (:func:`_sweep`), and the additivity grid
-    stores its weak order with ``relabelled(rep, objs)``, so no input is
+    ``rate`` names a matrix by :func:`_canonical`: a sum, a transpose, an
+    edit, a draw, or a grid matrix that a SYM, INV, IIM or IIR row hands
+    its judge without the sweep's object order. The additivity grid
+    stores each input's weak order with ``relabelled(rep, objs)`` from
+    the sweep of its bucket (:func:`_sweep`), so no input is
     canonicalised again; the additivity judge looks a sum up here before
     it rates it, so a sum equal to an input is not named twice either.
     """
@@ -399,7 +411,9 @@ def _relabellings(n: int) -> list[tuple[operator.itemgetter, tuple[int, ...]]]:
 def _sweep(bucket: list[Matrix]):
     """Each matrix of ``bucket``, in order, as ``(dt, rep, objs)``: the
     representative :func:`_canonical` gives its orbit, and an object
-    order with ``rep[k][l] = dt[objs[k]][objs[l]]``.
+    order with ``rep[k][l] = dt[objs[k]][objs[l]]``. Matrices on more
+    than ``ORBIT_OBJECTS`` objects are not named: each comes as
+    ``(dt, None, None)``.
 
     ``bucket`` must be sorted and closed under relabelling, as every
     bucket of :func:`_buckets` is, and so is any part of one that a
@@ -414,8 +428,12 @@ def _sweep(bucket: list[Matrix]):
     """
     if not bucket:
         return
+    if len(bucket[0]) > ORBIT_OBJECTS:
+        yield from zip(bucket, repeat(None), repeat(None))
+        return
     relabellings = _relabellings(len(bucket[0]))
     orbit_of = array("l", [-1]) * len(bucket)
+    # One byte per relabelling index, so n! must stay below 256.
     moved_by = bytearray(len(bucket))
     named: list[tuple[Matrix, tuple[int, ...]]] = []
     for i, dt in enumerate(bucket):
@@ -455,63 +473,59 @@ def _pack(dt: Matrix, radix: int) -> int:
 
 def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
     """Every exhaustive-mode candidate in canonical order, as one block
-    ``(rows, by_orbit)`` per object count; the grid decides nothing.
+    ``(rows, tables)`` per object count; the grid decides nothing.
 
     ``rows`` is a lazy iterator of ``(orbit, candidates)`` that binds its
     own inputs, so blocks may be taken before any is walked. An additivity
     block is one row of all its pairs, with ``orbit`` None; the other
-    axioms make one row per grid matrix on up to ``ORBIT_OBJECTS``
-    objects (see :func:`_rows`). ``by_orbit`` is None, except for
-    additivity on at most ``ORBIT_OBJECTS`` objects: then it is the
-    ``(groups, orbits)`` that :func:`_settle` may decide the count by.
+    axioms make one row per grid matrix (see :func:`_rows`). Either way
+    the matrices come from :func:`_sweep`. An additivity input that the
+    sweep names is entered in the evaluator under that name, and its
+    orbit is recorded. ``tables`` is None, except for an additivity block
+    that recorded orbits: then it is the ``(groups, orbits)`` that
+    :func:`_settle` may decide the count by.
     """
     for n in config.object_counts:
         if axiom.kind is not AxiomKind.ADDITIVITY:
             yield _rows(axiom, config, n), None
             continue
-        by_orbit = n <= ORBIT_OBJECTS
-        buckets = _buckets(n, config.max_matches, config.domain)
-        if by_orbit:
-            named = chain.from_iterable(map(_sweep, buckets))
-        else:
-            named = zip(chain.from_iterable(buckets), repeat(None), repeat(None))
         # One slot per input, which the judge fills when it first reads
         # it; RCS pairs only inputs of one schedule.
         groups: dict[Matrix | None, list] = {}
         orbits: dict[Matrix, list] = {}
-        for dt, rep, objs in named:
-            # Rate dt through its sweep name, so that neither the FP filter
-            # (only inputs rated flat, dense ranks all 0) nor the judge
-            # canonicalises it.
-            if by_orbit:
+        for dt, rep, objs in chain.from_iterable(map(_sweep, _buckets(n, config.max_matches, config.domain))):
+            # Rate a named dt through its sweep name, so that neither the FP
+            # filter (only inputs rated flat, dense ranks all 0) nor the
+            # judge canonicalises it.
+            if rep is not None:
                 evaluator[dt] = evaluator.relabelled(rep, objs)
             if axiom is Axiom.FP and ((v := evaluator[dt]) is None or any(v)):
                 continue
             slot = [dt, None]
             group = groups.setdefault(add(dt, transpose(dt)) if axiom is Axiom.RCS else None, [])
             group.append(slot)
-            if by_orbit:
+            if rep is not None:
                 # Orbits are numbered in the order they first appear, and
                 # the slot carries its orbit's number for _settle.
                 orbit = orbits.setdefault(rep, [slot, group, 0, len(orbits)])
                 orbit[2] += 1
                 slot.append(orbit[3])
         pairs = chain.from_iterable(combinations_with_replacement(group, 2) for group in groups.values())
-        yield [(None, pairs)], (groups.values(), orbits.values()) if by_orbit else None
+        yield [(None, pairs)], (groups.values(), orbits.values()) if orbits else None
 
 
 def _rows(axiom: Axiom, config: SearchConfig, n: int):
-    """The invariance or independence candidates on ``n`` objects, as rows
-    ``(orbit, candidates)``.
+    """The invariance or independence candidates on ``n`` objects, as one
+    row ``(orbit, candidates)`` per grid matrix (per flat one for SYM), in
+    canonical order.
 
-    On at most ``ORBIT_OBJECTS`` objects there is one row per grid matrix
-    (per flat one for SYM), and ``orbit`` names the relabelling orbit of
-    the matrix by the representative the sweep of its bucket gives it
-    (:func:`_sweep`). Its
-    ``candidates`` are lazy: a row that :func:`search` settles by its
-    orbit never builds its edited pairs nor runs the domain test on them.
-    On more objects there is one row of all candidates, with ``orbit``
-    None.
+    ``orbit`` is the representative that the sweep of the matrix's bucket
+    gives it (:func:`_sweep`), or None where the sweep names nothing; the
+    search judges every such row. The row keeps no object order, so a
+    judge that reads the evaluator puts the matrix in canonical form
+    again. ``candidates`` are lazy: a row that :func:`search` settles by
+    its orbit never builds its edited pairs nor runs the domain test on
+    them.
     """
     if axiom.kind is AxiomKind.INDEPENDENCE and n < 4:
         return
@@ -528,9 +542,6 @@ def _rows(axiom: Axiom, config: SearchConfig, n: int):
     else:
         test, pairs = _DOMAIN_TEST[config.domain], _pairs(n)
         each = lambda dt: _edited(axiom, dt, pairs, test, config.max_matches)
-    if n > ORBIT_OBJECTS:
-        yield None, chain.from_iterable(map(each, chain.from_iterable(buckets)))
-        return
     for dt, rep, _ in chain.from_iterable(map(_sweep, buckets)):
         yield rep, each(dt)
 
@@ -829,8 +840,8 @@ def search(method: Method, axiom: Axiom, config: SearchConfig) -> SearchResult:
         blocks = _grid(axiom, config, evaluator)
     examined = admissible = 0
     hits: list[SearchHit] = []
-    for rows, by_orbit in blocks:
-        counts = by_orbit and _settle(judge, *by_orbit)
+    for rows, tables in blocks:
+        counts = tables and _settle(judge, *tables)
         if counts:
             examined, admissible = examined + counts[0], admissible + counts[1]
             continue
