@@ -28,7 +28,11 @@ and each draw gets fresh ones. Both sources yield only the shape the
 axiom takes (a flat problem for SYM, one schedule for RCS, a single
 edited pair on at least four objects for IIM and IIR), and the grid
 also skips FP inputs the method does not rate flat, which cannot
-witness that axiom.
+witness that axiom. The grid's matrices are the results of its
+schedules, the numbers of matches per object pair that the domain
+admits (:func:`_schedules`); a flat one is the even split of its
+schedule, so SYM takes one candidate per schedule, and the grid builds
+no other matrix for it.
 
 One judge per axiom family decides a candidate exactly. The evaluator
 depends on the method only: it rates each matrix once per search and
@@ -54,18 +58,19 @@ is never a scan artifact.
 
 On up to four objects the grid names the orbit of each of its matrices
 in one sweep per bucket, the matrices with one total number of matches.
-A relabelling keeps the total, the domain, the SYM flat filter and the
-FP filter, so a bucket and every part of it those filters keep are
-closed under relabelling. The sweep canonicalises the first member of
-each orbit it meets and marks that member's n! relabellings in the
-bucket; every later member takes the same representative, with its
-object order composed from the first member's (:func:`_sweep`). Above
-four objects the sweep names nothing, and every matrix takes the same
-path with no orbit to go by. Sums, transposes, edits and draws are
-canonicalised one by one (:func:`_canonical`), and so is the grid
-matrix of a judged SYM, INV, IIM or IIR row when it is first rated: the
-row carries the sweep's representative but not its object order. Only
-the additivity grid rates its inputs by their sweep names.
+A relabelling keeps the total, the domain, flatness and the FP filter,
+so a bucket, the even splits of its schedules and the inputs the FP
+filter keeps are each closed under relabelling. The sweep canonicalises
+the first member of each orbit it meets and marks that member's n!
+relabellings in the bucket; every later member takes the same
+representative, with its object order composed from the first member's
+(:func:`_sweep`). Above four objects the sweep names nothing, and every
+matrix takes the same path with no orbit to go by. Sums, transposes,
+edits and draws are canonicalised one by one (:func:`_canonical`), and
+so is the grid matrix of a judged SYM, INV, IIM or IIR row when it is
+first rated: the row carries the sweep's representative but not its
+object order. Only the additivity grid rates its inputs by their sweep
+names.
 
 On up to four objects, exhaustive additivity also works one pair orbit
 at a time. Relabelling both inputs of a pair at once relabels their
@@ -88,7 +93,7 @@ rows in canonical order but judges a row only if its matrix is the
 first member of its orbit, or that member's row was not clean; any
 other row takes the first member's examined and admissible counts
 unjudged, and never builds its candidates. SYM, INV, IIM and IIR
-read the orbit table, and their candidate sets (the flat filter, the
+read the orbit table, and their candidate sets (the even splits, the
 domain test, the pair edits) are closed under relabelling, so every
 verdict follows the relabelling. The NEU judge rates directly, so there
 the first member R's row is clean only when all n! - 1 of its candidates
@@ -136,8 +141,8 @@ from .model import (
     add,
     connected,
     default_labels,
-    flat,
     irreducible,
+    relabel,
     round_robin,
     transpose,
 )
@@ -226,17 +231,6 @@ _DOMAIN_TEST = {
 }
 
 
-def _compositions(total: int, parts: int, cap: int):
-    """All ways to write ``total`` as ``parts`` ordered summands in 0..cap."""
-    if parts == 1:
-        if 0 <= total <= cap:
-            yield (total,)
-        return
-    for head in range(min(cap, total) + 1):
-        for rest in _compositions(total - head, parts - 1, cap):
-            yield (head,) + rest
-
-
 def _build_dt(n: int, pairs, mvec, avec) -> Matrix:
     dt = [[0] * n for _ in range(n)]
     for (i, j), m, a in zip(pairs, mvec, avec):
@@ -245,33 +239,46 @@ def _build_dt(n: int, pairs, mvec, avec) -> Matrix:
     return tuple(tuple(row) for row in dt)
 
 
+def _schedules(n: int, max_matches: int, domain: str):
+    """The schedules of the grid on ``n`` objects that the domain admits,
+    as one list per total number of matches, by ascending total. A
+    schedule gives each object pair, in :func:`_pairs` order, its number
+    of matches, between 0 and ``max_matches``.
+
+    Each total's schedules are found afresh among all of them, in
+    lexicographic order, so no list of the whole grid's schedules is
+    ever built. A relabelling keeps the total and the domain.
+    """
+    pairs = _pairs(n)
+    # A round robin's total is m C(n, 2), and its schedule makes it a
+    # round robin, so no candidate needs the test.
+    if domain == "roundrobin":
+        yield from ([(m,) * len(pairs)] for m in range(1, max_matches + 1))
+        return
+    for total in range(len(pairs) * max_matches + 1):
+        schedules = [mvec for mvec in product(range(max_matches + 1), repeat=len(pairs)) if sum(mvec) == total]
+        if domain != "all":
+            # Which pairs meet decides connectivity, and irreducibility
+            # needs it, so each schedule is tested once, on its even split.
+            schedules = [mvec for mvec in schedules if connected(_build_dt(n, pairs, mvec, repeat(0)))]
+        yield schedules
+
+
 def _buckets(n: int, max_matches: int, domain: str):
     """The candidate matrices (at denominator 2) for one object count, in
-    canonical order, as one sorted list per total number of matches.
+    canonical order, as one sorted list per total number of matches: the
+    results of each schedule of :func:`_schedules`.
 
     A relabelling keeps the total and the domain, so each bucket is
     closed under relabelling. No bucket is kept once it is yielded, so a
     consumer that drops it frees it before the next one is built.
     """
     pairs = _pairs(n)
-    # A round robin's total is m C(n, 2), and its schedule makes it a
-    # round robin, so no candidate needs the test.
-    if domain == "roundrobin":
-        groups = ([(m,) * len(pairs)] for m in range(1, max_matches + 1))
-    else:
-        totals = range(len(pairs) * max_matches + 1)
-        groups = (_compositions(total, len(pairs), max_matches) for total in totals)
-    if domain in ("connected", "irreducible"):
-        # Which pairs meet decides connectivity, and irreducibility needs
-        # it, so each schedule is tested once, on its even split.
-        zeros = (0,) * len(pairs)
-        joined = lambda mvec: connected(_build_dt(n, pairs, mvec, zeros))
-        groups = (filter(joined, schedules) for schedules in groups)
     # Equal rows share one tuple, which keeps a bucket small and quick to
     # sort and search.
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     share = lambda dt: tuple(map(rows.setdefault, dt, dt))
-    for schedules in groups:
+    for schedules in _schedules(n, max_matches, domain):
         bucket = (
             _build_dt(n, pairs, mvec, avec)
             for mvec in schedules
@@ -280,12 +287,6 @@ def _buckets(n: int, max_matches: int, domain: str):
         if domain == "irreducible":
             bucket = filter(irreducible, bucket)
         yield sorted(map(share, bucket))
-
-
-def enumerate_doubled(n: int, max_matches: int, domain: str):
-    """The candidate matrices (at denominator 2) for one object count, in
-    canonical order."""
-    return chain.from_iterable(_buckets(n, max_matches, domain))
 
 
 _MISSING = object()
@@ -417,12 +418,15 @@ def _sweep(bucket: list[Matrix]):
 
     ``bucket`` must be sorted and closed under relabelling, as every
     bucket of :func:`_buckets` is, and so is any part of one that a
-    relabelling-closed filter keeps. The first member of an orbit met in
+    relabelling-closed filter keeps, such as the inputs the FP filter
+    keeps. The sorted even splits of one total's schedules, SYM's
+    candidates, are one too. The first member of an orbit met in
     the walk is the only one canonicalised: it marks each of its n!
-    relabellings, found by bisection, with its orbit and the relabelling
-    that reaches it. A later member dt = p(first) then composes its
-    order from the first member's: ``objs[k] = p^-1(objs_first[k])``.
-    The marks live only while the bucket is walked: chained as
+    relabellings, found by bisection, with one int, its orbit's number
+    times n! plus the index of the relabelling that reaches it. A later
+    member dt = p(first) then composes its order from the first
+    member's: ``objs[k] = p^-1(objs_first[k])``. The marks live only
+    while the bucket is walked: chained as
     ``chain.from_iterable(map(_sweep, buckets))``, a bucket and its marks
     are freed before the next bucket is built.
     """
@@ -432,22 +436,21 @@ def _sweep(bucket: list[Matrix]):
         yield from zip(bucket, repeat(None), repeat(None))
         return
     relabellings = _relabellings(len(bucket[0]))
-    orbit_of = array("l", [-1]) * len(bucket)
-    # One byte per relabelling index, so n! must stay below 256.
-    moved_by = bytearray(len(bucket))
+    marks = array("q", [-1]) * len(bucket)
     named: list[tuple[Matrix, tuple[int, ...]]] = []
     for i, dt in enumerate(bucket):
-        if orbit_of[i] < 0:
+        if marks[i] < 0:
             for index, (pick, _) in enumerate(relabellings):
                 image = tuple(map(pick, pick(dt)))
                 j = bisect_left(bucket, image)
                 if j == len(bucket) or bucket[j] != image:
                     raise RuntimeError("internal: a bucket is not closed under relabelling")
-                if orbit_of[j] < 0:
-                    orbit_of[j], moved_by[j] = len(named), index
+                if marks[j] < 0:
+                    marks[j] = len(named) * len(relabellings) + index
             named.append(_canonical(dt))
-        rep, objs = named[orbit_of[i]]
-        yield dt, rep, tuple(map(relabellings[moved_by[i]][1].__getitem__, objs))
+        orbit, index = divmod(marks[i], len(relabellings))
+        rep, objs = named[orbit]
+        yield dt, rep, tuple(map(relabellings[index][1].__getitem__, objs))
 
 
 def _pack(dt: Matrix, radix: int) -> int:
@@ -516,8 +519,9 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
 
 def _rows(axiom: Axiom, config: SearchConfig, n: int):
     """The invariance or independence candidates on ``n`` objects, as one
-    row ``(orbit, candidates)`` per grid matrix (per flat one for SYM), in
-    canonical order.
+    row ``(orbit, candidates)`` per grid matrix, in canonical order. For
+    SYM the grid matrices are the even splits of the schedules, one per
+    schedule, sorted per total, and no bucket is built.
 
     ``orbit`` is the representative that the sweep of the matrix's bucket
     gives it (:func:`_sweep`), or None where the sweep names nothing; the
@@ -529,18 +533,22 @@ def _rows(axiom: Axiom, config: SearchConfig, n: int):
     """
     if axiom.kind is AxiomKind.INDEPENDENCE and n < 4:
         return
-    buckets = _buckets(n, config.max_matches, config.domain)
+    pairs = _pairs(n)
+    if axiom is Axiom.SYM:
+        # A flat grid matrix is the even split of its schedule, and it lies
+        # in the domain exactly when its schedule does: on a connected
+        # schedule it is irreducible.
+        splits = lambda schedules: sorted(_build_dt(n, pairs, mvec, repeat(0)) for mvec in schedules)
+        buckets = map(splits, _schedules(n, config.max_matches, config.domain))
+    else:
+        buckets = _buckets(n, config.max_matches, config.domain)
     if axiom is Axiom.NEU:
         sigmas = [Permutation(p) for p in permutations(range(n)) if p != tuple(range(n))]
         each = lambda dt: zip(repeat(dt), sigmas)
     elif axiom.kind is AxiomKind.INVARIANCE:
-        if axiom is Axiom.SYM:
-            # map holds no bucket it has passed on, so the full bucket is
-            # freed before the next one is built.
-            buckets = map(lambda bucket: list(filter(flat, bucket)), buckets)
         each = lambda dt: ((dt, None),)
     else:
-        test, pairs = _DOMAIN_TEST[config.domain], _pairs(n)
+        test = _DOMAIN_TEST[config.domain]
         each = lambda dt: _edited(axiom, dt, pairs, test, config.max_matches)
     for dt, rep, _ in chain.from_iterable(map(_sweep, buckets)):
         yield rep, each(dt)
@@ -611,19 +619,23 @@ def _pair_edits(axiom, dt: Matrix, k: int, l: int, max_matches: int) -> list[Mat
     return edits
 
 
+def _retry(draw):
+    """The first of up to 200 calls of ``draw`` that is not None, or None."""
+    return next((found for found in (draw() for _ in range(200)) if found is not None), None)
+
+
 def _random_dt(rng, n, max_matches, domain) -> Matrix | None:
     pairs = _pairs(n)
-    for _ in range(200):
+
+    def draw():
         if domain == "roundrobin":
-            m = rng.randint(1, max_matches)
-            mvec = [m] * len(pairs)
+            mvec = [rng.randint(1, max_matches)] * len(pairs)
         else:
             mvec = [rng.randint(0, max_matches) for _ in pairs]
-        avec = [rng.randint(-m, m) for m in mvec]
-        dt = _build_dt(n, pairs, mvec, avec)
-        if _DOMAIN_TEST[domain](dt):
-            return dt
-    return None
+        dt = _build_dt(n, pairs, mvec, [rng.randint(-m, m) for m in mvec])
+        return dt if _DOMAIN_TEST[domain](dt) else None
+
+    return _retry(draw)
 
 
 def _random_candidate(axiom, rng, config):
@@ -652,11 +664,12 @@ def _random_candidate(axiom, rng, config):
         # The second input keeps the first one's schedule, and must lie in
         # the domain too: irreducibility depends on the results.
         mvec = [(dt[i][j] + dt[j][i]) // 2 for i, j in pairs]
-        for _ in range(200):
+
+        def second():
             dt_b = _build_dt(n, pairs, mvec, [rng.randint(-m, m) for m in mvec])
-            if _DOMAIN_TEST[config.domain](dt_b):
-                return [dt, None], [dt_b, None]
-        return None
+            return ([dt, None], [dt_b, None]) if _DOMAIN_TEST[config.domain](dt_b) else None
+
+        return _retry(second)
     if axiom.kind is AxiomKind.ADDITIVITY:
         dt_b = _random_dt(rng, n, config.max_matches, config.domain)
         if dt_b is None:
@@ -664,15 +677,16 @@ def _random_candidate(axiom, rng, config):
         if axiom is Axiom.FP:
             dt, dt_b = _even_split(dt), _even_split(dt_b)
         return [dt, None], [dt_b, None]
-    for _ in range(200):
+
+    def edit():
         k, l = pairs[rng.randrange(len(pairs))]
         edits = _pair_edits(axiom, dt, k, l, config.max_matches)
         if not edits:
-            continue
+            return None
         dt2 = edits[rng.randrange(len(edits))]
-        if _DOMAIN_TEST[config.domain](dt2):
-            return dt, dt2, (k, l)
-    return None
+        return (dt, dt2, (k, l)) if _DOMAIN_TEST[config.domain](dt2) else None
+
+    return _retry(edit)
 
 
 def _draw_rng(seed: int, index: int) -> random.Random:
@@ -695,17 +709,13 @@ def _invariance_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
     masks = evaluator.masks
     # NEU tests the neutrality the orbit table assumes: it rates directly.
     rated = cache(evaluator.weak_order) if neu else evaluator.__getitem__
-    # One item getter per relabelling, as in model.relabel: picking rows,
-    # then entries, in the order of the objects sigma moves to 0, 1, ...
-    relabellers = cache(lambda image: operator.itemgetter(*sorted(range(len(image)), key=image.__getitem__)))
 
     def judge(dt, sigma):
         before = rated(dt)
         if before is None:
             return None
         if neu:
-            pick = relabellers(sigma.image)
-            after = rated(tuple(map(pick, pick(dt))))
+            after = rated(relabel(dt, sigma))
             if after is None:
                 return None
             # Object i is rated at position sigma(i) of the relabelled problem.
@@ -725,23 +735,24 @@ def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
     fp, ep = axiom is Axiom.FP, axiom is Axiom.EP
     breaks = additivity_rule(axiom)
     # Inputs have entries in [0, 2 max_matches], so the entries of a sum
-    # stay below the radix, and a sum's code is the code of one input
-    # plus the digits of the other: no sum is built to be looked up.
+    # stay below the radix, and the codes of two inputs add up to the
+    # sum's code plus the zero matrix's: no sum is built to be looked up.
+    # The leading count, 2 n, keeps sums of different sizes apart.
     # Inputs are rated in the evaluator; ``by_code`` holds the pair masks
-    # of sums only, under their codes.
+    # of sums only, under their inputs' codes added.
     radix = 4 * max_matches + 1
     masks = evaluator.masks
     by_code: dict[int, tuple[int, int, int] | None] = {}
 
     def enter(slot):
         """Fill an input slot ``[dt, None]`` with its record: the code of
-        ``dt``, its digits without the object count, and its pair masks;
-        ``()`` if the method is undefined on it."""
+        ``dt`` and its pair masks; ``()`` if the method is undefined on
+        it."""
         dt = slot[0]
         if max(map(max, dt)) > 2 * max_matches:
             raise ValueError(f"entries of {dt} exceed twice max_matches={max_matches}")
-        order, code, n = evaluator[dt], _pack(dt, radix), len(dt)
-        slot[1] = () if order is None else (code, code - n * radix ** (n * n), masks(order))
+        order = evaluator[dt]
+        slot[1] = () if order is None else (_pack(dt, radix), masks(order))
         return slot[1]
 
     def judge(first, second):
@@ -753,8 +764,8 @@ def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
             b = enter(second)
         if not (a and b):
             return None
-        code, _, f = a
-        _, digits, g = b
+        code, f = a
+        other, g = b
         # Inputs rated flat rank no pair above or below.
         if fp and (f[0] | f[1] | g[0] | g[1]):
             return None
@@ -764,7 +775,7 @@ def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
         # no common tie are admissible and cannot witness EP.
         if ep and not f[2] & g[2]:
             return []
-        code += digits
+        code += other
         total = by_code.get(code, _MISSING)
         if total is _MISSING:
             # A sum may equal an input the evaluator has already named.

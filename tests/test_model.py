@@ -31,7 +31,7 @@ from pairrank.errors import (
 )
 from pairrank.fixtures import EXAMPLE_1, EXAMPLE_4
 from pairrank.model import as_rational
-from pairrank.search import enumerate_doubled
+from pairrank.search import _buckets
 
 F = Fraction
 
@@ -102,7 +102,7 @@ def test_scaled_construction_validates_like_fractions():
 
 def test_doubled_integers_and_fractions_build_equal_problems():
     labels = ("a", "b", "c")
-    for dt in enumerate_doubled(3, 2, "all"):
+    for dt in itertools.chain.from_iterable(_buckets(3, 2, "all")):
         doubled = RankingProblem.from_scaled(labels, dt, 2)
         exact = RankingProblem(labels, tuple(tuple(F(v, 2) for v in row) for row in dt))
         assert doubled == exact and hash(doubled) == hash(exact)

@@ -3,7 +3,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations_with_replacement, islice, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, islice, permutations, product
 from math import comb, factorial, prod
 from operator import itemgetter
 
@@ -38,10 +38,15 @@ from pairrank.search import (
     _pack,
     _problem,
     _random_candidate,
+    _schedules,
     _sweep,
     _witness,
-    enumerate_doubled,
 )
+
+
+def _matrices(n, max_matches, domain):
+    """Every grid matrix on ``n`` objects, in canonical order."""
+    return chain.from_iterable(_buckets(n, max_matches, domain))
 
 
 def _walked(axiom, config, evaluator):
@@ -51,7 +56,7 @@ def _walked(axiom, config, evaluator):
 
 
 def test_enumeration_order_for_two_objects():
-    got = list(enumerate_doubled(2, 1, "all"))
+    got = list(_matrices(2, 1, "all"))
     assert got == [
         ((0, 0), (0, 0)),
         ((0, 0), (2, 0)),
@@ -65,8 +70,8 @@ def test_enumeration_is_deterministic_and_sorted_within_totals():
         return sum(sum(row) for row in dt)
 
     for domain in ("all", "connected", "roundrobin"):
-        first = list(enumerate_doubled(3, 2, domain))
-        second = list(enumerate_doubled(3, 2, domain))
+        first = list(_matrices(3, 2, domain))
+        second = list(_matrices(3, 2, domain))
         assert first == second
         assert len(first) == len(set(first))
         totals = [total(dt) for dt in first]
@@ -82,13 +87,13 @@ def test_domain_filters_agree_with_model_predicates():
     for n, cap in product((2, 3, 4), (1, 2)):
         if (cap + 1) ** (n * (n - 1)) > 5_000:
             continue
-        problems = {dt: _problem(dt) for dt in enumerate_doubled(n, cap, "all")}
+        problems = {dt: _problem(dt) for dt in _matrices(n, cap, "all")}
         for domain, predicate in (
             ("connected", is_connected),
             ("irreducible", is_irreducible),
             ("roundrobin", is_round_robin),
         ):
-            listed = set(enumerate_doubled(n, cap, domain))
+            listed = set(_matrices(n, cap, domain))
             assert listed <= problems.keys()
             for dt, problem in problems.items():
                 assert (dt in listed) == predicate(problem), (n, cap, domain, dt)
@@ -96,7 +101,7 @@ def test_domain_filters_agree_with_model_predicates():
 
 def test_round_robin_candidate_count():
     # One shared match count per round: (2m + 1)^3 results for n = 3.
-    assert sum(1 for _ in enumerate_doubled(3, 2, "roundrobin")) == 27 + 125
+    assert sum(1 for _ in _matrices(3, 2, "roundrobin")) == 27 + 125
 
 
 @pytest.mark.parametrize("n, max_matches", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
@@ -104,8 +109,8 @@ def test_enumeration_visits_the_closed_form_count(n, max_matches):
     # A pair playing m matches has 2m + 1 results: (M + 1)^2 states per
     # pair over m = 0..M, and one shared m per round robin.
     pairs = comb(n, 2)
-    assert sum(1 for _ in enumerate_doubled(n, max_matches, "all")) == (max_matches + 1) ** (2 * pairs)
-    assert sum(1 for _ in enumerate_doubled(n, max_matches, "roundrobin")) == sum(
+    assert sum(1 for _ in _matrices(n, max_matches, "all")) == (max_matches + 1) ** (2 * pairs)
+    assert sum(1 for _ in _matrices(n, max_matches, "roundrobin")) == sum(
         (2 * m + 1) ** pairs for m in range(1, max_matches + 1)
     )
 
@@ -124,7 +129,7 @@ def test_enumeration_visits_the_closed_form_count(n, max_matches):
         sizes = [prod(2 * m + 1 for m in mvec) for mvec in listed]
         total = sum(sizes)
         flat = 0
-        for dt in enumerate_doubled(n, max_matches, domain):
+        for dt in _matrices(n, max_matches, domain):
             values = score.rate(_problem(dt)).values
             flat += all(v == values[0] for v in values)
         for axiom, count in (
@@ -159,7 +164,90 @@ def test_enumeration_visits_the_closed_form_count(n, max_matches):
 
 
 def test_round_robin_closed_form_on_four_objects_with_two_matches():
-    assert sum(1 for _ in enumerate_doubled(4, 2, "roundrobin")) == 3**6 + 5**6
+    assert sum(1 for _ in _matrices(4, 2, "roundrobin")) == 3**6 + 5**6
+
+
+def _joined(n, pairs, mvec):
+    # Union-find over the pairs that meet at least once.
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for (i, j), m in zip(pairs, mvec):
+        if m:
+            parent[root(i)] = root(j)
+    return len({root(v) for v in range(n)}) == 1
+
+
+def test_schedules_match_a_brute_force_filter():
+    # Per total number of matches, by ascending total, the schedules each
+    # domain admits, in the order of a product over the pairs. Connectivity
+    # is decided by a union-find here, not by the model's predicate; an
+    # irreducible matrix needs a connected schedule, and every connected
+    # schedule has one.
+    for n, cap in product((2, 3, 4, 5), (1, 2)):
+        pairs = list(combinations(range(n), 2))
+        keep = {
+            "all": lambda mvec: True,
+            "connected": lambda mvec: _joined(n, pairs, mvec),
+            "roundrobin": lambda mvec: len(set(mvec)) == 1 and mvec[0] > 0,
+        }
+        every = list(product(range(cap + 1), repeat=len(pairs)))
+        expected = {}
+        for domain, test in keep.items():
+            by_total = {}
+            for mvec in filter(test, every):
+                by_total.setdefault(sum(mvec), []).append(mvec)
+            expected[domain] = [by_total[total] for total in sorted(by_total)]
+        expected["irreducible"] = expected["connected"]
+        for domain in DOMAINS:
+            listed = [schedules for schedules in _schedules(n, cap, domain) if schedules]
+            assert listed == expected[domain], (n, cap, domain)
+
+
+def _grid_size(n, max_matches, domain):
+    # A pair playing m matches has 2 m + 1 results.
+    return sum(prod(2 * m + 1 for m in mvec) for schedules in _schedules(n, max_matches, domain) for mvec in schedules)
+
+
+def test_grid_size_is_a_sum_over_schedules():
+    for n, cap in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1)):
+        for domain in ("all", "connected", "roundrobin"):
+            assert _grid_size(n, cap, domain) == sum(map(len, _buckets(n, cap, domain))), (n, cap, domain)
+    # The connected graphs on four labelled objects: 16 trees, 15 with four
+    # edges, 6 with five and the complete one, each edge with 3 results.
+    assert _grid_size(4, 1, "connected") == 16 * 3**3 + 15 * 3**4 + 6 * 3**5 + 3**6 == 3_834
+    # Too large to build here: from the schedules alone.
+    assert _grid_size(4, 2, "connected") == 528_384
+    assert _grid_size(5, 1, "connected") == 1_027_080
+
+
+def test_symmetry_search_takes_one_even_split_per_schedule(monkeypatch):
+    # A flat grid matrix is the even split of its schedule, so SYM never
+    # builds a bucket, nor any matrix that is not flat. It examines one
+    # candidate per connected schedule: 728 on five objects with one
+    # match, the connected labelled graphs on five vertices.
+    search_module = importlib.import_module("pairrank.search")
+    build = search_module._build_dt
+
+    def refuse(*args):
+        raise AssertionError("SYM built a bucket")
+
+    def flat_only(*args):
+        dt = build(*args)
+        assert flat(dt), dt
+        return dt
+
+    monkeypatch.setattr(search_module, "_buckets", refuse)
+    monkeypatch.setattr(search_module, "_build_dt", flat_only)
+    for n, cap, count in ((4, 2, 624), (5, 1, 728)):
+        assert sum(map(len, _schedules(n, cap, "connected"))) == count
+        config = SearchConfig(object_counts=(n,), max_matches=cap, domain="connected")
+        result = search(Method("ls"), Axiom.SYM, config)
+        assert (result.found, result.exhausted, result.examined, result.admissible) == (False, True, count, count)
 
 
 def _sign(x):
@@ -174,7 +262,7 @@ def _sign(x):
 )
 def test_evaluator_keys_order_like_ratings(method):
     rng = random.Random(3)
-    grid = list(enumerate_doubled(3, 2, "all")) + list(enumerate_doubled(4, 1, "all"))
+    grid = list(_matrices(3, 2, "all")) + list(_matrices(4, 1, "all"))
     evaluator = _Evaluator(method)
     for dt in rng.sample(grid, 150):
         keys = evaluator[dt]
@@ -276,17 +364,19 @@ def test_packed_codes_add_and_stay_apart():
     # object count is counted twice.
     radix = 9
     rng = random.Random(5)
-    grid = list(enumerate_doubled(3, 2, "all"))
+    grid = list(_matrices(3, 2, "all"))
     zeros = ((0,) * 3,) * 3
     for _ in range(300):
         a, b = rng.choice(grid), rng.choice(grid)
         assert _pack(a, radix) + _pack(b, radix) - _pack(zeros, radix) == _pack(add(a, b), radix)
 
-    # Inputs and sums share one table, so no two different matrices of
-    # any size may share a code.
+    # The judge keys the sums of every size in one table by their inputs'
+    # codes added: a sum's code plus the zero matrix's, whose leading digit
+    # 2 n keeps sizes apart. So no two different matrices of any size may
+    # share a code.
     seen = {}
     for n in (2, 3, 4):
-        inputs = list(enumerate_doubled(n, 2, "all" if n < 4 else "roundrobin"))
+        inputs = list(_matrices(n, 2, "all" if n < 4 else "roundrobin"))
         pairs = [(rng.choice(inputs), rng.choice(inputs)) for _ in range(400)]
         for dt in inputs + [add(a, b) for a, b in pairs]:
             assert seen.setdefault(_pack(dt, radix), dt) == dt
@@ -295,15 +385,16 @@ def test_packed_codes_add_and_stay_apart():
         with pytest.raises(ValueError, match="radix"):
             _pack(bad, radix)
     # The judge takes input slots [dt, None] and fills each on first
-    # reading with the code of dt and its digits without the count, so
-    # one code plus the other's digits is the code of the sum.
+    # reading with the code of dt and its masks, so the two codes added
+    # are the code of the sum plus the zero matrix's.
     judge = _JUDGES[AxiomKind.ADDITIVITY](Axiom.CS, _Evaluator(Method("score")), 2)
-    grid = list(enumerate_doubled(3, 2, "all"))
+    grid = list(_matrices(3, 2, "all"))
     for _ in range(100):
         first, second = [rng.choice(grid), None], [rng.choice(grid), None]
         judge(first, second)
-        (code, _, _), (_, digits, _) = first[1], second[1]
-        assert code == _pack(first[0], radix) and code + digits == _pack(add(first[0], second[0]), radix)
+        (code, _), (other, _) = first[1], second[1]
+        assert code == _pack(first[0], radix)
+        assert code + other == _pack(add(first[0], second[0]), radix) + _pack(zeros, radix)
     # A judge refuses inputs whose sums could overflow its radix.
     judge = _JUDGES[AxiomKind.ADDITIVITY](Axiom.CS, _Evaluator(Method("score")), 1)
     with pytest.raises(ValueError, match="max_matches"):
@@ -343,10 +434,10 @@ def test_canonical_representatives_name_relabelling_orbits():
     # One representative per orbit, and different ones for different
     # orbits: on full grids for n = 2 to 4, and on relabelled seeded
     # samples for n = 5.
-    grids = [list(enumerate_doubled(n, 1, "all")) for n in (2, 3, 4)]
-    grids.append(list(enumerate_doubled(3, 2, "all")))
+    grids = [list(_matrices(n, 1, "all")) for n in (2, 3, 4)]
+    grids.append(list(_matrices(3, 2, "all")))
     rng = random.Random(23)
-    fives = list(enumerate_doubled(5, 1, "roundrobin"))
+    fives = list(_matrices(5, 1, "roundrobin"))
     sample = []
     for dt in rng.sample(fives, 60):
         sample.append(dt)
@@ -372,26 +463,35 @@ def test_canonical_representatives_name_relabelling_orbits():
 def test_sweep_names_each_grid_matrix_as_canonical_does(monkeypatch):
     # Every bucket of the full grids for n = 2 to 4 and one or two matches,
     # in all four domains, leaving out the grids of more than 20 000
-    # matrices; and the flat part of each bucket, which SYM sweeps. The
+    # matrices; the flat part of each bucket, the even splits of its
+    # schedules, which SYM sweeps; and one bucket on six objects. The
     # sweep gives each matrix the representative _canonical gives it, and
     # an object order onto it, but canonicalises one member per orbit.
     search_module = importlib.import_module("pairrank.search")
     calls = []
     monkeypatch.setattr(search_module, "_canonical", lambda dt: calls.append(dt) or _canonical(dt))
     named = 0
+    parts = []
     for n, cap, domain in product((2, 3, 4), (1, 2), DOMAINS):
         if (cap + 1) ** (n * (n - 1)) > 20_000 and domain != "roundrobin":
             continue
-        for bucket in _buckets(n, cap, domain):
-            for part in (bucket, list(filter(flat, bucket))):
-                calls.clear()
-                reps = set()
-                for dt, rep, objs in _sweep(part):
-                    assert rep == _canonical(dt)[0], dt
-                    assert all(rep[k][l] == dt[objs[k]][objs[l]] for k in range(n) for l in range(n)), dt
-                    reps.add(rep)
-                    named += 1
-                assert len(calls) == len(reps)
+        parts += chain.from_iterable((bucket, list(filter(flat, bucket))) for bucket in _buckets(n, cap, domain))
+    # The 45 matrices of six objects with one match in all, in two orbits:
+    # a mark holds any of the 720 relabellings once the orbit limit allows
+    # six objects.
+    monkeypatch.setattr(search_module, "ORBIT_OBJECTS", 6)
+    parts.append(list(islice(_buckets(6, 1, "all"), 1, 2))[0])
+    for part in parts:
+        calls.clear()
+        reps = set()
+        for dt, rep, objs in _sweep(part):
+            n = len(dt)
+            assert rep == _canonical(dt)[0], dt
+            assert all(rep[k][l] == dt[objs[k]][objs[l]] for k in range(n) for l in range(n)), dt
+            reps.add(rep)
+            named += 1
+        assert len(calls) == len(reps)
+    assert len(parts[-1]) == 45 and len(reps) == 2
     assert named > 28_000
 
 
@@ -418,7 +518,7 @@ def test_orbit_layer_rates_like_plain_rating(method):
     # Every matrix of the single-match grids for n = 3 and 4 and of the
     # two-match grid for n = 3. The four domains are subsets of "all"
     # for the same n and cap, so this covers each of them.
-    grid = [dt for n, cap in ((3, 1), (4, 1), (3, 2)) for dt in enumerate_doubled(n, cap, "all")]
+    grid = [dt for n, cap in ((3, 1), (4, 1), (3, 2)) for dt in _matrices(n, cap, "all")]
     on = _Evaluator(method)
     for dt in grid:
         assert on.rate(dt) == on.weak_order(dt), dt
@@ -650,7 +750,7 @@ def _plain_scan(method, axiom, config):
     appearance, and FP over the inputs the method rates flat."""
     rated = _RatedOnce(method)
     for n in config.object_counts:
-        inputs = list(enumerate_doubled(n, config.max_matches, config.domain))
+        inputs = list(_matrices(n, config.max_matches, config.domain))
         if axiom is Axiom.FP:
             flat = []
             for dt in inputs:
@@ -806,7 +906,7 @@ def test_pair_orbit_pass_meets_every_pair_orbit_from_one_row(monkeypatch):
         )
         assert rows.setdefault(orbit, first[0]) is first[0]
     # Burnside: a relabelling fixes {A, B} if it fixes both, or swaps them.
-    grid = list(enumerate_doubled(4, 1, "roundrobin"))
+    grid = list(_matrices(4, 1, "roundrobin"))
     fixed_pairs = 0
     for pick in picks:
         moved = {dt: image(pick, dt) for dt in grid}
@@ -917,7 +1017,7 @@ def test_neutrality_search_judges_every_orbit_with_a_hidden_violation(monkeypatc
     config = SearchConfig(object_counts=(3, 4), domain="roundrobin")
     firsts = {}
     for n in config.object_counts:
-        for dt in enumerate_doubled(n, 1, "roundrobin"):
+        for dt in _matrices(n, 1, "roundrobin"):
             firsts.setdefault(_canonical(dt)[0], dt)
     first_is_rated = {rep: index % 2 == 0 for index, rep in enumerate(firsts)}
     rated_first = {}
@@ -1032,6 +1132,6 @@ def test_a_shared_evaluator_keeps_neutrality_under_test(monkeypatch):
     monkeypatch.setitem(methods._PLAIN, "score", tie_broken_score)
     method = Method("score")
     evaluator = _Evaluator(method)
-    for dt in enumerate_doubled(3, 1, "roundrobin"):
+    for dt in _matrices(3, 1, "roundrobin"):
         evaluator[dt]
     assert _judged_like_the_checker(method, Axiom.NEU, evaluator)[1]
