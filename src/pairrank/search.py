@@ -65,12 +65,12 @@ the first member of each orbit it meets and marks that member's n!
 relabellings in the bucket; every later member takes the same
 representative, with its object order composed from the first member's
 (:func:`_sweep`). Above four objects the sweep names nothing, and every
-matrix takes the same path with no orbit to go by. Sums, transposes,
-edits and draws are canonicalised one by one (:func:`_canonical`), and
-so is the grid matrix of a judged SYM, INV, IIM or IIR row when it is
-first rated: the row carries the sweep's representative but not its
-object order. Only the additivity grid rates its inputs by their sweep
-names.
+matrix takes the same path with no orbit to go by. A named grid matrix
+reaches the evaluator by its sweep name only: the additivity grid enters
+each input under it, and a judged SYM, INV, IIM or IIR row enters its
+matrix before its first candidate. So :func:`_canonical` runs only on
+the first member of each orbit a sweep meets, on the sums, transposes
+and edits the judges make, and on the draws.
 
 On up to four objects, exhaustive additivity also works one pair orbit
 at a time. Relabelling both inputs of a pair at once relabels their
@@ -218,11 +218,6 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def _even_split(dt: Matrix) -> Matrix:
-    """Rebalance each pair's matches into an even split, keeping counts."""
-    return tuple(tuple(v // 2 for v in row) for row in add(dt, transpose(dt)))
-
-
 _DOMAIN_TEST = {
     "all": lambda dt: True,
     "connected": connected,
@@ -255,13 +250,12 @@ def _schedules(n: int, max_matches: int, domain: str):
     if domain == "roundrobin":
         yield from ([(m,) * len(pairs)] for m in range(1, max_matches + 1))
         return
+    # Which pairs meet decides connectivity, and irreducibility needs it,
+    # so each set of meeting pairs is tested once, on one match per pair.
+    joined = cache(lambda support: connected(_build_dt(n, pairs, support, repeat(0))))
     for total in range(len(pairs) * max_matches + 1):
         schedules = [mvec for mvec in product(range(max_matches + 1), repeat=len(pairs)) if sum(mvec) == total]
-        if domain != "all":
-            # Which pairs meet decides connectivity, and irreducibility
-            # needs it, so each schedule is tested once, on its even split.
-            schedules = [mvec for mvec in schedules if connected(_build_dt(n, pairs, mvec, repeat(0)))]
-        yield schedules
+        yield schedules if domain == "all" else [mvec for mvec in schedules if joined(tuple(map(bool, mvec)))]
 
 
 def _buckets(n: int, max_matches: int, domain: str):
@@ -321,13 +315,14 @@ class _Evaluator(dict):
     of its own. Larger matrices are rated directly, since
     :func:`_canonical` may try n! orders of their objects.
 
-    ``rate`` names a matrix by :func:`_canonical`: a sum, a transpose, an
-    edit, a draw, or a grid matrix that a SYM, INV, IIM or IIR row hands
-    its judge without the sweep's object order. The additivity grid
-    stores each input's weak order with ``relabelled(rep, objs)`` from
-    the sweep of its bucket (:func:`_sweep`), so no input is
-    canonicalised again; the additivity judge looks a sum up here before
-    it rates it, so a sum equal to an input is not named twice either.
+    The grid stores the weak order of each named matrix with
+    ``relabelled(rep, objs)`` from the sweep of its bucket
+    (:func:`_sweep`): every additivity input, and the matrix of every
+    judged SYM, INV, IIM or IIR row (:func:`_rows`). So ``rate`` names by
+    :func:`_canonical` only the matrices the grid does not hand over by
+    name: a sum, a transpose, an edit or a draw. The additivity judge looks a sum up
+    here before it rates it, so a sum equal to an input is not named
+    twice either.
     """
 
     def __init__(self, method: Method):
@@ -490,7 +485,7 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
     """
     for n in config.object_counts:
         if axiom.kind is not AxiomKind.ADDITIVITY:
-            yield _rows(axiom, config, n), None
+            yield _rows(axiom, config, n, evaluator), None
             continue
         # One slot per input, which the judge fills when it first reads
         # it; RCS pairs only inputs of one schedule.
@@ -517,7 +512,7 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
         yield [(None, pairs)], (groups.values(), orbits.values()) if orbits else None
 
 
-def _rows(axiom: Axiom, config: SearchConfig, n: int):
+def _rows(axiom: Axiom, config: SearchConfig, n: int, evaluator: _Evaluator):
     """The invariance or independence candidates on ``n`` objects, as one
     row ``(orbit, candidates)`` per grid matrix, in canonical order. For
     SYM the grid matrices are the even splits of the schedules, one per
@@ -525,10 +520,13 @@ def _rows(axiom: Axiom, config: SearchConfig, n: int):
 
     ``orbit`` is the representative that the sweep of the matrix's bucket
     gives it (:func:`_sweep`), or None where the sweep names nothing; the
-    search judges every such row. The row keeps no object order, so a
-    judge that reads the evaluator puts the matrix in canonical form
-    again. ``candidates`` are lazy: a row that :func:`search` settles by
-    its orbit never builds its edited pairs nor runs the domain test on
+    search judges every such row. A named row's candidates first enter
+    its matrix in the evaluator under the sweep's name,
+    ``relabelled(rep, objs)``, as the additivity grid enters its inputs,
+    so no judge puts the row's matrix in canonical form again. NEU rows
+    enter nothing: the NEU judge rates directly. ``candidates`` are
+    lazy: a row that :func:`search` settles by its orbit never enters
+    its matrix, builds its edited pairs nor runs the domain test on
     them.
     """
     if axiom.kind is AxiomKind.INDEPENDENCE and n < 4:
@@ -550,8 +548,13 @@ def _rows(axiom: Axiom, config: SearchConfig, n: int):
     else:
         test = _DOMAIN_TEST[config.domain]
         each = lambda dt: _edited(axiom, dt, pairs, test, config.max_matches)
-    for dt, rep, _ in chain.from_iterable(map(_sweep, buckets)):
-        yield rep, each(dt)
+
+    def named(dt, rep, objs):
+        evaluator[dt] = evaluator.relabelled(rep, objs)
+        yield from each(dt)
+
+    for dt, rep, objs in chain.from_iterable(map(_sweep, buckets)):
+        yield rep, each(dt) if rep is None or axiom is Axiom.NEU else named(dt, rep, objs)
 
 
 def _edited(axiom: Axiom, dt: Matrix, pairs, test, max_matches: int):
@@ -624,7 +627,8 @@ def _retry(draw):
     return next((found for found in (draw() for _ in range(200)) if found is not None), None)
 
 
-def _random_dt(rng, n, max_matches, domain) -> Matrix | None:
+def _random_dt(rng, n, max_matches, domain) -> tuple[Matrix, list[int]] | None:
+    """A drawn matrix in the domain and its schedule, or None."""
     pairs = _pairs(n)
 
     def draw():
@@ -633,7 +637,7 @@ def _random_dt(rng, n, max_matches, domain) -> Matrix | None:
         else:
             mvec = [rng.randint(0, max_matches) for _ in pairs]
         dt = _build_dt(n, pairs, mvec, [rng.randint(-m, m) for m in mvec])
-        return dt if _DOMAIN_TEST[domain](dt) else None
+        return (dt, mvec) if _DOMAIN_TEST[domain](dt) else None
 
     return _retry(draw)
 
@@ -647,9 +651,10 @@ def _random_candidate(axiom, rng, config):
         return None
     n = rng.choice(counts)
     pairs = _pairs(n)
-    dt = _random_dt(rng, n, config.max_matches, config.domain)
-    if dt is None:
+    drawn = _random_dt(rng, n, config.max_matches, config.domain)
+    if drawn is None:
         return None
+    dt, mvec = drawn
     if axiom.kind is AxiomKind.INVARIANCE:
         if axiom is Axiom.NEU:
             image = list(range(n))
@@ -657,25 +662,24 @@ def _random_candidate(axiom, rng, config):
                 rng.shuffle(image)
             return dt, Permutation(tuple(image))
         if axiom is Axiom.SYM:
-            # Split each pair's matches evenly: entries (m - a) + a = m.
-            return _even_split(dt), None
+            # The even split of the drawn schedule: m to each side of a pair.
+            return _build_dt(n, pairs, mvec, repeat(0)), None
         return dt, None
     if axiom is Axiom.RCS:
-        # The second input keeps the first one's schedule, and must lie in
-        # the domain too: irreducibility depends on the results.
-        mvec = [(dt[i][j] + dt[j][i]) // 2 for i, j in pairs]
-
+        # The second input keeps the drawn schedule, and must lie in the
+        # domain too: irreducibility depends on the results.
         def second():
             dt_b = _build_dt(n, pairs, mvec, [rng.randint(-m, m) for m in mvec])
             return ([dt, None], [dt_b, None]) if _DOMAIN_TEST[config.domain](dt_b) else None
 
         return _retry(second)
     if axiom.kind is AxiomKind.ADDITIVITY:
-        dt_b = _random_dt(rng, n, config.max_matches, config.domain)
-        if dt_b is None:
+        drawn = _random_dt(rng, n, config.max_matches, config.domain)
+        if drawn is None:
             return None
+        dt_b, mvec_b = drawn
         if axiom is Axiom.FP:
-            dt, dt_b = _even_split(dt), _even_split(dt_b)
+            dt, dt_b = _build_dt(n, pairs, mvec, repeat(0)), _build_dt(n, pairs, mvec_b, repeat(0))
         return [dt, None], [dt_b, None]
 
     def edit():

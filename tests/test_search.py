@@ -208,6 +208,22 @@ def test_schedules_match_a_brute_force_filter():
             assert listed == expected[domain], (n, cap, domain)
 
 
+def test_schedules_test_each_set_of_meeting_pairs_once(monkeypatch):
+    # Connectivity depends only on which pairs meet, so the enumerator
+    # tests at most one matrix per set of meeting pairs: 2^C(n, 2) sets,
+    # 1 024 on five objects where two matches per pair give 59 049
+    # schedules.
+    search_module = importlib.import_module("pairrank.search")
+    calls = []
+    monkeypatch.setattr(search_module, "connected", lambda dt: calls.append(dt) or is_connected(_problem(dt)))
+    for n, cap, domain in product((4, 5), (1, 2), ("connected", "irreducible")):
+        calls.clear()
+        listed = sum(map(len, _schedules(n, cap, domain)))
+        assert len(calls) <= 2 ** comb(n, 2), (n, cap, domain)
+        assert len(calls) == len(set(calls)), (n, cap, domain)
+        assert listed == {(4, 1): 38, (4, 2): 624, (5, 1): 728, (5, 2): 55_248}[n, cap], (n, cap, domain)
+
+
 def _grid_size(n, max_matches, domain):
     # A pair playing m matches has 2 m + 1 results.
     return sum(prod(2 * m + 1 for m in mvec) for schedules in _schedules(n, max_matches, domain) for mvec in schedules)
@@ -493,6 +509,58 @@ def test_sweep_names_each_grid_matrix_as_canonical_does(monkeypatch):
         assert len(calls) == len(reps)
     assert len(parts[-1]) == 45 and len(reps) == 2
     assert named > 28_000
+
+
+def _counting_canonical(monkeypatch):
+    """Patch ``_canonical`` in the search module to record its inputs."""
+    search_module = importlib.import_module("pairrank.search")
+    calls = []
+    monkeypatch.setattr(search_module, "_canonical", lambda dt: calls.append(dt) or _canonical(dt))
+    return calls
+
+
+def test_symmetry_search_names_each_orbit_once(monkeypatch):
+    # The grid's sweep names every even split by its representative and an
+    # object order onto it, and a judged row is rated by that name, so a
+    # SYM search canonicalises one even split per relabelling orbit and no
+    # other matrix. The orbits are counted by brute force over every flat
+    # matrix the domain admits.
+    calls = _counting_canonical(monkeypatch)
+    admits = {"all": lambda p: True, "connected": is_connected, "irreducible": is_irreducible, "roundrobin": is_round_robin}
+    for n, cap, domain in product((2, 3, 4), (1, 2), DOMAINS):
+        pairs = list(combinations(range(n), 2))
+        splits = set()
+        for mvec in product(range(cap + 1), repeat=len(pairs)):
+            dt = [[0] * n for _ in range(n)]
+            for (i, j), m in zip(pairs, mvec):
+                dt[i][j] = dt[j][i] = m
+            dt = tuple(map(tuple, dt))
+            if admits[domain](_problem(dt)):
+                splits.add(dt)
+        calls.clear()
+        config = SearchConfig(object_counts=(n,), max_matches=cap, domain=domain)
+        result = search(Method("score"), Axiom.SYM, config)
+        assert (result.found, result.examined) == (False, len(splits)), (n, cap, domain)
+        assert set(calls) <= splits, (n, cap, domain)
+        assert len(calls) == len({_brute_code(dt) for dt in splits}), (n, cap, domain)
+
+
+def test_reversal_search_rates_grid_matrices_by_their_sweep_names(monkeypatch):
+    # INV on the single-match round robins on three and four objects: 49
+    # orbits among 756 matrices. The sweeps canonicalise the first member
+    # of each orbit, and the judge only the transposes not yet rated: 47.
+    # No judged row's own matrix is canonicalised again, so no matrix is
+    # canonicalised twice.
+    calls = _counting_canonical(monkeypatch)
+    config = SearchConfig(object_counts=(3, 4), domain="roundrobin")
+    result = search(Method("score"), Axiom.INV, config)
+    assert (result.found, result.examined, result.admissible) == (False, 756, 756)
+    firsts = {}
+    for dt in chain(_matrices(3, 1, "roundrobin"), _matrices(4, 1, "roundrobin")):
+        firsts.setdefault(_canonical(dt)[0], dt)
+    assert len(firsts) == 49
+    assert len(set(calls)) == len(calls) == 96
+    assert sum(dt in firsts.values() for dt in calls) == 49
 
 
 def test_orbit_layer_stops_at_four_objects(monkeypatch):
