@@ -6,7 +6,8 @@ violating witnesses over a bounded grid of small problems, and
 ``reproduce`` replays the built-in worked examples.
 
 Exit status: 0 when the requested check passed (or a ranking was
-printed), 1 when a violation was found or a reproduction failed, 2 on
+printed), 1 when a violation was found, a reproduction failed or the
+reader of standard output closed it before all output was written, 2 on
 usage, parse or witness-shape problems, 3 when a method's precondition
 is not met by the input.
 """
@@ -14,6 +15,7 @@ is not met by the input.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .axioms import (
@@ -285,7 +287,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # Flush inside the try, so that a reader that left before the last
+        # write is caught below too.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe early, as ``pairrank search ... | head``
+        # does. Point stdout at the null device, so that the flush at exit
+        # does not raise again, and report output left unwritten.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_VIOLATION
     except (MethodPreconditionError, PreconditionUnmet) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

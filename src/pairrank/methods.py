@@ -35,12 +35,15 @@ from .errors import (
     UndefinedForSmallN,
 )
 from .model import (
+    Matrix,
     RankingProblem,
     as_rational,
     derive,
     is_connected,
     is_irreducible,
+    # Not called here, but the benchmark tracer wraps it here.
     negate,
+    transpose,
 )
 
 METHOD_KEYS = ("score", "grs", "ls", "fb", "dfb", "cfb")
@@ -173,13 +176,19 @@ def least_squares(problem: RankingProblem) -> RatingVector:
     return RatingVector("ls", problem.labels, x, pivot * problem.denominator)
 
 
-def _fair_bets_vector(problem: RankingProblem) -> tuple[list[int], int]:
-    """Fixed point v of an irreducible problem, and sum(v) to divide by."""
+def _require_irreducible(problem: RankingProblem) -> None:
     if not is_irreducible(problem):
         raise ReducibleProblem("results digraph is not strongly connected")
-    # The nullspace and its normalized member do not depend on the
-    # common scale, so the integer matrix stands in for the tournament.
-    t = problem.scaled
+
+
+def _fair_bets_vector(t: Matrix) -> tuple[list[int], int]:
+    """Fixed point v of the integer tournament matrix ``t`` of an
+    irreducible problem, and sum(v) to divide by.
+
+    The nullspace and its normalized member do not depend on the common
+    scale, so the integer matrix stands in for the tournament. The caller
+    checks irreducibility.
+    """
     losses = [sum(column) for column in zip(*t)]
     a = [
         [v - losses[i] if i == j else v for j, v in enumerate(row)]
@@ -204,7 +213,8 @@ def fair_bets(problem: RankingProblem) -> RatingVector:
     points to, in proportion to those losses. Strong connectivity of
     the results digraph makes the fixed point unique and positive.
     """
-    v, total = _fair_bets_vector(problem)
+    _require_irreducible(problem)
+    v, total = _fair_bets_vector(problem.scaled)
     return RatingVector("fb", problem.labels, v, total)
 
 
@@ -213,16 +223,22 @@ def dual_fair_bets(problem: RankingProblem) -> RatingVector:
 
     Reversing every result turns wins into losses; rating the reversed
     problem and flipping the sign yields a method that blames losses
-    instead of crediting wins. Entries are negative and sum to -1.
+    instead of crediting wins. Entries are negative and sum to -1. The
+    reversed problem is the transposed integer matrix, rated as it is:
+    no second problem is built.
     """
-    v, total = _fair_bets_vector(negate(problem))
+    _require_irreducible(problem)
+    v, total = _fair_bets_vector(transpose(problem.scaled))
     return RatingVector("dfb", problem.labels, v, -total)
 
 
 def copeland_fair_bets(problem: RankingProblem) -> RatingVector:
     """Sum of fair bets and dual fair bets, rewarding wins and punishing losses."""
-    w, w_total = _fair_bets_vector(problem)
-    l, l_total = _fair_bets_vector(negate(problem))
+    # Reversing every arc keeps a digraph strongly connected, so one test
+    # covers the problem and its reversal.
+    _require_irreducible(problem)
+    w, w_total = _fair_bets_vector(problem.scaled)
+    l, l_total = _fair_bets_vector(transpose(problem.scaled))
     # w / sum(w) - l / sum(l), over the product of the two sums.
     scaled = [a * l_total - b * w_total for a, b in zip(w, l)]
     return RatingVector("cfb", problem.labels, scaled, w_total * l_total)

@@ -192,21 +192,22 @@ def build_problem(labels: Iterable, entries: Iterable[tuple]) -> RankingProblem:
 
 
 def derive(problem: RankingProblem) -> DerivedStructure:
-    """Compute the matches M = T + T^t and the Laplacian.
+    """Compute the matches M = T + T^t and the Laplacian, in one pass
+    over the rows of T and of its transpose.
 
     Match counts are integers by the pair-sum invariant, and the
     Laplacian is L = diag(degrees) - M where a degree is the total
     number of matches an object played.
     """
     d = problem.denominator
-    both_ways = add(problem.scaled, transpose(problem.scaled))
-    matches = tuple(tuple(v // d for v in row) for row in both_ways)
-    laplacian = tuple(
-        tuple(sum(row) if i == j else -v for j, v in enumerate(row))
-        for i, row in enumerate(matches)
-    )
-    max_matches = max(max(row) for row in matches)
-    return DerivedStructure(matches, laplacian, max_matches)
+    matches, laplacian = [], []
+    for i, (row, column) in enumerate(zip(problem.scaled, zip(*problem.scaled))):
+        played = tuple([(a + b) // d for a, b in zip(row, column)])
+        matches.append(played)
+        negated = [-v for v in played]
+        negated[i] = sum(played)
+        laplacian.append(tuple(negated))
+    return DerivedStructure(tuple(matches), tuple(laplacian), max(map(max, matches)))
 
 
 # --- kernels over integer tournament matrices -------------------------------

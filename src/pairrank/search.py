@@ -30,7 +30,10 @@ edited pair on at least four objects for IIM and IIR), and the grid
 also skips FP inputs the method does not rate flat, which cannot
 witness that axiom. The grid's matrices are the results of its
 schedules, the numbers of matches per object pair that the domain
-admits (:func:`_schedules`); a flat one is the even split of its
+admits (:func:`_schedules`). Per schedule, each object's rows are
+tabulated once, since a row depends only on the results of the pairs
+that contain its object, and a matrix is assembled from one row per
+object (:func:`_buckets`). A flat matrix is the even split of its
 schedule, so SYM takes one candidate per schedule, and the grid builds
 no other matrix for it.
 
@@ -240,9 +243,11 @@ def _schedules(n: int, max_matches: int, domain: str):
     schedule gives each object pair, in :func:`_pairs` order, its number
     of matches, between 0 and ``max_matches``.
 
-    Each total's schedules are found afresh among all of them, in
-    lexicographic order, so no list of the whole grid's schedules is
-    ever built. A relabelling keeps the total and the domain.
+    Each total's schedules are built directly, in lexicographic order:
+    each count of matches for the first pair, then the schedules of the
+    other pairs with the matches left, which are built once per (total,
+    number of pairs). No schedule of another total is built. A
+    relabelling keeps the total and the domain.
     """
     pairs = _pairs(n)
     # A round robin's total is m C(n, 2), and its schedule makes it a
@@ -250,12 +255,45 @@ def _schedules(n: int, max_matches: int, domain: str):
     if domain == "roundrobin":
         yield from ([(m,) * len(pairs)] for m in range(1, max_matches + 1))
         return
+
+    @cache
+    def tails(total: int, count: int) -> list[tuple[int, ...]]:
+        # The schedules of ``count`` pairs with ``total`` matches.
+        if count == 0:
+            return [()] if total == 0 else []
+        low, high = max(0, total - max_matches * (count - 1)), min(max_matches, total)
+        return [(m, *rest) for m in range(low, high + 1) for rest in tails(total - m, count - 1)]
+
     # Which pairs meet decides connectivity, and irreducibility needs it,
     # so each set of meeting pairs is tested once, on one match per pair.
     joined = cache(lambda support: connected(_build_dt(n, pairs, support, repeat(0))))
     for total in range(len(pairs) * max_matches + 1):
-        schedules = [mvec for mvec in product(range(max_matches + 1), repeat=len(pairs)) if sum(mvec) == total]
+        # Uncached at the top, so that a total's list goes once it is walked.
+        schedules = tails.__wrapped__(total, len(pairs))
         yield schedules if domain == "all" else [mvec for mvec in schedules if joined(tuple(map(bool, mvec)))]
+
+
+def _row_table(n: int, i: int, pairs, mvec, rows) -> tuple[dict, operator.itemgetter]:
+    """Every row object ``i`` takes on schedule ``mvec``, under its
+    results on the pairs that contain it, and the ``key`` that picks
+    those results out of a results vector. Equal rows are one tuple, the
+    one in ``rows``."""
+    incident = [k for k, pair in enumerate(pairs) if i in pair]
+    key = operator.itemgetter(*incident)
+    table = {}
+    avec = [0] * len(pairs)
+    for results in product(*(range(-mvec[k], mvec[k] + 1) for k in incident)):
+        row = [0] * n
+        for k, a in zip(incident, results):
+            avec[k] = a
+            first, second = pairs[k]
+            if first == i:
+                row[second] = mvec[k] + a
+            else:
+                row[first] = mvec[k] - a
+        row = tuple(row)
+        table[key(avec)] = rows.setdefault(row, row)
+    return table, key
 
 
 def _buckets(n: int, max_matches: int, domain: str):
@@ -263,24 +301,28 @@ def _buckets(n: int, max_matches: int, domain: str):
     canonical order, as one sorted list per total number of matches: the
     results of each schedule of :func:`_schedules`.
 
-    A relabelling keeps the total and the domain, so each bucket is
-    closed under relabelling. No bucket is kept once it is yielded, so a
-    consumer that drops it frees it before the next one is built.
+    Object i's row depends only on the results of the pairs that contain
+    i, so per schedule each object's rows are tabulated once
+    (:func:`_row_table`), and a matrix is n lookups, one per object, by
+    its results. Equal rows are one tuple throughout, which keeps a
+    bucket small and quick to sort and search. A relabelling keeps the
+    total and the domain, so each bucket is closed under relabelling. No
+    bucket is kept once it is yielded, so a consumer that drops it frees
+    it before the next one is built.
     """
     pairs = _pairs(n)
-    # Equal rows share one tuple, which keeps a bucket small and quick to
-    # sort and search.
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-    share = lambda dt: tuple(map(rows.setdefault, dt, dt))
     for schedules in _schedules(n, max_matches, domain):
-        bucket = (
-            _build_dt(n, pairs, mvec, avec)
-            for mvec in schedules
-            for avec in product(*(range(-m, m + 1) for m in mvec))
-        )
-        if domain == "irreducible":
-            bucket = filter(irreducible, bucket)
-        yield sorted(map(share, bucket))
+        bucket = []
+        for mvec in schedules:
+            lookups = [_row_table(n, i, pairs, mvec, rows) for i in range(n)]
+            matrices = (
+                tuple([table[key(avec)] for table, key in lookups])
+                for avec in product(*(range(-m, m + 1) for m in mvec))
+            )
+            bucket += filter(irreducible, matrices) if domain == "irreducible" else matrices
+        bucket.sort()
+        yield bucket
 
 
 _MISSING = object()

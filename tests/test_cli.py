@@ -1,3 +1,6 @@
+import os
+import sys
+
 import pytest
 
 from pairrank import cli
@@ -316,3 +319,22 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         cli.main([])
     assert excinfo.value.code == 2
+
+
+def test_closed_pipe_exits_1_without_a_traceback(write, monkeypatch, capsys):
+    # A reader that stops early, as `pairrank search ... | head -n 1` does,
+    # closes the pipe. Nothing is raised, nothing reaches stderr, and the
+    # status is 1 whatever the command's would be: a short ranking breaks
+    # at the last flush, fifty witnesses halfway through.
+    path = write("p.txt", EXAMPLE_4)
+    hunt = ["search", "--axiom", "INV", "--method", "fb", "--min-n", "5", "--max-n", "5"]
+    hunt += ["--max-matches", "1", "--domain", "roundrobin", "--limit", "50"]
+    for argv in (["rank", "--method", "score", path], hunt):
+        read, written = os.pipe()
+        os.close(read)
+        with open(written, "w") as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            assert cli.main(argv) == 1, argv
+        assert capsys.readouterr().err == "", argv
+    monkeypatch.undo()
+    assert run(capsys, "rank", "--method", "score", path)[0] == 0

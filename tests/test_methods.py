@@ -419,6 +419,18 @@ def test_ratings_are_integers_over_one_reduced_positive_denominator():
         RatingVector("score", ("a", "b"), (1, -1), 0)
 
 
+def test_dual_fair_bets_build_no_second_problem(monkeypatch):
+    # dfb and cfb rate the reversed problem as the transposed integer
+    # matrix, so rating a problem constructs no other problem.
+    problem = EXAMPLE_3[0]
+    built = []
+    original = RankingProblem.__post_init__
+    monkeypatch.setattr(RankingProblem, "__post_init__", lambda self, *args: built.append(args) or original(self, *args))
+    for key in ("dfb", "cfb"):
+        Method(key).rate(problem)
+    assert built == []
+
+
 def test_each_rating_derives_and_checks_irreducibility_once(monkeypatch):
     from pairrank import methods
 
@@ -437,8 +449,9 @@ def test_each_rating_derives_and_checks_irreducibility_once(monkeypatch):
         "ls": (1, 0),
         "fb": (0, 1),
         "dfb": (0, 1),
-        # Fair bets of the problem and of its reversal, one check each.
-        "cfb": (0, 2),
+        # Fair bets of the problem and of its reversal: reversing every arc
+        # keeps a digraph strongly connected, so one check covers both.
+        "cfb": (0, 1),
     }
     for method in SETTINGS:
         calls.update(derive=0, is_irreducible=0)

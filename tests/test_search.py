@@ -3,7 +3,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, combinations_with_replacement, islice, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, islice, permutations, product, repeat
 from math import comb, factorial, prod
 from operator import itemgetter
 
@@ -26,7 +26,7 @@ from pairrank import (
 from pairrank import methods
 from pairrank.axioms import PairWitness, invariance_failures
 from pairrank.errors import MethodPreconditionError, NoComparisons, PreconditionUnmet, WitnessError
-from pairrank.model import Permutation, add, flat, relabel, transpose
+from pairrank.model import Permutation, add, flat, irreducible, relabel, transpose
 from pairrank.search import (
     DOMAINS,
     _JUDGES,
@@ -239,6 +239,51 @@ def test_grid_size_is_a_sum_over_schedules():
     # Too large to build here: from the schedules alone.
     assert _grid_size(4, 2, "connected") == 528_384
     assert _grid_size(5, 1, "connected") == 1_027_080
+
+
+def test_buckets_match_matrices_built_one_by_one():
+    # The buckets assembled from per-object row tables are the buckets
+    # built matrix by matrix, one _build_dt per schedule and results vector
+    # and then sorted, on n 2-4 with one or two matches in every domain and
+    # on 5-object single round robins. An irreducible bucket is the
+    # connected one filtered, with irreducibility tested once per set of
+    # positive entries. Within a bucket, equal rows are one object.
+    build = importlib.import_module("pairrank.search")._build_dt
+    strongly = cache(irreducible)
+    kept = lambda dt: strongly(tuple(tuple(v > 0 for v in row) for row in dt))
+
+    def built(n, cap, domain):
+        pairs = list(combinations(range(n), 2))
+        for schedules in _schedules(n, cap, domain):
+            yield sorted(
+                build(n, pairs, mvec, avec)
+                for mvec in schedules
+                for avec in product(*(range(-m, m + 1) for m in mvec))
+            )
+
+    def check(bucket, expected, grid):
+        assert bucket == expected, grid
+        rows = {}
+        assert all(rows.setdefault(row, row) is row for dt in bucket for row in dt), grid
+
+    grids = [(n, cap, domain) for n, cap, domain in product((2, 3, 4), (1, 2), DOMAINS) if domain != "irreducible"]
+    for n, cap, domain in grids + [(5, 1, "roundrobin")]:
+        buckets = zip(_buckets(n, cap, domain), built(n, cap, domain), strict=True)
+        if domain == "connected":
+            buckets = zip(buckets, _buckets(n, cap, "irreducible"), strict=True)
+        else:
+            buckets = zip(buckets, repeat(None))
+        for (bucket, expected), strong in buckets:
+            check(bucket, expected, (n, cap, domain))
+            if strong is not None:
+                check(strong, list(filter(kept, expected)), (n, cap, "irreducible"))
+
+
+def test_sweep_refuses_a_bucket_not_closed_under_relabelling():
+    # X1 beat X2, who beat X3: relabelling the objects gives five other
+    # matrices, none of them in the list.
+    with pytest.raises(RuntimeError, match="a bucket is not closed under relabelling"):
+        list(_sweep([((0, 2, 0), (0, 0, 2), (0, 0, 0))]))
 
 
 def test_symmetry_search_takes_one_even_split_per_schedule(monkeypatch):
