@@ -243,10 +243,8 @@ def _schedules(n: int, max_matches: int, domain: str):
     schedule gives each object pair, in :func:`_pairs` order, its number
     of matches, between 0 and ``max_matches``.
 
-    Each total's schedules are built directly, in lexicographic order:
-    each count of matches for the first pair, then the schedules of the
-    other pairs with the matches left, which are built once per (total,
-    number of pairs). No schedule of another total is built. A
+    Every schedule is built once and grouped by its total; the sort is
+    stable, so each total's schedules stay in lexicographic order. A
     relabelling keeps the total and the domain.
     """
     pairs = _pairs(n)
@@ -255,45 +253,27 @@ def _schedules(n: int, max_matches: int, domain: str):
     if domain == "roundrobin":
         yield from ([(m,) * len(pairs)] for m in range(1, max_matches + 1))
         return
-
-    @cache
-    def tails(total: int, count: int) -> list[tuple[int, ...]]:
-        # The schedules of ``count`` pairs with ``total`` matches.
-        if count == 0:
-            return [()] if total == 0 else []
-        low, high = max(0, total - max_matches * (count - 1)), min(max_matches, total)
-        return [(m, *rest) for m in range(low, high + 1) for rest in tails(total - m, count - 1)]
-
     # Which pairs meet decides connectivity, and irreducibility needs it,
     # so each set of meeting pairs is tested once, on one match per pair.
     joined = cache(lambda support: connected(_build_dt(n, pairs, support, repeat(0))))
-    for total in range(len(pairs) * max_matches + 1):
-        # Uncached at the top, so that a total's list goes once it is walked.
-        schedules = tails.__wrapped__(total, len(pairs))
-        yield schedules if domain == "all" else [mvec for mvec in schedules if joined(tuple(map(bool, mvec)))]
+    for _, schedules in groupby(sorted(product(range(max_matches + 1), repeat=len(pairs)), key=sum), key=sum):
+        yield list(schedules) if domain == "all" else [mvec for mvec in schedules if joined(tuple(map(bool, mvec)))]
 
 
 def _row_table(n: int, i: int, pairs, mvec, rows) -> tuple[dict, operator.itemgetter]:
     """Every row object ``i`` takes on schedule ``mvec``, under its
     results on the pairs that contain it, and the ``key`` that picks
-    those results out of a results vector. Equal rows are one tuple, the
-    one in ``rows``."""
+    those results out of a results vector. A row is row ``i`` of
+    :func:`_build_dt` on those pairs alone, and equal rows are one
+    tuple, the one in ``rows``."""
     incident = [k for k, pair in enumerate(pairs) if i in pair]
-    key = operator.itemgetter(*incident)
+    star = [pairs[k] for k in incident], [mvec[k] for k in incident]
     table = {}
-    avec = [0] * len(pairs)
-    for results in product(*(range(-mvec[k], mvec[k] + 1) for k in incident)):
-        row = [0] * n
-        for k, a in zip(incident, results):
-            avec[k] = a
-            first, second = pairs[k]
-            if first == i:
-                row[second] = mvec[k] + a
-            else:
-                row[first] = mvec[k] - a
-        row = tuple(row)
-        table[key(avec)] = rows.setdefault(row, row)
-    return table, key
+    for results in product(*(range(-m, m + 1) for m in star[1])):
+        row = _build_dt(n, *star, results)[i]
+        # On two objects the key picks one bare result, not a tuple.
+        table[results if n > 2 else results[0]] = rows.setdefault(row, row)
+    return table, operator.itemgetter(*incident)
 
 
 def _buckets(n: int, max_matches: int, domain: str):
