@@ -51,8 +51,9 @@ pairs it ranks above, below and tied (:func:`~pairrank.axioms.pair_masks`).
 The rules compare ratings only within one vector, so they give the same
 verdicts on weak orders as on ratings. The additivity judge fills an
 input's slot the first time it reads it, with the input packed into an
-int and its masks, and looks a sum up by adding two codes, building it
-only the first time it is rated. A judge returns ``None`` exactly where
+int and its masks, refuses a pair at the first input that cannot take
+part, and looks a sum up by adding two codes, building it only the
+first time it is rated. A judge returns ``None`` exactly where
 the checker would refuse the witness, and the failing object pairs
 otherwise, so only a flagged candidate is built into a witness. That
 witness is replayed through the public checker before it is returned,
@@ -71,7 +72,7 @@ representative, with its object order composed from the first member's
 matrix takes the same path with no orbit to go by. A named grid matrix
 reaches the evaluator by its sweep name only: the additivity grid enters
 each input under it, and a judged SYM, INV, IIM or IIR row enters its
-matrix before its first candidate. So :func:`_canonical` runs only on
+matrix with its first candidate. So :func:`_canonical` runs only on
 the first member of each orbit a sweep meets, on the sums, transposes
 and edits the judges make, and on the draws.
 
@@ -213,12 +214,16 @@ class SearchResult:
         return bool(self.hits)
 
 
+_labels = cache(default_labels)
+
+
 def _problem(dt: Matrix) -> RankingProblem:
-    return RankingProblem.from_scaled(default_labels(len(dt)), dt, 2)
+    return RankingProblem.from_scaled(_labels(len(dt)), dt, 2)
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return list(combinations(range(n), 2))
+@cache
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(combinations(range(n), 2))
 
 
 _DOMAIN_TEST = {
@@ -234,7 +239,7 @@ def _build_dt(n: int, pairs, mvec, avec) -> Matrix:
     for (i, j), m, a in zip(pairs, mvec, avec):
         dt[i][j] = m + a
         dt[j][i] = m - a
-    return tuple(tuple(row) for row in dt)
+    return tuple(map(tuple, dt))
 
 
 def _schedules(n: int, max_matches: int, domain: str):
@@ -340,11 +345,11 @@ class _Evaluator(dict):
     The grid stores the weak order of each named matrix with
     ``relabelled(rep, objs)`` from the sweep of its bucket
     (:func:`_sweep`): every additivity input, and the matrix of every
-    judged SYM, INV, IIM or IIR row (:func:`_rows`). So ``rate`` names by
-    :func:`_canonical` only the matrices the grid does not hand over by
-    name: a sum, a transpose, an edit or a draw. The additivity judge looks a sum up
-    here before it rates it, so a sum equal to an input is not named
-    twice either.
+    judged SYM, INV, IIM or IIR row that has a candidate (:func:`_rows`).
+    So ``rate`` names by :func:`_canonical` only the matrices the grid
+    does not hand over by name: a sum, a transpose, an edit or a draw.
+    The additivity judge looks a sum up here before it rates it, so a sum
+    equal to an input is not named twice either.
     """
 
     def __init__(self, method: Method):
@@ -542,11 +547,12 @@ def _rows(axiom: Axiom, config: SearchConfig, n: int, evaluator: _Evaluator):
 
     ``orbit`` is the representative that the sweep of the matrix's bucket
     gives it (:func:`_sweep`), or None where the sweep names nothing; the
-    search judges every such row. A named row's candidates first enter
-    its matrix in the evaluator under the sweep's name,
-    ``relabelled(rep, objs)``, as the additivity grid enters its inputs,
-    so no judge puts the row's matrix in canonical form again. NEU rows
-    enter nothing: the NEU judge rates directly. ``candidates`` are
+    search judges every such row. A named row enters its matrix in the
+    evaluator under the sweep's name, ``relabelled(rep, objs)``, with its
+    first candidate, as the additivity grid enters its inputs, so no
+    judge puts the row's matrix in canonical form again, and a row with
+    no candidate rates nothing. NEU rows enter nothing: the NEU judge
+    rates directly. ``candidates`` are
     lazy: a row that :func:`search` settles by its orbit never enters
     its matrix, builds its edited pairs nor runs the domain test on
     them.
@@ -572,8 +578,14 @@ def _rows(axiom: Axiom, config: SearchConfig, n: int, evaluator: _Evaluator):
         each = lambda dt: _edited(axiom, dt, pairs, test, config.max_matches)
 
     def named(dt, rep, objs):
-        evaluator[dt] = evaluator.relabelled(rep, objs)
-        yield from each(dt)
+        # Enter dt only once it has a candidate: an IIM or IIR row may
+        # have none.
+        candidates = iter(each(dt))
+        first = next(candidates, None)
+        if first is not None:
+            evaluator[dt] = evaluator.relabelled(rep, objs)
+            yield first
+            yield from candidates
 
     for dt, rep, objs in chain.from_iterable(map(_sweep, buckets)):
         yield rep, each(dt) if rep is None or axiom is Axiom.NEU else named(dt, rep, objs)
@@ -582,10 +594,11 @@ def _rows(axiom: Axiom, config: SearchConfig, n: int, evaluator: _Evaluator):
 def _edited(axiom: Axiom, dt: Matrix, pairs, test, max_matches: int):
     """The independence candidates of ``dt``: each edit of each pair that
     stays in the domain."""
-    for pair in pairs:
-        for edited in _pair_edits(axiom, dt, *pair, max_matches):
+    for k, l in pairs:
+        for edit in _pair_edits(axiom, dt, k, l, max_matches):
+            edited = _with_pair(dt, k, l, *edit)
             if test(edited):
-                yield dt, edited, pair
+                yield dt, edited, (k, l)
 
 
 def _settle(judge, groups, orbits) -> tuple[int, int] | None:
@@ -626,22 +639,24 @@ def _settle(judge, groups, orbits) -> tuple[int, int] | None:
     return sum(len(group) * (len(group) + 1) // 2 for group in groups), (ordered + diagonal) // 2
 
 
-def _pair_edits(axiom, dt: Matrix, k: int, l: int, max_matches: int) -> list[Matrix]:
-    """Every grid matrix that differs from ``dt`` on pair (k, l) alone, as
-    the axiom may edit it: IIR keeps the pair's matches, IIM need not."""
+def _pair_edits(axiom, dt: Matrix, k: int, l: int, max_matches: int) -> list[tuple[int, int]]:
+    """The edits the axiom may make to pair (k, l) of ``dt``, in grid
+    order, as the (matches, result) pairs other than its own: IIR keeps
+    the pair's matches, IIM need not. :func:`_with_pair` makes the matrix
+    of one edit."""
     m = (dt[k][l] + dt[l][k]) // 2
     a = (dt[k][l] - dt[l][k]) // 2
     counts = (m,) if axiom is Axiom.IIR else range(0, max_matches + 1)
-    edits = []
-    for m2 in counts:
-        for a2 in range(-m2, m2 + 1):
-            if (m2, a2) != (m, a):
-                row_k, row_l = list(dt[k]), list(dt[l])
-                row_k[l], row_l[k] = m2 + a2, m2 - a2
-                edited = list(dt)
-                edited[k], edited[l] = tuple(row_k), tuple(row_l)
-                edits.append(tuple(edited))
-    return edits
+    return [(m2, a2) for m2 in counts for a2 in range(-m2, m2 + 1) if (m2, a2) != (m, a)]
+
+
+def _with_pair(dt: Matrix, k: int, l: int, m: int, a: int) -> Matrix:
+    """``dt`` with pair (k, l) playing ``m`` matches for result ``a``."""
+    row_k, row_l = list(dt[k]), list(dt[l])
+    row_k[l], row_l[k] = m + a, m - a
+    edited = list(dt)
+    edited[k], edited[l] = tuple(row_k), tuple(row_l)
+    return tuple(edited)
 
 
 def _retry(draw):
@@ -650,22 +665,36 @@ def _retry(draw):
 
 
 def _random_dt(rng, n, max_matches, domain) -> tuple[Matrix, list[int]] | None:
-    """A drawn matrix in the domain and its schedule, or None."""
+    """A drawn matrix in the domain and its schedule, or None.
+
+    Each try draws the schedule, one count for every pair of a round
+    robin, else one per pair in :func:`_pairs` order, then one result per
+    pair. ``rng.randrange(a, b + 1)`` is what ``rng.randint(a, b)`` is
+    defined as, so the stream is the one ``randint`` draws.
+    """
     pairs = _pairs(n)
+    test = _DOMAIN_TEST[domain]
+    randrange = rng.randrange
 
     def draw():
         if domain == "roundrobin":
-            mvec = [rng.randint(1, max_matches)] * len(pairs)
+            mvec = [randrange(1, max_matches + 1)] * len(pairs)
         else:
-            mvec = [rng.randint(0, max_matches) for _ in pairs]
-        dt = _build_dt(n, pairs, mvec, [rng.randint(-m, m) for m in mvec])
-        return (dt, mvec) if _DOMAIN_TEST[domain](dt) else None
+            mvec = [randrange(0, max_matches + 1) for _ in pairs]
+        dt = _build_dt(n, pairs, mvec, [randrange(-m, m + 1) for m in mvec])
+        return (dt, mvec) if test(dt) else None
 
     return _retry(draw)
 
 
 def _random_candidate(axiom, rng, config):
-    """One random-mode candidate, or None when the draw failed."""
+    """One random-mode candidate, or None when the draw failed.
+
+    The draw takes an object count, then a matrix (:func:`_random_dt`),
+    then what the axiom adds to it: a relabelling for NEU, the second
+    input for additivity, or a pair and one of its edits for IIM and IIR.
+    Only the edit drawn is built into a matrix (:func:`_with_pair`).
+    """
     counts = config.object_counts
     if axiom.kind is AxiomKind.INDEPENDENCE:
         counts = [n for n in counts if n >= 4]
@@ -691,7 +720,7 @@ def _random_candidate(axiom, rng, config):
         # The second input keeps the drawn schedule, and must lie in the
         # domain too: irreducibility depends on the results.
         def second():
-            dt_b = _build_dt(n, pairs, mvec, [rng.randint(-m, m) for m in mvec])
+            dt_b = _build_dt(n, pairs, mvec, [rng.randrange(-m, m + 1) for m in mvec])
             return ([dt, None], [dt_b, None]) if _DOMAIN_TEST[config.domain](dt_b) else None
 
         return _retry(second)
@@ -709,7 +738,7 @@ def _random_candidate(axiom, rng, config):
         edits = _pair_edits(axiom, dt, k, l, config.max_matches)
         if not edits:
             return None
-        dt2 = edits[rng.randrange(len(edits))]
+        dt2 = _with_pair(dt, k, l, *edits[rng.randrange(len(edits))])
         return (dt, dt2, (k, l)) if _DOMAIN_TEST[config.domain](dt2) else None
 
     return _retry(edit)
@@ -758,6 +787,14 @@ def _invariance_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
 
 
 def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
+    """The judge of a pair of input slots ``(first, second)``.
+
+    It enters the first input and refuses the pair (None) if the method
+    is undefined on it or, for FP, does not rate it flat; only then does
+    it enter the second input, which it refuses the same way. Such a pair
+    was never admissible, so entering one input less changes no verdict.
+    Every input entered is checked against the radix before it is packed.
+    """
     fp, ep = axiom is Axiom.FP, axiom is Axiom.EP
     breaks = additivity_rule(axiom)
     # Inputs have entries in [0, 2 max_matches], so the entries of a sum
@@ -772,29 +809,31 @@ def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
 
     def enter(slot):
         """Fill an input slot ``[dt, None]`` with its record: the code of
-        ``dt`` and its pair masks; ``()`` if the method is undefined on
-        it."""
+        ``dt`` and its pair masks; ``()`` if the input refuses every pair,
+        as one the method is undefined on does, or, for FP, one it does
+        not rate flat."""
         dt = slot[0]
         if max(map(max, dt)) > 2 * max_matches:
             raise ValueError(f"entries of {dt} exceed twice max_matches={max_matches}")
         order = evaluator[dt]
-        slot[1] = () if order is None else (_pack(dt, radix), masks(order))
+        # Inputs rated flat, dense ranks all 0, rank no pair above or below.
+        refuses = order is None or fp and any(order)
+        slot[1] = () if refuses else (_pack(dt, radix), masks(order))
         return slot[1]
 
     def judge(first, second):
         a = first[1]
         if a is None:
             a = enter(first)
+        if not a:
+            return None
         b = second[1]
         if b is None:
             b = enter(second)
-        if not (a and b):
+        if not b:
             return None
         code, f = a
         other, g = b
-        # Inputs rated flat rank no pair above or below.
-        if fp and (f[0] | f[1] | g[0] | g[1]):
-            return None
         # Every method rates the sum of two problems it rates: connectivity
         # and irreducibility survive added matches, and the reasonable
         # epsilon needs only three objects and one match. So inputs with

@@ -26,7 +26,7 @@ from pairrank import (
 from pairrank import methods
 from pairrank.axioms import PairWitness, invariance_failures
 from pairrank.errors import MethodPreconditionError, NoComparisons, PreconditionUnmet, WitnessError
-from pairrank.model import Permutation, add, flat, irreducible, relabel, transpose
+from pairrank.model import Permutation, add, connected, flat, irreducible, relabel, round_robin, transpose
 from pairrank.search import (
     DOMAINS,
     _JUDGES,
@@ -564,6 +564,14 @@ def _counting_canonical(monkeypatch):
     return calls
 
 
+def _counting_rate(monkeypatch):
+    """Patch ``Method.rate`` to record the matrix of every problem it rates."""
+    rated = []
+    rate = Method.rate
+    monkeypatch.setattr(Method, "rate", lambda self, problem: rated.append(problem.scaled) or rate(self, problem))
+    return rated
+
+
 def test_symmetry_search_names_each_orbit_once(monkeypatch):
     # The grid's sweep names every even split by its representative and an
     # object order onto it, and a judged row is rated by that name, so a
@@ -606,6 +614,28 @@ def test_reversal_search_rates_grid_matrices_by_their_sweep_names(monkeypatch):
     assert len(firsts) == 49
     assert len(set(calls)) == len(calls) == 96
     assert sum(dt in firsts.values() for dt in calls) == 49
+
+
+@pytest.mark.parametrize(
+    "method, domain, rated, counts",
+    [
+        (Method("score"), "all", 217, (36_864, 36_864, 0)),
+        (Method("score"), "irreducible", 81, (12_144, 12_144, 0)),
+        (Method("cfb"), "all", 78, (5_270, 2, 1)),
+        (Method("cfb"), "irreducible", 5, (2, 2, 1)),
+    ],
+    ids=["score-all", "score-irreducible", "cfb-all", "cfb-irreducible"],
+)
+def test_independence_rows_without_candidates_rate_nothing(method, domain, rated, counts, monkeypatch):
+    # A named IIR row enters its matrix with its first candidate, so a
+    # row with none, such as the zero matrix in "all", whose pairs have no
+    # other result at zero matches, is never rated. Every other row has
+    # its matrix rated once per orbit, as before.
+    calls = _counting_rate(monkeypatch)
+    config = SearchConfig(object_counts=(2, 3, 4), domain=domain)
+    result = search(method, Axiom.IIR, config)
+    assert (result.examined, result.admissible, len(result.hits)) == counts
+    assert len(calls) == rated
 
 
 def test_orbit_layer_stops_at_four_objects(monkeypatch):
@@ -825,6 +855,137 @@ def test_random_rcs_candidates_lie_in_their_domain(domain):
         assert predicate(_problem(first)) and predicate(_problem(second)), candidate
         drawn += 1
     assert drawn > config.budget // 2
+
+
+@pytest.mark.parametrize(
+    "axiom, method, first",
+    [
+        # X1 wins every match, so fair bets is undefined.
+        (Axiom.CS, Method("fb"), ((0, 2, 2), (0, 0, 1), (0, 1, 0))),
+        # Least squares ranks X1 first, so the FP input is not flat.
+        (Axiom.FP, Method("ls"), ((0, 2, 2), (0, 0, 1), (0, 1, 0))),
+    ],
+    ids=["undefined", "not-flat"],
+)
+def test_additivity_judge_stops_at_an_input_that_refuses_the_pair(axiom, method, first, monkeypatch):
+    # A pair is refused as soon as one input cannot take part in it, so
+    # the judge never enters the second input: its slot stays unfilled
+    # and the method never rates it.
+    rated = _counting_rate(monkeypatch)
+    judge = _JUDGES[axiom.kind](axiom, _Evaluator(method), 1)
+    second = [((0, 1, 1), (1, 0, 1), (1, 1, 0)), None]
+    assert judge([first, None], second) is None
+    assert second[1] is None
+    assert len(rated) == 1
+
+
+# The draws as they were first written, with ``randint`` and every edit of
+# the drawn pair built before one is picked: the reference the draw stream
+# must keep.
+
+def _reference_build_dt(n, pairs, mvec, avec):
+    dt = [[0] * n for _ in range(n)]
+    for (i, j), m, a in zip(pairs, mvec, avec):
+        dt[i][j] = m + a
+        dt[j][i] = m - a
+    return tuple(tuple(row) for row in dt)
+
+
+_REFERENCE_DOMAIN_TEST = {"all": lambda dt: True, "connected": connected, "irreducible": irreducible, "roundrobin": round_robin}
+
+
+def _reference_retry(draw):
+    return next((found for found in (draw() for _ in range(200)) if found is not None), None)
+
+
+def _reference_pair_edits(axiom, dt, k, l, max_matches):
+    m = (dt[k][l] + dt[l][k]) // 2
+    a = (dt[k][l] - dt[l][k]) // 2
+    counts = (m,) if axiom is Axiom.IIR else range(0, max_matches + 1)
+    edits = []
+    for m2 in counts:
+        for a2 in range(-m2, m2 + 1):
+            if (m2, a2) != (m, a):
+                row_k, row_l = list(dt[k]), list(dt[l])
+                row_k[l], row_l[k] = m2 + a2, m2 - a2
+                edited = list(dt)
+                edited[k], edited[l] = tuple(row_k), tuple(row_l)
+                edits.append(tuple(edited))
+    return edits
+
+
+def _reference_random_dt(rng, n, max_matches, domain):
+    pairs = list(combinations(range(n), 2))
+
+    def draw():
+        if domain == "roundrobin":
+            mvec = [rng.randint(1, max_matches)] * len(pairs)
+        else:
+            mvec = [rng.randint(0, max_matches) for _ in pairs]
+        dt = _reference_build_dt(n, pairs, mvec, [rng.randint(-m, m) for m in mvec])
+        return (dt, mvec) if _REFERENCE_DOMAIN_TEST[domain](dt) else None
+
+    return _reference_retry(draw)
+
+
+def _reference_random_candidate(axiom, rng, config):
+    counts = config.object_counts
+    if axiom.kind is AxiomKind.INDEPENDENCE:
+        counts = [n for n in counts if n >= 4]
+    if not counts:
+        return None
+    n = rng.choice(counts)
+    pairs = list(combinations(range(n), 2))
+    drawn = _reference_random_dt(rng, n, config.max_matches, config.domain)
+    if drawn is None:
+        return None
+    dt, mvec = drawn
+    if axiom.kind is AxiomKind.INVARIANCE:
+        if axiom is Axiom.NEU:
+            image = list(range(n))
+            while image == list(range(n)):
+                rng.shuffle(image)
+            return dt, Permutation(tuple(image))
+        if axiom is Axiom.SYM:
+            return _reference_build_dt(n, pairs, mvec, repeat(0)), None
+        return dt, None
+    if axiom is Axiom.RCS:
+        def second():
+            dt_b = _reference_build_dt(n, pairs, mvec, [rng.randint(-m, m) for m in mvec])
+            return ([dt, None], [dt_b, None]) if _REFERENCE_DOMAIN_TEST[config.domain](dt_b) else None
+
+        return _reference_retry(second)
+    if axiom.kind is AxiomKind.ADDITIVITY:
+        drawn = _reference_random_dt(rng, n, config.max_matches, config.domain)
+        if drawn is None:
+            return None
+        dt_b, mvec_b = drawn
+        if axiom is Axiom.FP:
+            dt, dt_b = _reference_build_dt(n, pairs, mvec, repeat(0)), _reference_build_dt(n, pairs, mvec_b, repeat(0))
+        return [dt, None], [dt_b, None]
+
+    def edit():
+        k, l = pairs[rng.randrange(len(pairs))]
+        edits = _reference_pair_edits(axiom, dt, k, l, config.max_matches)
+        if not edits:
+            return None
+        dt2 = edits[rng.randrange(len(edits))]
+        return (dt, dt2, (k, l)) if _REFERENCE_DOMAIN_TEST[config.domain](dt2) else None
+
+    return _reference_retry(edit)
+
+
+@pytest.mark.parametrize("axiom", list(Axiom), ids=lambda axiom: axiom.ident)
+def test_random_candidates_keep_the_reference_draw_stream(axiom):
+    # Each draw must give the reference's candidate and leave its stream
+    # where the reference leaves it: the same calls, in the same order.
+    for domain, max_matches, counts, seed in product(DOMAINS, (1, 2), ((3, 4), (4, 5)), (3, 8)):
+        config = SearchConfig(object_counts=counts, max_matches=max_matches, domain=domain, mode="random", seed=seed)
+        for index in range(300):
+            rng, reference = _draw_rng(seed, index), _draw_rng(seed, index)
+            candidate = _random_candidate(axiom, rng, config)
+            assert candidate == _reference_random_candidate(axiom, reference, config), (domain, max_matches, counts, seed, index)
+            assert rng.getstate() == reference.getstate(), (domain, max_matches, counts, seed, index)
 
 
 # --- the pair-orbit pass against plain scans ---------------------------------
