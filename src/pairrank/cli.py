@@ -195,6 +195,10 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VIOLATION
 
 
+def _add_axiom_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--axiom", required=True, help="one of NEU, SYM, INV, CS, FP, EP, RCS, IIM, IIR")
+
+
 def _add_method_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--method", required=True, choices=METHOD_KEYS, help="rating method"
@@ -232,9 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank.set_defaults(func=_cmd_rank)
 
     audit = commands.add_parser("audit", help="check an axiom on a witness")
-    audit.add_argument(
-        "--axiom", required=True, help="one of NEU, SYM, INV, CS, FP, EP, RCS, IIM, IIR"
-    )
+    _add_axiom_flag(audit)
     _add_method_flags(audit)
     _add_format_flag(audit)
     audit.add_argument(
@@ -252,9 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.set_defaults(func=_cmd_audit)
 
     hunt = commands.add_parser("search", help="search for axiom violations")
-    hunt.add_argument(
-        "--axiom", required=True, help="one of NEU, SYM, INV, CS, FP, EP, RCS, IIM, IIR"
-    )
+    _add_axiom_flag(hunt)
     _add_method_flags(hunt)
     hunt.add_argument("--min-n", type=int, default=2, help="smallest object count")
     hunt.add_argument("--max-n", type=int, required=True, help="largest object count")

@@ -49,26 +49,26 @@ class _Tally:
 
     def exact(self, what: str, computed: Fraction, expected) -> None:
         expected = Fraction(expected)
-        if computed == expected:
-            self.passed += 1
-            self.lines.append(f"  {what} = {format_exact(expected)}  PASS")
-        else:
-            self.failed += 1
-            self.lines.append(
-                f"  {what}: stated {format_exact(expected)},"
-                f" computed {format_exact(computed)}  FAIL"
-            )
+        self._record(what, computed == expected, "=", format_exact(expected), format_exact(computed))
 
     def decimal(self, what: str, computed: Fraction, expected: str) -> None:
         got = format_decimal4(computed)
-        if got == expected:
+        self._record(what, got == expected, "~", expected, got)
+
+    def each(self, check, prefix: str, labels, computed, stated) -> None:
+        """Check each object's computed value against its stated one, with
+        ``check`` (:meth:`exact` or :meth:`decimal`); a table of another
+        length than the labels raises ``ValueError``."""
+        for lab, got, want in zip(labels, computed, stated, strict=True):
+            check(f"{prefix} {lab}", got, want)
+
+    def _record(self, what: str, ok: bool, relation: str, stated: str, got: str) -> None:
+        if ok:
             self.passed += 1
-            self.lines.append(f"  {what} ~ {expected}  PASS")
+            self.lines.append(f"  {what} {relation} {stated}  PASS")
         else:
             self.failed += 1
-            self.lines.append(
-                f"  {what}: stated {expected}, computed {got}  FAIL"
-            )
+            self.lines.append(f"  {what}: stated {stated}, computed {got}  FAIL")
 
     def note(self, text: str) -> None:
         self.lines.append(f"  note: {text}")
@@ -89,17 +89,14 @@ _FB_FAMILY = (("fb", fair_bets), ("dfb", dual_fair_bets), ("cfb", copeland_fair_
 def _check_fb_table(t: _Tally, problems, names, table) -> None:
     for key, fn in _FB_FAMILY:
         for name, problem, expected in zip(names, problems, table[key]):
-            rating = fn(problem)
-            for i, lab in enumerate(problem.labels):
-                t.exact(f"{key}({name}) {lab}", rating.values[i], expected[i])
+            t.each(t.exact, f"{key}({name})", problem.labels, fn(problem).values, expected)
 
 
 def _check_ls_pair(t: _Tally, pair, table) -> None:
     """Least squares of the first two objects of T and T' against ``table``."""
     for name, key, problem in zip(("T", "T'"), ("first", "second"), pair):
         q = least_squares(problem)
-        for i, lab in enumerate(problem.labels[:2]):
-            t.exact(f"ls {name} {lab}", q.values[i], table[key][i])
+        t.each(t.exact, f"ls {name}", problem.labels[:2], q.values[:2], table[key][:2])
 
 
 def _with_sum(pair) -> tuple[tuple[RankingProblem, ...], tuple[str, ...]]:
@@ -109,26 +106,17 @@ def _with_sum(pair) -> tuple[tuple[RankingProblem, ...], tuple[str, ...]]:
 
 def _example_1(t: _Tally) -> None:
     p = fx.EXAMPLE_1
-    s = score(p)
-    for i, lab in enumerate(p.labels):
-        t.exact(f"score (eps=0 column) {lab}", s.values[i], fx.EXAMPLE_1_SCORE[i])
+    t.each(t.exact, "score (eps=0 column)", p.labels, score(p).values, fx.EXAMPLE_1_SCORE)
     for printed, eps, cells in fx.EXAMPLE_1_TABLE:
         if Fraction(printed) != eps:
             t.note(
                 f"the column headed eps = {printed} is generated by eps = {eps};"
                 " its cells are checked at the generating value"
             )
-        x = generalized_row_sum(p, eps)
-        for i, lab in enumerate(p.labels):
-            t.decimal(f"grs[eps={eps}] {lab}", x.values[i], cells[i])
+        t.each(t.decimal, f"grs[eps={eps}]", p.labels, generalized_row_sum(p, eps).values, cells)
     q = least_squares(p)
     mn = derive(p).max_matches * p.size
-    for i, lab in enumerate(p.labels):
-        t.exact(
-            f"m*n*q (eps->inf column) {lab}",
-            mn * q.values[i],
-            fx.EXAMPLE_1_LIMIT_COLUMN[i],
-        )
+    t.each(t.exact, "m*n*q (eps->inf column)", p.labels, [mn * v for v in q.values], fx.EXAMPLE_1_LIMIT_COLUMN)
     t.skip("fair bets", "reducible; extension out of scope")
 
 
@@ -138,11 +126,9 @@ def _example_2(t: _Tally) -> None:
     for eps in fx.EXAMPLE_2_EPSILONS:
         want = fx.example_2_row_sum_first(eps)
         x = generalized_row_sum(first, eps)
-        t.exact(f"grs[eps={eps}] T X1", x.values[0], want)
-        t.exact(f"grs[eps={eps}] T X2", x.values[1], want)
+        t.each(t.exact, f"grs[eps={eps}] T", first.labels[:2], x.values[:2], (want, want))
         x2 = generalized_row_sum(second, eps)
-        t.exact(f"grs[eps={eps}] T' X1", x2.values[0], -1)
-        t.exact(f"grs[eps={eps}] T' X2", x2.values[1], -1)
+        t.each(t.exact, f"grs[eps={eps}] T'", second.labels[:2], x2.values[:2], (-1, -1))
         xs = generalized_row_sum(total, eps)
         t.exact(
             f"grs[eps={eps}] T'' X1-X2",
@@ -163,16 +149,9 @@ def _example_4(t: _Tally) -> None:
     p = fx.EXAMPLE_4
     t.exact("reasonable epsilon bound", reasonable_epsilon(p), Fraction(1, 3))
     x = generalized_row_sum(p, Fraction(1, 3))
-    for i, lab in enumerate(p.labels):
-        t.exact(f"grs[eps=1/3] {lab}", x.values[i], fx.EXAMPLE_4_ROW_SUM[i])
-    doubled = sum_problems(p, p)
-    xd = generalized_row_sum(doubled, Fraction(1, 3))
-    for i, lab in enumerate(p.labels):
-        t.decimal(
-            f"grs[eps=1/3] doubled {lab}",
-            xd.values[i],
-            fx.EXAMPLE_4_DOUBLED_DECIMALS[i],
-        )
+    t.each(t.exact, "grs[eps=1/3]", p.labels, x.values, fx.EXAMPLE_4_ROW_SUM)
+    xd = generalized_row_sum(sum_problems(p, p), Fraction(1, 3))
+    t.each(t.decimal, "grs[eps=1/3] doubled", p.labels, xd.values, fx.EXAMPLE_4_DOUBLED_DECIMALS)
 
 
 def _example_5(t: _Tally) -> None:
@@ -196,10 +175,8 @@ def _example_7(t: _Tally) -> None:
         want = fx.example_7_row_sum_first(eps)
         x = generalized_row_sum(first, eps)
         x2 = generalized_row_sum(second, eps)
-        t.exact(f"grs[eps={eps}] T X1", x.values[0], want)
-        t.exact(f"grs[eps={eps}] T X2", x.values[1], -want)
-        t.exact(f"grs[eps={eps}] T' X1", x2.values[0], -want)
-        t.exact(f"grs[eps={eps}] T' X2", x2.values[1], want)
+        t.each(t.exact, f"grs[eps={eps}] T", first.labels[:2], x.values[:2], (want, -want))
+        t.each(t.exact, f"grs[eps={eps}] T'", second.labels[:2], x2.values[:2], (-want, want))
     _check_ls_pair(t, fx.EXAMPLE_7, fx.EXAMPLE_7_LS)
     _check_fb_table(t, (first, second), ("T", "T'"), fx.EXAMPLE_7_TABLE)
 

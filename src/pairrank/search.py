@@ -1,111 +1,30 @@
 """Exhaustive and randomized counterexample search over small problems.
 
-Candidates are tournaments in the integer form a
+Candidates are built from tournaments in the integer form a
 :class:`~pairrank.model.RankingProblem` stores, at denominator 2: a
-matrix ``dt`` with ``dt[i][j] = 2 t[i][j]``, which makes the search
-space a finite grid. A pair playing ``m`` matches contributes
-``dt[i][j] = m + a`` and ``dt[j][i] = m - a`` for an integer result
-``a`` between ``-m`` and ``m``, so every candidate score is a
-half-integer. The canonical order is: ascending object count, then
-ascending total number of matches, then lexicographic on the flattened
-matrix. Domain filters and the transforms the axioms need (transpose,
-relabel, sum) are the scale-free kernels of :mod:`pairrank.model`,
-applied to the grid directly; a problem is built only to rate a
-candidate not rated before, or to report a witness.
+matrix ``dt`` with ``dt[i][j] = 2 t[i][j]``. A pair playing ``m``
+matches has ``dt[i][j] = m + a`` and ``dt[j][i] = m - a`` for an integer
+result ``a`` between ``-m`` and ``m``, so the space is a finite grid. A
+candidate is ``(dt, sigma)`` for invariance, two input slots
+``(first, second)`` for additivity, ``(first, second, pair)`` for
+independence, or ``None`` for a failed draw. It comes only in the shape
+its axiom takes: flat for SYM, one schedule for RCS, one edited pair on
+at least four objects for IIM and IIR. The canonical order is ascending
+object count, then ascending total number of matches, then lexicographic
+on the flattened matrix.
 
-A search is one scan over blocks of candidates from one of two sources:
-the grid walks the whole space in canonical order, one block per object
-count (exhaustive mode), and the draws make one block of ``budget``
-candidates from the seed (random mode). A block is a sequence of rows,
-each a run of candidates: one row per grid matrix for the axioms that
-take one matrix, else one row for the whole block. A candidate is a
-small tuple: ``(dt, sigma)`` for invariance, ``(first, second)`` for
-additivity, ``(first, second, pair)`` for independence, or ``None`` for
-a draw that failed. An additivity input is a slot ``[dt, None]``: the
-grid makes one per input matrix, which every pair of its group shares
-(on up to four objects it appends the number of the input's orbit),
-and each draw gets fresh ones. Both sources yield only the shape the
-axiom takes (a flat problem for SYM, one schedule for RCS, a single
-edited pair on at least four objects for IIM and IIR), and the grid
-also skips FP inputs the method does not rate flat, which cannot
-witness that axiom. The grid's matrices are the results of its
-schedules, the numbers of matches per object pair that the domain
-admits (:func:`_schedules`). Per schedule, each object's rows are
-tabulated once, since a row depends only on the results of the pairs
-that contain its object, and a matrix is assembled from one row per
-object (:func:`_buckets`). A flat matrix is the even split of its
-schedule, so SYM takes one candidate per schedule, and the grid builds
-no other matrix for it.
+Two invariants hold throughout. Every method is assumed neutral:
+relabelling the objects relabels their ratings and nothing else, and no
+precondition reads the labels. On up to ``ORBIT_OBJECTS`` objects the
+search rates and judges one member per relabelling orbit on that
+assumption; the NEU judge tests exactly it, so it rates directly. Every
+witness is replayed through :func:`~pairrank.axioms.run_check` before it
+is returned, in both modes, and must fail on the pairs the judge named.
 
-One judge per axiom family decides a candidate exactly. The evaluator
-depends on the method only: it rates each matrix once per search and
-keeps its weak order, the dense ranks of its ratings. Every method is
-neutral: relabelling the objects relabels the ratings and nothing else.
-So on up to four objects the evaluator rates only one canonical
-representative per relabelling orbit and maps its weak order back to
-each member, which changes no verdict. The NEU judge, which tests
-exactly that property, rates every matrix it judges directly, in a table
-of its own. Every judge decides with the rule the public checker runs on:
-a few bitwise operations on three bit masks per weak order, the object
-pairs it ranks above, below and tied (:func:`~pairrank.axioms.pair_masks`).
-The rules compare ratings only within one vector, so they give the same
-verdicts on weak orders as on ratings. The additivity judge fills an
-input's slot the first time it reads it, with the input packed into an
-int and its masks, refuses a pair at the first input that cannot take
-part, and looks a sum up by adding two codes, building it only the
-first time it is rated. A judge returns ``None`` exactly where
-the checker would refuse the witness, and the failing object pairs
-otherwise, so only a flagged candidate is built into a witness. That
-witness is replayed through the public checker before it is returned,
-in both modes, and must fail on the same pairs, so a reported witness
-is never a scan artifact.
-
-On up to four objects the grid names the orbit of each of its matrices
-in one sweep per bucket, the matrices with one total number of matches.
-A relabelling keeps the total, the domain, flatness and the FP filter,
-so a bucket, the even splits of its schedules and the inputs the FP
-filter keeps are each closed under relabelling. The sweep canonicalises
-the first member of each orbit it meets and marks that member's n!
-relabellings in the bucket; every later member takes the same
-representative, with its object order composed from the first member's
-(:func:`_sweep`). Above four objects the sweep names nothing, and every
-matrix takes the same path with no orbit to go by. A named grid matrix
-reaches the evaluator by its sweep name only: the additivity grid enters
-each input under it, and a judged SYM, INV, IIM or IIR row enters its
-matrix with its first candidate. So :func:`_canonical` runs only on
-the first member of each orbit a sweep meets, on the sums, transposes
-and edits the judges make, and on the draws.
-
-On up to four objects, exhaustive additivity also works one pair orbit
-at a time. Relabelling both inputs of a pair at once relabels their
-sum, so a neutral method gives every pair of an orbit one verdict. Such
-a block carries its schedule groups and input orbits, numbered in the
-order they first appear. The search first judges the first member of
-each orbit against every partner (for RCS, in its own schedule group)
-in its own orbit or a later one. Both rules are symmetric in the
-inputs, so a partner in a later orbit also stands for the swapped
-pairs, and each unordered pair of input orbits is judged from one row.
-If none fails, the count is settled in closed form without walking the
-block (:func:`_settle`). A failing pair does not say which pair the
-canonical walk meets first, so the search then walks the block: same
-witness, counts and replay as before.
-
-On up to four objects, exhaustive NEU, SYM, INV, IIM and IIR work one
-matrix orbit at a time. Each row names the orbit of its matrix (above
-four objects none, and every row is judged), and the search walks the
-rows in canonical order but judges a row only if its matrix is the
-first member of its orbit, or that member's row was not clean; any
-other row takes the first member's examined and admissible counts
-unjudged, and never builds its candidates. SYM, INV, IIM and IIR
-read the orbit table, and their candidate sets (the even splits, the
-domain test, the pair edits) are closed under relabelling, so every
-verdict follows the relabelling. The NEU judge rates directly, so there
-the first member R's row is clean only when all n! - 1 of its candidates
-are admissible and none fails. That rates every member sigma R directly
-and shows each one's weak order to be R's relabelled, so no candidate
-of a later member can fail either. Hits, their order, the counts at a
-limit stop and the replays are those of the full walk, and no row is
-judged twice.
+The grid is built by :func:`_schedules`, :func:`_buckets`, :func:`_sweep`,
+:func:`_grid` and :func:`_rows`, the draws by :func:`_random_candidate`.
+:class:`_Evaluator` rates, the judges decide, and :func:`_settle` and
+:func:`search` count what orbits settle.
 """
 
 from __future__ import annotations
@@ -161,12 +80,11 @@ class SearchConfig:
 
     ``object_counts`` lists the problem sizes to try, ``max_matches``
     caps how often a pair may meet, and ``domain`` restricts candidates
-    (all, connected, irreducible, roundrobin). Results are always
-    integers, so the grid is finite. In random mode each candidate is a
-    pure function of (seed, index), which makes runs reproducible; the
-    budget says how many candidates to draw. The search stops after
-    ``limit`` verified witnesses either way. Every count must be an
-    integer: a float raises ``TypeError`` instead of being truncated.
+    (all, connected, irreducible, roundrobin). In random mode each
+    candidate is a pure function of (seed, index), which makes runs
+    reproducible; the budget says how many candidates to draw. The search
+    stops after ``limit`` verified witnesses either way. Every count must
+    be an integer: a float raises ``TypeError`` instead of being truncated.
     """
 
     object_counts: tuple[int, ...] = (4,)
@@ -246,11 +164,9 @@ def _schedules(n: int, max_matches: int, domain: str):
     """The schedules of the grid on ``n`` objects that the domain admits,
     as one list per total number of matches, by ascending total. A
     schedule gives each object pair, in :func:`_pairs` order, its number
-    of matches, between 0 and ``max_matches``.
-
-    Every schedule is built once and grouped by its total; the sort is
-    stable, so each total's schedules stay in lexicographic order. A
-    relabelling keeps the total and the domain.
+    of matches, between 0 and ``max_matches``. Every schedule is built
+    once and grouped by its total; the sort is stable, so each total's
+    schedules stay in lexicographic order.
     """
     pairs = _pairs(n)
     # A round robin's total is m C(n, 2), and its schedule makes it a
@@ -286,14 +202,12 @@ def _buckets(n: int, max_matches: int, domain: str):
     canonical order, as one sorted list per total number of matches: the
     results of each schedule of :func:`_schedules`.
 
-    Object i's row depends only on the results of the pairs that contain
-    i, so per schedule each object's rows are tabulated once
-    (:func:`_row_table`), and a matrix is n lookups, one per object, by
-    its results. Equal rows are one tuple throughout, which keeps a
-    bucket small and quick to sort and search. A relabelling keeps the
-    total and the domain, so each bucket is closed under relabelling. No
-    bucket is kept once it is yielded, so a consumer that drops it frees
-    it before the next one is built.
+    Per schedule each object's rows are tabulated once
+    (:func:`_row_table`), and a matrix is n lookups, one per object.
+    Equal rows are one tuple throughout, which keeps a bucket small and
+    quick to sort and search. A relabelling keeps the total and the
+    domain, so each bucket is closed under relabelling. No bucket is kept
+    once yielded, so a consumer that drops it frees it before the next.
     """
     pairs = _pairs(n)
     rows: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -319,37 +233,22 @@ ORBIT_OBJECTS = 4
 
 class _Evaluator(dict):
     """Weak orders of candidate matrices under one method, whatever the
-    axiom, computed on first lookup.
+    axiom, computed on first lookup; ``None`` where the method is undefined.
 
     ``weak_order(dt)`` rates ``dt`` directly, through the method's public
-    implementation, and gives the dense rank 0..k-1 of each rating, taken
-    from the rating's integer numerators, which order like the ratings.
-    Equal weak orders share one tuple, and ``masks(order)`` gives its
+    implementation, and gives the dense rank 0..k-1 of each rating, from
+    its integer numerators, which order like the ratings. Equal weak
+    orders share one tuple, and ``masks(order)`` gives its
     :func:`~pairrank.axioms.pair_masks`, which every judge decides on.
-    ``None`` marks a candidate the method is undefined on.
     ``evaluator[dt]`` keeps the weak order of ``dt``; ``rate`` computes it
-    without keeping it: the additivity judge rates sums that way and
-    keeps only their pair masks, under the sum's code, in its own table.
+    without keeping it, as the additivity judge rates sums.
 
     Both rate one representative per relabelling orbit of a matrix on at
-    most ``ORBIT_OBJECTS`` objects (see :func:`_canonical`), keep its
-    weak order under the representative, and map it back to each member.
-    That is exact because every method is neutral: relabelling the
-    objects relabels their ratings and nothing else, and the
-    preconditions a method checks (connectivity, irreducibility, n and m)
-    do not depend on the labels, so ``None`` is shared too. The NEU judge
-    tests exactly that assumption, so it keeps a table of direct ratings
-    of its own. Larger matrices are rated directly, since
-    :func:`_canonical` may try n! orders of their objects.
-
-    The grid stores the weak order of each named matrix with
-    ``relabelled(rep, objs)`` from the sweep of its bucket
-    (:func:`_sweep`): every additivity input, and the matrix of every
-    judged SYM, INV, IIM or IIR row that has a candidate (:func:`_rows`).
-    So ``rate`` names by :func:`_canonical` only the matrices the grid
-    does not hand over by name: a sum, a transpose, an edit or a draw.
-    The additivity judge looks a sum up here before it rates it, so a sum
-    equal to an input is not named twice either.
+    most ``ORBIT_OBJECTS`` objects (:func:`_canonical`), keep its weak
+    order, ``None`` included, under the representative, and map it back
+    to each member. The grid enters what its sweep names by those names
+    (``relabelled``), so ``rate`` canonicalises only the sums, transposes,
+    edits and draws.
     """
 
     def __init__(self, method: Method):
@@ -380,7 +279,6 @@ class _Evaluator(dict):
             shared = self[rep] = self.weak_order(rep)
         if shared is None:
             return None
-        # Position k of the representative is object objs[k] of dt.
         order = [0] * len(objs)
         for k, i in enumerate(objs):
             order[i] = shared[k]
@@ -439,18 +337,15 @@ def _sweep(bucket: list[Matrix]):
     ``(dt, None, None)``.
 
     ``bucket`` must be sorted and closed under relabelling, as every
-    bucket of :func:`_buckets` is, and so is any part of one that a
-    relabelling-closed filter keeps, such as the inputs the FP filter
-    keeps. The sorted even splits of one total's schedules, SYM's
-    candidates, are one too. The first member of an orbit met in
-    the walk is the only one canonicalised: it marks each of its n!
-    relabellings, found by bisection, with one int, its orbit's number
-    times n! plus the index of the relabelling that reaches it. A later
-    member dt = p(first) then composes its order from the first
-    member's: ``objs[k] = p^-1(objs_first[k])``. The marks live only
-    while the bucket is walked: chained as
-    ``chain.from_iterable(map(_sweep, buckets))``, a bucket and its marks
-    are freed before the next bucket is built.
+    bucket of :func:`_buckets` is, the part of one that the FP filter
+    keeps, and the sorted even splits of one total's schedules. The first
+    member of an orbit met in the walk is the only one canonicalised: it
+    marks each of its n! relabellings, found by bisection, with one int,
+    its orbit's number times n! plus the index of the relabelling that
+    reaches it. A later member dt = p(first) then composes its order from
+    the first member's: ``objs[k] = p^-1(objs_first[k])``. The marks live
+    only while the bucket is walked: chained by ``chain.from_iterable``, a
+    bucket and its marks are freed before the next bucket is built.
     """
     if not bucket:
         return
@@ -503,12 +398,11 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
     ``rows`` is a lazy iterator of ``(orbit, candidates)`` that binds its
     own inputs, so blocks may be taken before any is walked. An additivity
     block is one row of all its pairs, with ``orbit`` None; the other
-    axioms make one row per grid matrix (see :func:`_rows`). Either way
-    the matrices come from :func:`_sweep`. An additivity input that the
-    sweep names is entered in the evaluator under that name, and its
-    orbit is recorded. ``tables`` is None, except for an additivity block
-    that recorded orbits: then it is the ``(groups, orbits)`` that
-    :func:`_settle` may decide the count by.
+    axioms make one row per grid matrix (:func:`_rows`). An additivity
+    input that :func:`_sweep` names is entered in the evaluator under that
+    name, and its orbit is recorded. ``tables`` is None, except for an
+    additivity block that recorded orbits: then it is the
+    ``(groups, orbits)`` that :func:`_settle` may decide the count by.
     """
     for n in config.object_counts:
         if axiom.kind is not AxiomKind.ADDITIVITY:
@@ -519,19 +413,15 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
         groups: dict[Matrix | None, list] = {}
         orbits: dict[Matrix, list] = {}
         for dt, rep, objs in chain.from_iterable(map(_sweep, _buckets(n, config.max_matches, config.domain))):
-            # Rate a named dt through its sweep name, so that neither the FP
-            # filter (only inputs rated flat, dense ranks all 0) nor the
-            # judge canonicalises it.
             if rep is not None:
                 evaluator[dt] = evaluator.relabelled(rep, objs)
+            # An input rated flat has dense ranks all 0.
             if axiom is Axiom.FP and ((v := evaluator[dt]) is None or any(v)):
                 continue
             slot = [dt, None]
             group = groups.setdefault(add(dt, transpose(dt)) if axiom is Axiom.RCS else None, [])
             group.append(slot)
             if rep is not None:
-                # Orbits are numbered in the order they first appear, and
-                # the slot carries its orbit's number for _settle.
                 orbit = orbits.setdefault(rep, [slot, group, 0, len(orbits)])
                 orbit[2] += 1
                 slot.append(orbit[3])
@@ -541,29 +431,22 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
 
 def _rows(axiom: Axiom, config: SearchConfig, n: int, evaluator: _Evaluator):
     """The invariance or independence candidates on ``n`` objects, as one
-    row ``(orbit, candidates)`` per grid matrix, in canonical order. For
-    SYM the grid matrices are the even splits of the schedules, one per
-    schedule, sorted per total, and no bucket is built.
+    row ``(orbit, candidates)`` per grid matrix, in canonical order:
+    ``orbit`` is the representative :func:`_sweep` names, or None.
 
-    ``orbit`` is the representative that the sweep of the matrix's bucket
-    gives it (:func:`_sweep`), or None where the sweep names nothing; the
-    search judges every such row. A named row enters its matrix in the
-    evaluator under the sweep's name, ``relabelled(rep, objs)``, with its
-    first candidate, as the additivity grid enters its inputs, so no
-    judge puts the row's matrix in canonical form again, and a row with
-    no candidate rates nothing. NEU rows enter nothing: the NEU judge
-    rates directly. ``candidates`` are
-    lazy: a row that :func:`search` settles by its orbit never enters
-    its matrix, builds its edited pairs nor runs the domain test on
-    them.
+    A named row enters its matrix in the evaluator under its sweep name
+    with its first candidate, so no judge canonicalises it; NEU rows
+    enter nothing, since the NEU judge rates directly. ``candidates`` are
+    lazy: a row that :func:`search` settles by its orbit enters nothing,
+    builds no edit and runs no domain test.
     """
     if axiom.kind is AxiomKind.INDEPENDENCE and n < 4:
         return
     pairs = _pairs(n)
     if axiom is Axiom.SYM:
         # A flat grid matrix is the even split of its schedule, and it lies
-        # in the domain exactly when its schedule does: on a connected
-        # schedule it is irreducible.
+        # in the domain exactly when its schedule does (on a connected
+        # schedule it is irreducible), so SYM builds no bucket.
         splits = lambda schedules: sorted(_build_dt(n, pairs, mvec, repeat(0)) for mvec in schedules)
         buckets = map(splits, _schedules(n, config.max_matches, config.domain))
     else:
@@ -608,22 +491,18 @@ def _settle(judge, groups, orbits) -> tuple[int, int] | None:
     ``groups`` are the block's input groups: g (g + 1) / 2 pairs each.
     ``orbits`` holds, per relabelling orbit of inputs in the order the
     orbits first appear, the slot of its first member R, R's partners,
-    the orbit's size and its number; each slot carries its orbit's
-    number as its third entry. A grid pair (A, B) relabels to a pair
-    (R, B'), where B' is a partner of R in B's orbit: the domains and
-    the FP filter are closed under relabelling, and B' keeps R's
-    schedule when B keeps A's. A neutral method gives both the same
-    verdict. An orbit of size s stands for s ordered pairs per
-    admissible partner, and counting the pairs (A, A) twice makes the
-    ordered count twice the unordered.
+    the orbit's size and its number, which each slot carries as its
+    third entry. A grid pair (A, B) relabels to a pair (R, B'), with B' a
+    partner of R in B's orbit: the domains and the FP filter are closed
+    under relabelling, and B' keeps R's schedule when B keeps A's. So a
+    neutral method gives both one verdict, and an orbit of size s stands
+    for s ordered pairs per admissible partner.
 
-    Both rules are symmetric in the inputs, so the pairs with A in
-    orbit O and B in a later orbit O' have the verdicts of their swaps,
-    the pairs with A in O' and B in O. So R is judged only against the
-    partners in its own orbit or a later one, in their canonical order,
-    and an admissible partner in a later orbit counts for both: 2 s
-    ordered pairs. Each unordered pair of orbits is judged from one of
-    its two rows, not from both.
+    Both rules are symmetric in the inputs, so R is judged only against
+    the partners in its own orbit or a later one, in canonical order, and
+    an admissible partner in a later orbit also stands for the swapped
+    pairs: 2 s ordered pairs. Counting the pairs (A, A) twice makes the
+    ordered count twice the unordered.
     """
     ordered = diagonal = 0
     number_of = operator.itemgetter(2)
@@ -664,20 +543,22 @@ def _retry(draw):
     return next((found for found in (draw() for _ in range(200)) if found is not None), None)
 
 
-def _random_dt(rng, n, max_matches, domain) -> tuple[Matrix, list[int]] | None:
+def _random_dt(rng, n, max_matches, domain, schedule=None) -> tuple[Matrix, list[int]] | None:
     """A drawn matrix in the domain and its schedule, or None.
 
-    Each try draws the schedule, one count for every pair of a round
-    robin, else one per pair in :func:`_pairs` order, then one result per
-    pair. ``rng.randrange(a, b + 1)`` is what ``rng.randint(a, b)`` is
-    defined as, so the stream is the one ``randint`` draws.
+    Each try draws the schedule, unless ``schedule`` is given: one count
+    for every pair of a round robin, else one per pair in :func:`_pairs`
+    order; then one result per pair. ``rng.randrange(a, b + 1)`` is
+    ``rng.randint(a, b)`` by definition, so the stream is ``randint``'s.
     """
     pairs = _pairs(n)
     test = _DOMAIN_TEST[domain]
     randrange = rng.randrange
 
     def draw():
-        if domain == "roundrobin":
+        if schedule is not None:
+            mvec = schedule
+        elif domain == "roundrobin":
             mvec = [randrange(1, max_matches + 1)] * len(pairs)
         else:
             mvec = [randrange(0, max_matches + 1) for _ in pairs]
@@ -716,16 +597,10 @@ def _random_candidate(axiom, rng, config):
             # The even split of the drawn schedule: m to each side of a pair.
             return _build_dt(n, pairs, mvec, repeat(0)), None
         return dt, None
-    if axiom is Axiom.RCS:
-        # The second input keeps the drawn schedule, and must lie in the
-        # domain too: irreducibility depends on the results.
-        def second():
-            dt_b = _build_dt(n, pairs, mvec, [rng.randrange(-m, m + 1) for m in mvec])
-            return ([dt, None], [dt_b, None]) if _DOMAIN_TEST[config.domain](dt_b) else None
-
-        return _retry(second)
     if axiom.kind is AxiomKind.ADDITIVITY:
-        drawn = _random_dt(rng, n, config.max_matches, config.domain)
+        # RCS's second input keeps the drawn schedule: only its results are
+        # drawn again, until they too lie in the domain.
+        drawn = _random_dt(rng, n, config.max_matches, config.domain, mvec if axiom is Axiom.RCS else None)
         if drawn is None:
             return None
         dt_b, mvec_b = drawn
@@ -756,13 +631,14 @@ def _draw_rng(seed: int, index: int) -> random.Random:
 # when the public checker would refuse the candidate's witness. Each
 # applies its family's rule on pair bit masks (``invariance_rule``,
 # ``additivity_rule``, ``independence_breaks``), the rule the matching
-# ``*_failures`` core runs on, and never calls a core itself.
+# ``*_failures`` core runs on, and never calls a core itself. The rules
+# compare ratings only within one vector, so weak orders give the
+# verdicts the ratings give.
 
 def _invariance_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
     neu, sym = axiom is Axiom.NEU, axiom is Axiom.SYM
     breaks = invariance_rule(axiom)
     masks = evaluator.masks
-    # NEU tests the neutrality the orbit table assumes: it rates directly.
     rated = cache(evaluator.weak_order) if neu else evaluator.__getitem__
 
     def judge(dt, sigma):
@@ -791,27 +667,22 @@ def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
 
     It enters the first input and refuses the pair (None) if the method
     is undefined on it or, for FP, does not rate it flat; only then does
-    it enter the second input, which it refuses the same way. Such a pair
-    was never admissible, so entering one input less changes no verdict.
-    Every input entered is checked against the radix before it is packed.
+    it enter the second, and refuse it the same way. Such a pair was
+    never admissible, so entering one input less changes no verdict.
     """
     fp, ep = axiom is Axiom.FP, axiom is Axiom.EP
     breaks = additivity_rule(axiom)
     # Inputs have entries in [0, 2 max_matches], so the entries of a sum
-    # stay below the radix, and the codes of two inputs add up to the
-    # sum's code plus the zero matrix's: no sum is built to be looked up.
-    # The leading count, 2 n, keeps sums of different sizes apart.
-    # Inputs are rated in the evaluator; ``by_code`` holds the pair masks
-    # of sums only, under their inputs' codes added.
+    # stay below the radix and two inputs' codes add up to a key of their
+    # sum (:func:`_pack`): no sum is built to be looked up. ``by_code``
+    # holds the pair masks of sums only; inputs are rated in the evaluator.
     radix = 4 * max_matches + 1
     masks = evaluator.masks
     by_code: dict[int, tuple[int, int, int] | None] = {}
 
     def enter(slot):
-        """Fill an input slot ``[dt, None]`` with its record: the code of
-        ``dt`` and its pair masks; ``()`` if the input refuses every pair,
-        as one the method is undefined on does, or, for FP, one it does
-        not rate flat."""
+        """Fill an input slot ``[dt, None]`` with the code of ``dt`` and its
+        pair masks, or with ``()`` if the input refuses every pair."""
         dt = slot[0]
         if max(map(max, dt)) > 2 * max_matches:
             raise ValueError(f"entries of {dt} exceed twice max_matches={max_matches}")
@@ -895,17 +766,23 @@ def _witness(axiom: Axiom, candidate):
 def search(method: Method, axiom: Axiom, config: SearchConfig) -> SearchResult:
     """Look for witnesses violating ``axiom`` under ``method``.
 
-    Exhaustive mode scans the whole candidate grid in canonical order,
-    one object count at a time, and is deterministic; a count that
-    :func:`_settle` decides is counted without being walked, and so is a
-    row whose orbit's first member was clean. Random mode
-    scans ``config.budget`` candidates derived from the seed. Either way
-    each candidate is judged exactly, and each flagged one is replayed
-    through the public checker. Returns
-    the verified hits plus how many candidates were examined and how
-    many were admissible (shape valid and method defined). ``exhausted``
-    is False exactly when the scan stopped early because the witness
-    limit was reached.
+    Exhaustive mode scans the grid in canonical order and is
+    deterministic; random mode scans ``config.budget`` draws from the
+    seed. Returns the verified hits, and how many candidates were
+    examined and admissible (shape valid and method defined).
+    ``exhausted`` is False exactly when the scan stopped at the limit.
+
+    An additivity block that :func:`_settle` finds clean takes its
+    closed-form counts unwalked. A row whose matrix is not the first
+    member R of its orbit takes the counts of R's row unjudged, if that
+    row was clean. For SYM, INV, IIM and IIR clean means without a hit:
+    their judges read the orbit table, and a relabelled matrix has the
+    relabelled candidates, so every verdict follows the relabelling. As
+    the NEU judge rates directly, a NEU row is clean only when all n! - 1
+    candidates of R are admissible and none fails, which shows every
+    member's weak order to be R's relabelled. Either way the hits, their
+    order, the counts at a limit stop and the replays are those of the
+    full walk, and no row is judged twice.
     """
     evaluator = _Evaluator(method)
     judge = _JUDGES[axiom.kind](axiom, evaluator, config.max_matches)
@@ -947,8 +824,6 @@ def search(method: Method, axiom: Axiom, config: SearchConfig) -> SearchResult:
                         return SearchResult(tuple(hits), examined, admissible, exhausted=False)
             if orbit is not None and orbit not in clean:
                 counts = examined - start[0], admissible - start[1]
-                # NEU rates directly, so only a first member whose every
-                # relabelling is admissible speaks for the others.
                 whole = axiom is not Axiom.NEU or counts[0] == counts[1]
                 clean[orbit] = counts if whole and len(hits) == start[2] else None
     return SearchResult(tuple(hits), examined, admissible, exhausted=True)

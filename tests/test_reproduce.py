@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 
 from pairrank import render_reports, reproduce_example, reproduce_many
 from pairrank.errors import UnknownExample
+from pairrank.reproduce import _Tally
 
 # Checks asserted per example. Example 5 carries six failing table
 # entries on top of these; see its test below.
@@ -66,3 +69,20 @@ def test_reports_expose_headers_and_tallies():
         assert report.lines[0] == f"example {report.number}"
         tally = report.lines[-1]
         assert tally == f"example {report.number}: {report.passed} passed, {report.failed} failed"
+
+
+def test_full_report_is_pinned():
+    # The digest of the whole report, 246 lines: every check line's wording,
+    # value and verdict, the notes, the skip and the tallies.
+    full = render_reports(reproduce_many(range(1, 9)))
+    assert len(full.splitlines()) == 246
+    assert hashlib.sha256(full.encode()).hexdigest() == (
+        "eb4dbe7c55f2884d65878f1ef77b9e94eb341395efa5bba1404a462371c4fcb3"
+    )
+
+
+@pytest.mark.parametrize("stated", [(1,), (1, 2, 3)], ids=["short", "long"])
+def test_a_table_of_another_length_than_the_labels_is_refused(stated):
+    tally = _Tally(1)
+    with pytest.raises(ValueError):
+        tally.each(tally.exact, "score", ("X1", "X2"), (1, 2), stated)
