@@ -14,8 +14,10 @@ own line, then the tournament rows, entries separated by whitespace.
 Rational literals are written as ``p/q``, an integer, or a decimal with
 at most six fractional digits, and read as an integer numerator and
 denominator; a matrix file becomes integers over the lcm of its
-denominators, with no Fraction made. Floats never appear: rendering uses
-exact fractions plus a fixed four-decimal column rounded half to even.
+denominators, with no Fraction made. Floats never appear: rendering
+writes integers over a denominator as a fraction in lowest terms plus a
+fixed four-decimal column rounded half to even, again with no Fraction
+made.
 """
 
 from __future__ import annotations
@@ -143,12 +145,16 @@ def parse_matrix(text: str) -> RankingProblem:
         entries = line.split()
         if len(entries) != n:
             raise ParseError(f"line {lineno}: expected {n} entries, got {len(entries)}")
-        try:
-            rows.append([known[e] if e in known else known.setdefault(e, _rational_parts(e)) for e in entries])
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-    scale = math.lcm(*(d for row in rows for _, d in row))
-    scaled = [[v * (scale // d) for v, d in row] for row in rows]
+        for entry in entries:
+            if entry not in known:
+                try:
+                    known[entry] = _rational_parts(entry)
+                except ParseError as exc:
+                    raise ParseError(f"line {lineno}: {exc}") from None
+        rows.append(entries)
+    scale = math.lcm(*(d for _, d in known.values()))
+    value = {entry: v * (scale // d) for entry, (v, d) in known.items()}
+    scaled = [[value[entry] for entry in row] for row in rows]
     return RankingProblem.from_scaled(labels, scaled, scale)
 
 
@@ -160,16 +166,32 @@ def parse_problem(text: str, form: str = "matrix") -> RankingProblem:
     raise ValueError(f"unknown format {form!r}, expected 'matches' or 'matrix'")
 
 
+def _exact_text(numerator: int, denominator: int) -> str:
+    """``numerator / denominator`` (denominator > 0) in lowest terms, written as a Fraction is."""
+    g = math.gcd(numerator, denominator)
+    if g == denominator:
+        return str(numerator // g)
+    return f"{numerator // g}/{denominator // g}"
+
+
+def _decimal4_text(numerator: int, denominator: int) -> str:
+    """``numerator / denominator`` (denominator > 0) with exactly four
+    decimals, rounding half to even; a value that rounds to zero has no sign."""
+    units, rest = divmod(numerator * 10_000, denominator)
+    if 2 * rest > denominator or (2 * rest == denominator and units % 2):
+        units += 1
+    sign = "-" if units < 0 else ""
+    units = abs(units)
+    return f"{sign}{units // 10_000}.{units % 10_000:04d}"
+
+
 def format_exact(value: Fraction) -> str:
-    return str(value)
+    return _exact_text(value.numerator, value.denominator)
 
 
 def format_decimal4(value: Fraction) -> str:
     """Render with exactly four decimals, rounding half to even."""
-    units = round(value * 10_000)
-    sign = "-" if units < 0 else ""
-    units = abs(units)
-    return f"{sign}{units // 10_000}.{units % 10_000:04d}"
+    return _decimal4_text(value.numerator, value.denominator)
 
 
 def render_matrix(problem: RankingProblem) -> str:
@@ -177,9 +199,10 @@ def render_matrix(problem: RankingProblem) -> str:
     for label in problem.labels:
         if not label or "#" in label or any(ch.isspace() for ch in label):
             raise ValueError(f"label {label!r} cannot be written in matrix format")
+    d = problem.denominator
     lines = ["labels: " + " ".join(problem.labels), str(problem.size)]
-    for row in problem.tournament:
-        lines.append(" ".join(format_exact(v) for v in row))
+    for row in problem.scaled:
+        lines.append(" ".join(_exact_text(v, d) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -189,12 +212,12 @@ def render_match_list(problem: RankingProblem) -> str:
         if "," in label or "#" in label or label != label.strip() or len(label.splitlines()) != 1:
             raise ValueError(f"label {label!r} cannot be written in match-list format")
     lines = ["i,j,tij,tji"]
-    t = problem.tournament
+    t, d = problem.scaled, problem.denominator
     n = problem.size
     for i in range(n):
         for j in range(i + 1, n):
             lines.append(
-                f"{problem.labels[i]},{problem.labels[j]},{format_exact(t[i][j])},{format_exact(t[j][i])}"
+                f"{problem.labels[i]},{problem.labels[j]},{_exact_text(t[i][j], d)},{_exact_text(t[j][i], d)}"
             )
     return "\n".join(lines) + "\n"
 
@@ -202,15 +225,16 @@ def render_match_list(problem: RankingProblem) -> str:
 def render_rating(rating: RatingVector, exact_only: bool = False) -> str:
     """One tab-separated line per object, best first (ties by index):
     label, exact value, four-decimal value. A final line prints the weak
-    order. ``exact_only`` drops the decimal column."""
+    order. ``exact_only`` drops the decimal column. The cells are written
+    from the rating's integers, ``scaled[i] / denominator``."""
     order = ranking(rating)
-    labels = rating.labels
+    labels, scaled, d = rating.labels, rating.scaled, rating.denominator
     lines = []
     for tier in order.tiers:
         for i in tier:
-            cells = [labels[i], format_exact(rating.values[i])]
+            cells = [labels[i], _exact_text(scaled[i], d)]
             if not exact_only:
-                cells.append(format_decimal4(rating.values[i]))
+                cells.append(_decimal4_text(scaled[i], d))
             lines.append("\t".join(cells))
     lines.append(order.describe(labels))
     return "\n".join(lines) + "\n"

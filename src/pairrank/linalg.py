@@ -17,6 +17,15 @@ results are the integer vector D x, with D the last pivot: by Cramer's
 rule its entries are minors too, so the back substitution's divisions
 are exact as well, and a nonzero remainder is raised as an internal
 error.
+
+The row-sum and least-squares systems are symmetric, and elimination
+keeps them so: before any row swap, the entry in row i and column j
+after pivot k is the minor of the leading k + 1 rows and columns
+bordered by row i and column j, and transposing that minor swaps i and
+j. So on a symmetric square block each pivot updates only the entries
+on and right of each lower row's diagonal, about n**3 / 6 updates in
+place of n**3 / 3, and reads the row's factor ``f`` from the pivot row,
+where the same minor stands above the diagonal.
 """
 
 from __future__ import annotations
@@ -52,14 +61,42 @@ def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
     Only the rows below it change, and only right of the pivot column;
     nothing reads the stale entries left of that. Returns the pivot
     columns and the last pivot D (1 if there is none).
+
+    When the rows form a symmetric ``columns`` x ``columns`` block (plus
+    any columns to its right), the pivots stay on the diagonal, and each
+    lower row is updated only from its diagonal rightwards, with its
+    factor read from the pivot row (see the module docstring). The
+    entries below the diagonal are then left as given. At the first
+    zero diagonal pivot a swap would break the symmetry, so the upper
+    entries of the block still to be reduced are copied below its
+    diagonal, where they equal what the full update would have left
+    there, and elimination goes on as above: the pivots, D and every
+    entry that back substitution reads are the same on either path.
     """
     m = len(rows)
     pivots: list[int] = []
     previous = 1
+    # A list never equals a tuple, so each row is compared as a tuple.
+    symmetric = m == columns and all(
+        tuple(row[:m]) == column for row, column in zip(rows, zip(*rows))
+    )
     for col in range(columns):
         rank = len(pivots)
         if rank == m:
             break
+        if symmetric:
+            pivot_row = rows[col]
+            p = pivot_row[col]
+            if p:
+                for i in range(col + 1, m):
+                    row, f = rows[i], pivot_row[i]
+                    row[i:] = [(p * x - f * y) // previous for x, y in zip(row[i:], pivot_row[i:])]
+                previous = p
+                pivots.append(col)
+                continue
+            symmetric = False
+            for i in range(col + 1, m):
+                rows[i][col:i] = [rows[j][i] for j in range(col, i)]
         for pivot_index in range(rank, m):
             if rows[pivot_index][col]:
                 break

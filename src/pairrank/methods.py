@@ -162,14 +162,22 @@ def least_squares(problem: RankingProblem) -> RatingVector:
 
     Needs a connected comparison multigraph; otherwise components could
     drift against each other and the system has no meaning (and no
-    unique centred solution). The last equation, implied by the others,
-    is replaced by the centring e^T q = 0.
+    unique centred solution). The last object is grounded at q_n = 0:
+    the last equation is implied by the others, and on a connected
+    problem the rest, L without its last row and column, is symmetric
+    positive definite, so the symmetric elimination solves it without a
+    row swap. Subtracting the mean then centres q: with q = Q / D, the
+    rating is x = (n Q - sum(Q)) / (n D).
     """
     if not is_connected(problem):
         raise DisconnectedProblem("comparison multigraph is not connected")
     laplacian = derive(problem).laplacian
     net = _net_results(problem)
-    x, pivot = linalg.solve([*laplacian[:-1], [1] * problem.size], [*net[:-1], 0])
+    q, pivot = linalg.solve([row[:-1] for row in laplacian[:-1]], net[:-1])
+    q.append(0)
+    total, n = sum(q), problem.size
+    x = [n * v - total for v in q]
+    pivot *= n
     # The identity L x = net, e^T x = 0, checked in integers on x = X / D.
     if linalg.mat_vec(laplacian, x) != [pivot * v for v in net] or sum(x) != 0:
         raise RuntimeError("internal: constrained solve left a nonzero residual")

@@ -20,7 +20,7 @@ from pairrank import (
     render_rating,
     score,
 )
-from pairrank import RankingProblem
+from pairrank import RankingProblem, RatingVector, fixtures, is_irreducible, ranking
 from pairrank.errors import DiagonalNonZero, NegativeEntry, NonIntegerPairSum, ParseError
 from pairrank.fixtures import EXAMPLE_4, EXAMPLE_5
 
@@ -262,3 +262,57 @@ def test_format_exact_is_fraction_repr():
     assert format_exact(F(-7, 4)) == "-7/4"
     assert format_exact(F(3)) == "3"
     assert render_matrix(EXAMPLE_4).startswith("labels: X1 X2 X3\n3\n0 3/2 1/2\n")
+
+
+def _reference_decimal4(value):
+    units = round(value * 10_000)
+    return f"{'-' if units < 0 else ''}{abs(units) // 10_000}.{abs(units) % 10_000:04d}"
+
+
+def _reference_render(rating, exact_only=False):
+    """render_rating from the Fraction view: ``str`` of each value, and
+    four decimals rounded half to even by ``round``."""
+    order = ranking(rating)
+    lines = []
+    for tier in order.tiers:
+        for i in tier:
+            value = rating.values[i]
+            cells = [rating.labels[i], str(value)] + ([] if exact_only else [_reference_decimal4(value)])
+            lines.append("\t".join(cells))
+    return "\n".join([*lines, order.describe(rating.labels)]) + "\n"
+
+
+def test_render_rating_matches_a_fraction_reference():
+    rng = random.Random(32)
+    ratings = []
+    for _ in range(2):
+        problem = random_problem(rng, 32, require=is_irreducible)
+        ratings += [Method(key).rate(problem) for key in ("score", "ls", "fb", "dfb", "cfb")]
+        ratings += [Method("grs", eps).rate(problem) for eps in ("reasonable", F(1, 3))]
+    # Values halfway between two four-decimal steps, both signs, and
+    # values that round to zero from below.
+    ties = "4\n0 0 0 1/2\n0 0 1/2 1\n1 1/2 0 1/2\n1/2 0 1/2 0\n"
+    ratings.append(Method("dfb").rate(parse_matrix(ties)))
+    ratings.append(RatingVector("score", tuple("abcdefgh"), (1, -1, 3, -3, 5, -5, 20000, -20001), 20000))
+    ratings.append(RatingVector("score", ("a", "b", "c"), (0, -7, 7), 1))
+    for rating in ratings:
+        for exact_only in (False, True):
+            assert render_rating(rating, exact_only) == _reference_render(rating, exact_only)
+
+
+def _fixture_problems():
+    for value in vars(fixtures).values():
+        for problem in value if isinstance(value, tuple) else (value,):
+            if isinstance(problem, RankingProblem):
+                yield problem
+
+
+def test_render_matrix_and_match_list_match_the_fraction_view():
+    problems = list(_fixture_problems())
+    assert len(problems) > 10
+    for p in problems:
+        t = p.tournament
+        matrix = ["labels: " + " ".join(p.labels), str(p.size), *(" ".join(map(str, row)) for row in t)]
+        assert render_matrix(p) == "\n".join(matrix) + "\n"
+        pairs = [f"{p.labels[i]},{p.labels[j]},{t[i][j]},{t[j][i]}" for i in range(p.size) for j in range(i + 1, p.size)]
+        assert render_match_list(p) == "\n".join(["i,j,tij,tji", *pairs]) + "\n"

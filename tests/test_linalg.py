@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import flat_round_robin, labels_for, random_problem
 
-from pairrank import derive
+from pairrank import RankingProblem, derive, is_connected, reasonable_epsilon
 from pairrank.errors import FullRank, RankTooLow, SingularMatrix
 from pairrank.fixtures import EXAMPLE_4
-from pairrank.linalg import _integer_row, mat_vec, nullspace_1d, solve
+from pairrank.linalg import _eliminate, _integer_row, mat_vec, nullspace_1d, solve
 
 F = Fraction
 
@@ -341,3 +342,124 @@ def test_back_substitution_refuses_a_remainder(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", corrupted)
     with pytest.raises(RuntimeError, match="remainder"):
         solve([[2, 1], [1, 3]], [1, 0])
+
+
+def _net(problem):
+    return [sum(row) - sum(column) for row, column in zip(problem.scaled, zip(*problem.scaled))]
+
+
+def _symmetric_systems(seed, n=32):
+    """The row-sum system (q I + p L) x = (q + p m n) s at the reasonable
+    epsilon p/q, and the grounded least-squares system L' q = s', of two
+    seeded n-object tournaments: the systems the methods solve."""
+    rng = random.Random(seed)
+    for _ in range(2):
+        problem = random_problem(rng, n, require=is_connected)
+        d = derive(problem)
+        eps, net = reasonable_epsilon(problem), _net(problem)
+        p, q = eps.numerator, eps.denominator
+        a = [[q * (i == j) + p * v for j, v in enumerate(row)] for i, row in enumerate(d.laplacian)]
+        yield a, [(q + p * d.max_matches * n) * v for v in net]
+        yield [list(row[:-1]) for row in d.laplacian[:-1]], net[:-1]
+
+
+def _raised(fn, *args):
+    """The result of ``fn``, or the class and message of the kernel error it raised."""
+    try:
+        return fn(*args)
+    except (SingularMatrix, FullRank, RankTooLow) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_nullspace_raised(a):
+    """``_reference_nullspace`` with the kernel's error messages."""
+    rows = [list(row) for row in a]
+    pivots, _ = _gauss_jordan(rows, len(a[0]))
+    dimension = len(a[0]) - len(pivots)
+    if dimension == 0:
+        return FullRank, "matrix has a trivial nullspace"
+    if dimension > 1:
+        return RankTooLow, f"nullspace has dimension {dimension}, expected 1"
+    return _reference_nullspace(a)
+
+
+def _assert_matches_the_reference(a, b):
+    """Pivots, last pivot, (X, D), the nullspace and every error as the
+    Gauss–Jordan reference gives them, on a symmetric integer matrix."""
+    n = len(a)
+    assert all(a[i][j] == a[j][i] for i in range(n) for j in range(n))
+    rows, reference = ([[*row, v] for row, v in zip(a, b)] for _ in range(2))
+    assert _eliminate(rows, n) == _gauss_jordan(reference, n)
+    assert _raised(solve, a, b) == _raised(_reference_solve, a, b)
+    assert _raised(nullspace_1d, a) == _reference_nullspace_raised(a)
+
+
+def test_symmetric_systems_of_32_objects_match_the_reference():
+    systems = list(_symmetric_systems(24))
+    assert [len(a) for a, _ in systems] == [32, 31, 32, 31]
+    for a, b in systems:
+        _assert_matches_the_reference(a, b)
+        x, d = solve(a, b)
+        assert mat_vec(a, x) == [d * v for v in b]
+
+
+def _symmetric_matrix(rng, n, rank):
+    """A seeded symmetric n x n integer matrix C^T diag(w) C of rank at
+    most ``rank``, sparse enough that diagonal pivots vanish."""
+    c = [[0 if rng.random() < 0.4 else rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+    w = [rng.choice((-2, -1, 1, 2)) for _ in range(rank)]
+    return [[sum(w[k] * c[k][i] * c[k][j] for k in range(rank)) for j in range(n)] for i in range(n)]
+
+
+def test_symmetric_matrices_with_zero_pivots_match_the_reference():
+    cases = [
+        [[0, 1], [1, 0]],  # zero leading minor, nonsingular
+        [[1, 1, 0], [1, 1, 1], [0, 1, 1]],  # second leading minor zero, nonsingular
+        [[0, 0, 1], [0, 2, 0], [1, 0, 0]],  # zero first pivot, then a swap
+        [[1, 2], [2, 4]],  # singular
+        [[0, 0], [0, 0]],
+        [[1, 1, 1], [1, 1, 1], [1, 1, 1]],  # rank 1
+        [list(row) for row in derive(EXAMPLE_4).laplacian],  # rank n - 1
+    ]
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        cases.append(_symmetric_matrix(rng, n, rng.randint(max(0, n - 2), n)))
+    zero_pivots = singular = 0
+    for a in cases:
+        b = [rng.randint(-5, 5) for _ in a]
+        _assert_matches_the_reference(a, b)
+        zero_pivots += any(_bareiss_determinant([row[:k] for row in a[:k]]) == 0 for k in range(1, len(a) + 1))
+        singular += _bareiss_determinant(a) == 0
+    assert zero_pivots > 100 and singular > 50
+
+
+def test_nullspace_of_the_fair_bets_matrix_of_a_flat_problem():
+    rng = random.Random(12)
+    flat = [flat_round_robin(n, m) for n in (2, 3, 5) for m in (1, 2)]
+    # Even splits of random schedules, which need not be round robins.
+    for _ in range(20):
+        played = derive(random_problem(rng, rng.randint(2, 6), require=is_connected)).matches
+        flat.append(RankingProblem(labels_for(len(played)), [[F(v, 2) for v in row] for row in played]))
+    for problem in flat:
+        t = problem.scaled
+        losses = [sum(column) for column in zip(*t)]
+        a = [[v - losses[i] * (i == j) for j, v in enumerate(row)] for i, row in enumerate(t)]
+        _assert_matches_the_reference(a, [0] * len(a))
+        v = nullspace_1d(a)
+        assert v[0] != 0 and v == [v[0]] * len(v)
+
+
+def test_symmetric_elimination_leaves_the_lower_triangle_as_given():
+    # Positive definite: the pivots stay on the diagonal, and each row is
+    # updated from its diagonal rightwards only. The full update would
+    # change row 2 in column 1 (to 4 * 3 - 2 * 1 = 10).
+    a, b = [[4, 1, 2], [1, 5, 3], [2, 3, 6]], [1, 2, 3]
+    rows = [[*row, v] for row, v in zip(a, b)]
+    assert _eliminate(rows, 3) == ([0, 1, 2], _bareiss_determinant(a))
+    assert all(rows[i][j] == a[i][j] for i in range(3) for j in range(i))
+    for a, b in _symmetric_systems(25, n=8):
+        rows = [[*row, v] for row, v in zip(a, b)]
+        n = len(a)
+        assert _eliminate(rows, n)[0] == list(range(n))
+        assert all(rows[i][j] == a[i][j] for i in range(n) for j in range(i))
