@@ -46,10 +46,22 @@ def mat_vec(a: Matrix, x: Sequence[int]) -> list[int]:
 
 def _integer_row(row) -> list[int]:
     """A new list of ``row``'s entries; any entry but an int, even a bool, raises TypeError."""
-    if all(type(v) is int for v in row):
+    if set(map(type, row)) <= {int}:
         return list(row)
     bad = next(v for v in row if type(v) is not int)
     raise TypeError(f"linalg takes ints only, got {bad!r}")
+
+
+def _is_symmetric(rows: list[list[int]], columns: int) -> bool:
+    """Whether ``rows`` are ``columns`` rows whose leading square block is symmetric."""
+    if len(rows) != columns:
+        return False
+    for i in range(1, columns):
+        row = rows[i]
+        for j in range(i):
+            if row[j] != rows[j][i]:
+                return False
+    return True
 
 
 def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
@@ -76,10 +88,7 @@ def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
     m = len(rows)
     pivots: list[int] = []
     previous = 1
-    # A list never equals a tuple, so each row is compared as a tuple.
-    symmetric = m == columns and all(
-        tuple(row[:m]) == column for row, column in zip(rows, zip(*rows))
-    )
+    symmetric = _is_symmetric(rows, columns)
     for col in range(columns):
         rank = len(pivots)
         if rank == m:
@@ -142,7 +151,7 @@ def solve(a: Matrix, b: Sequence[int]) -> tuple[Vector, int]:
     unique solution.
     """
     n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n:
+    if not set(map(len, a)) <= {n} or len(b) != n:
         raise ValueError("solve needs a square matrix and a matching vector")
     rows = [_integer_row([*row, v]) for row, v in zip(a, b)]
     pivots, last = _eliminate(rows, n)
@@ -166,7 +175,7 @@ def nullspace_1d(a: Matrix) -> Vector:
     if not a:
         raise ValueError("empty matrix")
     n = len(a[0])
-    if any(len(row) != n for row in a):
+    if not set(map(len, a)) <= {n}:
         raise ValueError("ragged matrix")
     rows = [_integer_row(row) for row in a]
     pivots, last = _eliminate(rows, n)

@@ -450,6 +450,16 @@ def test_nullspace_of_the_fair_bets_matrix_of_a_flat_problem():
         assert v[0] != 0 and v == [v[0]] * len(v)
 
 
+def test_one_asymmetric_pair_takes_the_general_path():
+    a, b = next(_symmetric_systems(26, n=6))
+    for i in range(6):
+        for j in range(6):
+            if i != j:
+                c = [row[:] for row in a]
+                c[i][j] += 1
+                assert _raised(solve, c, b) == _raised(_reference_solve, c, b)
+
+
 def test_symmetric_elimination_leaves_the_lower_triangle_as_given():
     # Positive definite: the pivots stay on the diagonal, and each row is
     # updated from its diagonal rightwards only. The full update would
