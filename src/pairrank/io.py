@@ -12,12 +12,12 @@ Matrix format: an optional ``labels:`` line, the object count on its
 own line, then the tournament rows, entries separated by whitespace.
 
 Rational literals are written as ``p/q``, an integer, or a decimal with
-at most six fractional digits, and read as an integer numerator and
-denominator; a matrix file becomes integers over the lcm of its
-denominators, with no Fraction made. Floats never appear: rendering
-writes integers over a denominator as a fraction in lowest terms plus a
-fixed four-decimal column rounded half to even, again with no Fraction
-made.
+at most six fractional digits, and each distinct literal of a file is
+read once, as an integer numerator and denominator. Both formats become
+integers over the lcm of the file's denominators, and no Fraction is
+made while reading. Floats never appear: rendering writes integers over
+a denominator as a fraction in lowest terms plus a fixed four-decimal
+column rounded half to even, again with no Fraction made.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
 )
 from .methods import RatingVector, ranking
-from .model import RankingProblem, build_problem, default_labels
+from .model import RankingProblem, default_labels
 
 _RATIONAL = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d{1,6}))?")
 
@@ -58,9 +58,28 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*_rational_parts(text))
 
 
-def _strip_comment(line: str) -> str:
-    head, _, _ = line.partition("#")
-    return head.strip()
+def _lines(text: str) -> list[tuple[int, str]]:
+    """The non-blank lines of ``text`` with ``#`` comments stripped,
+    each with its 1-based line number."""
+    stripped = ((n, raw.partition("#")[0].strip()) for n, raw in enumerate(text.splitlines(), 1))
+    return [(n, line) for n, line in stripped if line]
+
+
+def _read(known: dict[str, tuple[int, int]], literal: str, lineno: int) -> tuple[int, int]:
+    """Read ``literal`` into the file's table ``known``; a file repeats few
+    literals, so the callers read each once."""
+    try:
+        known[literal] = parts = _rational_parts(literal)
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+    return parts
+
+
+def _scaled(known: dict[str, tuple[int, int]]) -> tuple[dict[str, int], int]:
+    """Each literal of ``known`` as an integer over the lcm of their
+    denominators, and that lcm."""
+    scale = math.lcm(*(d for _, d in known.values()))
+    return {literal: v * (scale // d) for literal, (v, d) in known.items()}, scale
 
 
 def parse_match_list(text: str) -> RankingProblem:
@@ -70,54 +89,45 @@ def parse_match_list(text: str) -> RankingProblem:
     structural checks that can be pinned to a single record (negative
     score, self-play, fractional match count) are raised against it.
     """
-    entries: list[tuple[str, str, Fraction]] = []
-    order: list[str] = []
-    seen_record = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
+    known: dict[str, tuple[int, int]] = {}
+    index: dict[str, int] = {}  # labels in order of first mention
+    records = []
+    for lineno, line in _lines(text):
         fields = [f.strip() for f in line.split(",")]
-        if not seen_record and tuple(f.lower() for f in fields) == _HEADER:
+        if not index and tuple(f.lower() for f in fields) == _HEADER:
             continue
         if len(fields) != 4:
             raise ParseError(f"line {lineno}: expected 4 comma-separated fields, got {len(fields)}")
         label_i, label_j, raw_ij, raw_ji = fields
         if not label_i or not label_j:
             raise ParseError(f"line {lineno}: empty object label")
-        try:
-            t_ij = parse_rational(raw_ij)
-            t_ji = parse_rational(raw_ji)
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        seen_record = True
-        if t_ij < 0 or t_ji < 0:
+        # t_ij = a / b and t_ji = c / d
+        a, b = known.get(raw_ij) or _read(known, raw_ij, lineno)
+        c, d = known.get(raw_ji) or _read(known, raw_ji, lineno)
+        if a < 0 or c < 0:
             raise NegativeEntry(f"line {lineno}: negative score")
         if label_i == label_j:
-            if t_ij != 0 or t_ji != 0:
+            if a or c:
                 raise DiagonalNonZero(f"line {lineno}: {label_i} scored against itself")
-        else:
-            total = t_ij + t_ji
-            if total.denominator != 1:
-                raise NonIntegerPairSum(
-                    f"line {lineno}: {label_i} and {label_j} total {total} matches"
-                )
-        for label in (label_i, label_j):
-            if label not in order:
-                order.append(label)
-        entries += [(label_i, label_j, t_ij), (label_j, label_i, t_ji)]
-    if len(order) < 2:
-        raise ParseError(f"found {len(order)} objects, a problem needs at least 2")
-    return build_problem(order, entries)
+        elif (a * d + c * b) % (b * d):
+            total = _exact_text(a * d + c * b, b * d)
+            raise NonIntegerPairSum(f"line {lineno}: {label_i} and {label_j} total {total} matches")
+        i = index.setdefault(label_i, len(index))
+        j = index.setdefault(label_j, len(index))
+        records.append((i, j, raw_ij, raw_ji))
+    if len(index) < 2:
+        raise ParseError(f"found {len(index)} objects, a problem needs at least 2")
+    value, scale = _scaled(known)
+    totals = [[0] * len(index) for _ in index]
+    for i, j, raw_ij, raw_ji in records:
+        totals[i][j] += value[raw_ij]
+        totals[j][i] += value[raw_ji]
+    return RankingProblem.from_scaled(index, totals, scale)
 
 
 def parse_matrix(text: str) -> RankingProblem:
     """Parse the matrix format into a problem."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if line:
-            lines.append((lineno, line))
+    lines = _lines(text)
     if not lines:
         raise ParseError("empty matrix file")
     labels: tuple[str, ...] | None = None
@@ -140,22 +150,17 @@ def parse_matrix(text: str) -> RankingProblem:
     if len(labels) != n:
         raise ParseError(f"{len(labels)} labels for {n} objects")
     rows = []
-    known: dict[str, tuple[int, int]] = {}  # a file repeats few literals; read each once
+    known: dict[str, tuple[int, int]] = {}
     for lineno, line in body:
         entries = line.split()
         if len(entries) != n:
             raise ParseError(f"line {lineno}: expected {n} entries, got {len(entries)}")
         for entry in entries:
             if entry not in known:
-                try:
-                    known[entry] = _rational_parts(entry)
-                except ParseError as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from None
+                _read(known, entry, lineno)
         rows.append(entries)
-    scale = math.lcm(*(d for _, d in known.values()))
-    value = {entry: v * (scale // d) for entry, (v, d) in known.items()}
-    scaled = [[value[entry] for entry in row] for row in rows]
-    return RankingProblem.from_scaled(labels, scaled, scale)
+    value, scale = _scaled(known)
+    return RankingProblem.from_scaled(labels, [[value[entry] for entry in row] for row in rows], scale)
 
 
 def parse_problem(text: str, form: str = "matrix") -> RankingProblem:

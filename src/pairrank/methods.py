@@ -207,10 +207,7 @@ def _fair_bets_vector(t: Matrix) -> tuple[list[int], int]:
         raise RuntimeError("internal: fixed-point vector is not in the nullspace")
     if not (all(x > 0 for x in v) or all(x < 0 for x in v)):
         raise RuntimeError("internal: fixed-point vector changes sign")
-    total = sum(v)
-    if total == 0 or any(x * total <= 0 for x in v):
-        raise RuntimeError("internal: fixed-point normalization failed")
-    return v, total
+    return v, sum(v)
 
 
 def fair_bets(problem: RankingProblem) -> RatingVector:

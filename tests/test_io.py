@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ from conftest import random_problem
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pairrank.io
 from pairrank import (
     Method,
+    build_problem,
     format_decimal4,
     format_exact,
     parse_match_list,
@@ -316,3 +319,113 @@ def test_render_matrix_and_match_list_match_the_fraction_view():
         assert render_matrix(p) == "\n".join(matrix) + "\n"
         pairs = [f"{p.labels[i]},{p.labels[j]},{t[i][j]},{t[j][i]}" for i in range(p.size) for j in range(i + 1, p.size)]
         assert render_match_list(p) == "\n".join(["i,j,tij,tji", *pairs]) + "\n"
+
+
+def _reference_match_list(text):
+    """The match-list reader with every literal read as a Fraction and the
+    problem assembled by build_problem: the reference for the integer reader."""
+    entries, order, seen_record = [], [], False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if not seen_record and tuple(f.lower() for f in fields) == ("i", "j", "tij", "tji"):
+            continue
+        if len(fields) != 4:
+            raise ParseError(f"line {lineno}: expected 4 comma-separated fields, got {len(fields)}")
+        label_i, label_j, raw_ij, raw_ji = fields
+        if not label_i or not label_j:
+            raise ParseError(f"line {lineno}: empty object label")
+        try:
+            t_ij, t_ji = parse_rational(raw_ij), parse_rational(raw_ji)
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        seen_record = True
+        if t_ij < 0 or t_ji < 0:
+            raise NegativeEntry(f"line {lineno}: negative score")
+        if label_i == label_j:
+            if t_ij != 0 or t_ji != 0:
+                raise DiagonalNonZero(f"line {lineno}: {label_i} scored against itself")
+        elif (t_ij + t_ji).denominator != 1:
+            raise NonIntegerPairSum(f"line {lineno}: {label_i} and {label_j} total {t_ij + t_ji} matches")
+        for label in (label_i, label_j):
+            if label not in order:
+                order.append(label)
+        entries += [(label_i, label_j, t_ij), (label_j, label_i, t_ji)]
+    if len(order) < 2:
+        raise ParseError(f"found {len(order)} objects, a problem needs at least 2")
+    return build_problem(order, entries)
+
+
+# Score splits that sum to a whole number, and literals, bad ones among
+# them, drawn two at a time for splits that may not.
+_SPLITS = [
+    ("1", "0"), ("1/2", "1/2"), ("3/2", "0.5"), ("0.25", "3/4"), ("-0", "0/5"), ("2/4", "+1/2"),
+    ("0.333333", "0.666667"), ("5/3", "4/3"), ("0.125", "0.875000"), ("2", "1"), ("0", "0"),
+]
+_LITERALS = ["0", "1", "3", "1/2", "1/4", "7/6", "0.1", "0.000001", "-0", "0/5", "-1", "-1/2",
+             "x", "1/0", ".5", "1.0000001", ""]
+
+
+def _match_list_line(rng):
+    kind = rng.random()
+    if kind < 0.05:
+        return rng.choice(["i,j,tij,tji", " I , j,TIJ, tji", "i,j,tij"])
+    if kind < 0.1:
+        return rng.choice(["", "   ", "# a comment", "  # i,j,tij,tji"])
+    if kind < 0.13:
+        return ",".join(rng.choice(_LITERALS[:8]) for _ in range(rng.choice((1, 3, 5))))
+    labels = [rng.choice(("", " ", "  ")) + x + rng.choice(("", " ")) for x in rng.sample("abcdij", 2)]
+    if rng.random() < 0.03:
+        labels[rng.randrange(2)] = " "
+    if rng.random() < 0.1:
+        labels[1] = labels[0]
+        split = ("0", "-0", "0/5") if rng.random() < 0.7 else _LITERALS[:8]
+    else:
+        split = rng.choice(_SPLITS) if rng.random() < 0.9 else _LITERALS
+    scores = rng.sample(split, 2) if len(split) == 2 else [rng.choice(split), rng.choice(split)]
+    return ",".join(labels + scores) + (" # note" if rng.random() < 0.1 else "")
+
+
+def test_parse_match_list_matches_the_fraction_reference():
+    rng = random.Random(25)
+    outcomes = set()
+    for _ in range(20_000):
+        text = "\n".join(_match_list_line(rng) for _ in range(rng.randint(1, 7))) + rng.choice(["", "\n"])
+        try:
+            want = _reference_match_list(text)
+        except Exception as exc:
+            want = (type(exc), str(exc))
+        try:
+            got = parse_match_list(text)
+        except Exception as exc:
+            got = (type(exc), str(exc))
+        assert got == want, text
+        outcomes.add(want[0] if isinstance(want, tuple) else RankingProblem)
+    assert outcomes == {RankingProblem, ParseError, NegativeEntry, DiagonalNonZero, NonIntegerPairSum}
+
+
+def test_no_file_is_read_through_fraction(monkeypatch):
+    matrix = "labels: a b c\n3\n0 1/2 1.25\n0.5 0 3/4\n3/4 1/4 0\n"
+    matches = "i,j,tij,tji\na,b,1/2,0.5\nb,c,3/4,1/4\na,c,1.25,3/4\nb,a,0.5,1/2\n"
+    want = (parse_matrix(matrix), parse_match_list(matches))
+
+    def refuse(*args):
+        raise AssertionError("a literal was read through Fraction")
+
+    monkeypatch.setattr("pairrank.io.parse_rational", refuse)
+    monkeypatch.setattr("pairrank.model.as_rational", refuse)
+    reads = Counter()
+    parts = pairrank.io._rational_parts
+
+    def counted(text):
+        reads[text] += 1
+        return parts(text)
+
+    monkeypatch.setattr("pairrank.io._rational_parts", counted)
+    assert parse_matrix(matrix) == want[0]
+    assert reads == Counter(["0", "1/2", "1.25", "0.5", "3/4", "1/4"])
+    reads.clear()
+    assert parse_match_list(matches) == want[1]
+    assert reads == Counter(["1/2", "0.5", "3/4", "1/4", "1.25"])

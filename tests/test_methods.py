@@ -461,3 +461,11 @@ def test_each_rating_derives_and_checks_irreducibility_once(monkeypatch):
         calls.update(derive=0, is_irreducible=0)
         generalized_row_sum(problem, epsilon)
         assert (calls["derive"], calls["is_irreducible"]) == (1, 0), epsilon
+
+
+def test_fair_bets_refuse_a_fixed_point_that_changes_sign(monkeypatch):
+    cycle = RankingProblem(("a", "b", "c"), [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    monkeypatch.setattr("pairrank.linalg.nullspace_1d", lambda a: [0] * len(a))
+    for method in (fair_bets, dual_fair_bets, copeland_fair_bets):
+        with pytest.raises(RuntimeError, match="changes sign"):
+            method(cycle)
