@@ -8,24 +8,44 @@ Both kernels run fraction-free forward elimination over Python ints,
 :func:`_eliminate` (E. H. Bareiss, *Sylvester's identity and multistep
 integer-preserving Gaussian elimination*, Math. Comp. 22, 1968), then
 integer back substitution, :func:`_back_substitute`. With ``p`` the new
-pivot and ``previous`` the one before it (1 at the start), every row
-below the pivot row becomes ``(p * row - f * pivot_row) // previous``
-right of the pivot column, ``f`` being the row's entry in that column.
-By Sylvester's identity every such entry is, up to sign, a minor of the
-input, so each division is exact and no entry outgrows a minor. The
-results are the integer vector D x, with D the last pivot: by Cramer's
-rule its entries are minors too, so the back substitution's divisions
-are exact as well, and a nonzero remainder is raised as an internal
-error.
+pivot and ``previous`` the one before it (1 at the start), a single
+step makes every row below the pivot row ``(p * row - f * pivot_row) //
+previous`` right of the pivot column, ``f`` being the row's entry in
+that column. By Sylvester's identity every such entry is, up to sign, a
+minor of the input, so each division is exact and no entry outgrows a
+minor. The results are the integer vector D x, with D the last pivot:
+by Cramer's rule its entries are minors too, so the back substitution's
+divisions are exact as well, and a nonzero remainder is raised as an
+internal error.
+
+A pass takes two pivots at once, by the two-step method of the same
+paper. Let pivot row r have pivot p in column c, P be the previous
+pivot, and every entry be at the current level. A lower row a has entry
+``g = (p a[c+1] - a[c] r[c+1]) / P`` in column c + 1 one step on; the
+first row with g nonzero becomes the second pivot row r', with pivot
+q = its g, and takes its single step. Every row below r' then goes two
+steps on at once, right of column c + 1:
+``a[j] <- (q a[j] - g r'[j] + h r[j]) / P``, with
+``h = (r'[c] a[c+1] - r'[c+1] a[c]) / P`` and r' still at the current
+level. Expanding the second single step over the first gives this form,
+with 3 products and 1 division per entry where two single steps take 4
+and 2. g, h and the result are minors of the input by Sylvester's
+identity (h is bordered by rows r' and a, columns c and c + 1), so each
+division is exact, and the pivots, D and every pivot row from its pivot
+rightwards are the ones single steps give. A single step remains at the
+last column, and where no g is nonzero: column c + 1 then has no pivot
+(the free column of a nullspace, or a singular system).
 
 The row-sum and least-squares systems are symmetric, and elimination
 keeps them so: before any row swap, the entry in row i and column j
 after pivot k is the minor of the leading k + 1 rows and columns
 bordered by row i and column j, and transposing that minor swaps i and
-j. So on a symmetric square block each pivot updates only the entries
+j. So on a symmetric square block each pass updates only the entries
 on and right of each lower row's diagonal, about n**3 / 6 updates in
-place of n**3 / 3, and reads the row's factor ``f`` from the pivot row,
-where the same minor stands above the diagonal.
+place of n**3 / 3. The second pivot is the diagonal entry of row c + 1
+after its single step, and a lower row's g, a[c] and a[c+1] are read
+from the two pivot rows, where the same minors stand above the
+diagonal.
 """
 
 from __future__ import annotations
@@ -74,35 +94,53 @@ def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
     nothing reads the stale entries left of that. Returns the pivot
     columns and the last pivot D (1 if there is none).
 
+    A pass takes two pivots where both exist (see the module docstring):
+    with pivot p in column c of row r, each lower row's next-level entry
+    g in column c + 1 is computed, the first row with g nonzero is
+    swapped up as the second pivot row r', brought to the next level
+    with pivot q = g, and every row below it jumps two levels right of
+    column c + 1. A single step remains at the last column and where no
+    g is nonzero, which leaves column c + 1 without a pivot.
+
     When the rows form a symmetric ``columns`` x ``columns`` block (plus
     any columns to its right), the pivots stay on the diagonal, and each
-    lower row is updated only from its diagonal rightwards, with its
-    factor read from the pivot row (see the module docstring). The
-    entries below the diagonal are then left as given. At the first
-    zero diagonal pivot a swap would break the symmetry, so the upper
-    entries of the block still to be reduced are copied below its
-    diagonal, where they equal what the full update would have left
-    there, and elimination goes on as above: the pivots, D and every
-    entry that back substitution reads are the same on either path.
+    lower row is updated only from its diagonal rightwards, with g and
+    its entries in columns c and c + 1 read from the pivot rows (see the
+    module docstring). The entries below the diagonal are then left as
+    given. At a zero first or second diagonal pivot a swap could break
+    the symmetry, so the upper entries of the block still to be reduced
+    are copied below its diagonal, where they equal what the full update
+    would have left there, and elimination goes on as above: the pivots,
+    D and every entry that back substitution reads are the same on
+    either path, and the same as a single step per column gives.
     """
     m = len(rows)
     pivots: list[int] = []
     previous = 1
     symmetric = _is_symmetric(rows, columns)
-    for col in range(columns):
+    col = 0
+    while col < columns and len(pivots) < m:
         rank = len(pivots)
-        if rank == m:
-            break
         if symmetric:
-            pivot_row = rows[col]
-            p = pivot_row[col]
-            if p:
-                for i in range(col + 1, m):
-                    row, f = rows[i], pivot_row[i]
-                    row[i:] = [(p * x - f * y) // previous for x, y in zip(row[i:], pivot_row[i:])]
-                previous = p
+            r = rows[col]
+            p = r[col]
+            if p and col + 1 < columns:
+                s = rows[col + 1]
+                f, d = r[col + 1], s[col + 1]
+                new = [(p * x - f * y) // previous for x, y in zip(s[col + 1:], r[col + 1:])]
+                q = new[0]
+                if q:
+                    for i in range(col + 2, m):
+                        row, g, h = rows[i], new[i - col - 1], (f * s[i] - d * r[i]) // previous
+                        row[i:] = [(q * x - g * y + h * z) // previous for x, y, z in zip(row[i:], s[i:], r[i:])]
+                    s[col + 1:] = new
+                    previous = q
+                    pivots += (col, col + 1)
+                    col += 2
+                    continue
+            elif p and col + 1 == columns:
                 pivots.append(col)
-                continue
+                return pivots, p
             symmetric = False
             for i in range(col + 1, m):
                 rows[i][col:i] = [rows[j][i] for j in range(col, i)]
@@ -110,15 +148,38 @@ def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
             if rows[pivot_index][col]:
                 break
         else:
+            col += 1
             continue
         rows[rank], rows[pivot_index] = rows[pivot_index], rows[rank]
-        p = rows[rank][col]
-        tail = rows[rank][col + 1:]
-        for row in rows[rank + 1:]:
+        r = rows[rank]
+        p = r[col]
+        below = rows[rank + 1:]
+        gs = [(p * row[col + 1] - row[col] * r[col + 1]) // previous for row in below] if col + 1 < columns else []
+        q = next(filter(None, gs), 0)
+        if q:
+            t = gs.index(q)
+            if t:
+                below[0], below[t], gs[t] = below[t], below[0], gs[0]
+                rows[rank + 1:] = below
+            s = below[0]
+            a, b = s[col], s[col + 1]
+            tail_r, tail_s = r[col + 2:], s[col + 2:]
+            for row, g in zip(below[1:], gs[1:]):
+                h = (a * row[col + 1] - b * row[col]) // previous
+                row[col + 2:] = [(q * x - g * y + h * z) // previous for x, y, z in zip(row[col + 2:], tail_s, tail_r)]
+            s[col + 2:] = [(p * x - a * y) // previous for x, y in zip(tail_s, tail_r)]
+            s[col + 1] = q
+            previous = q
+            pivots += (col, col + 1)
+            col += 2
+            continue
+        tail = r[col + 1:]
+        for row in below:
             f = row[col]
             row[col + 1:] = [(p * x - f * y) // previous for x, y in zip(row[col + 1:], tail)]
         previous = p
         pivots.append(col)
+        col += 1
     return pivots, previous
 
 

@@ -196,13 +196,22 @@ def _fair_bets_vector(t: Matrix) -> tuple[list[int], int]:
     The nullspace and its normalized member do not depend on the common
     scale, so the integer matrix stands in for the tournament. The caller
     checks irreducibility.
+
+    The columns of a = T - diag(losses) sum to zero, so the last row of
+    a v = 0 follows from the others, and the last object is grounded at
+    v_n = D: the leading (n - 1) x (n - 1) block of a, solved against
+    minus the first n - 1 entries of its last column, gives v = [X, D].
+    On an irreducible problem -a is an irreducible singular M-matrix, and
+    the block is one of its proper principal submatrices, so the system
+    is nonsingular.
     """
     losses = [sum(column) for column in zip(*t)]
     a = [
         [v - losses[i] if i == j else v for j, v in enumerate(row)]
         for i, row in enumerate(t)
     ]
-    v = linalg.nullspace_1d(a)
+    x, d = linalg.solve([row[:-1] for row in a[:-1]], [-row[-1] for row in a[:-1]])
+    v = [*x, d]
     if any(linalg.mat_vec(a, v)):
         raise RuntimeError("internal: fixed-point vector is not in the nullspace")
     if not (all(x > 0 for x in v) or all(x < 0 for x in v)):

@@ -1,11 +1,12 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 from conftest import flat_round_robin, labels_for, random_problem
 
-from pairrank import RankingProblem, derive, is_connected, reasonable_epsilon
+from pairrank import RankingProblem, derive, is_connected, is_irreducible, reasonable_epsilon
 from pairrank.errors import FullRank, RankTooLow, SingularMatrix
 from pairrank.fixtures import EXAMPLE_4
 from pairrank.linalg import _eliminate, _integer_row, mat_vec, nullspace_1d, solve
@@ -473,3 +474,131 @@ def test_symmetric_elimination_leaves_the_lower_triangle_as_given():
         n = len(a)
         assert _eliminate(rows, n)[0] == list(range(n))
         assert all(rows[i][j] == a[i][j] for i in range(n) for j in range(i))
+
+
+def _one_step_eliminate(rows, columns):
+    """Reference: the fraction-free elimination with one pivot per pass,
+    on the symmetric half where the rows allow it, as it stood before
+    the two-step passes."""
+    m = len(rows)
+    pivots = []
+    previous = 1
+    symmetric = len(rows) == columns and all(rows[i][j] == rows[j][i] for i in range(m) for j in range(i))
+    for col in range(columns):
+        rank = len(pivots)
+        if rank == m:
+            break
+        if symmetric:
+            pivot_row = rows[col]
+            p = pivot_row[col]
+            if p:
+                for i in range(col + 1, m):
+                    row, f = rows[i], pivot_row[i]
+                    row[i:] = [(p * x - f * y) // previous for x, y in zip(row[i:], pivot_row[i:])]
+                previous = p
+                pivots.append(col)
+                continue
+            symmetric = False
+            for i in range(col + 1, m):
+                rows[i][col:i] = [rows[j][i] for j in range(col, i)]
+        for pivot_index in range(rank, m):
+            if rows[pivot_index][col]:
+                break
+        else:
+            continue
+        rows[rank], rows[pivot_index] = rows[pivot_index], rows[rank]
+        p = rows[rank][col]
+        tail = rows[rank][col + 1:]
+        for row in rows[rank + 1:]:
+            f = row[col]
+            row[col + 1:] = [(p * x - f * y) // previous for x, y in zip(row[col + 1:], tail)]
+        previous = p
+        pivots.append(col)
+    return pivots, previous
+
+
+def _integer_matrix(rng, rows, cols, rank, free=None):
+    """A seeded sparse rows x cols integer matrix of rank at most
+    ``rank``; column ``free``, if given, is a combination of the columns
+    before it (zero if it is the first), so it takes no pivot."""
+    b = [[0 if rng.random() < 0.3 else rng.randint(-4, 4) for _ in range(rank)] for _ in range(rows)]
+    c = [[0 if rng.random() < 0.3 else rng.randint(-4, 4) for _ in range(cols)] for _ in range(rank)]
+    a = [[sum(b[i][k] * c[k][j] for k in range(rank)) for j in range(cols)] for i in range(rows)]
+    if free is not None:
+        weights = [rng.randint(-2, 2) for _ in range(free)]
+        for row in a:
+            row[free] = sum(w * v for w, v in zip(weights, row))
+    return a
+
+
+def _elimination_cases(rng):
+    """(rows, columns) pairs for the oracle: matrices of every rank with
+    n - 1, n or n + 1 rows, eliminated whole or with the last column as a
+    right-hand side; a free column first, inside and last; symmetric
+    matrices whose leading minors vanish; and the row-sum, grounded
+    least-squares and grounded fair-bets systems of 32- and 64-object
+    tournaments."""
+    for _ in range(2400):
+        n = rng.randint(1, 7)
+        rows = max(1, n + rng.choice((-1, 0, 1)))
+        full = min(rows, n)
+        a = _integer_matrix(rng, rows, n, full if rng.random() < 0.5 else rng.randint(0, full))
+        yield a, n - rng.randint(0, 1)
+    for _ in range(1200):
+        n = rng.randint(2, 7)
+        free = rng.choice((0, rng.randrange(1, n - 1) if n > 2 else 0, n - 1))
+        yield _integer_matrix(rng, n - rng.randint(0, 1), n, n - 1, free), n
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        a = _symmetric_matrix(rng, n, rng.randint(max(0, n - 2), n))
+        if rng.random() < 0.5:
+            yield a, n
+        else:
+            yield [[*row, rng.randint(-5, 5)] for row in a], n
+    for n in (32, 64):
+        for a, b in _tournament_systems(rng, n):
+            yield [[*row, v] for row, v in zip(a, b)], len(a)
+
+
+def _tournament_systems(rng, n):
+    """The row-sum system at the reasonable epsilon, the grounded
+    least-squares system and the grounded fair-bets system of a seeded
+    irreducible n-object tournament: the systems the methods solve."""
+    problem = random_problem(rng, n, require=is_irreducible)
+    d = derive(problem)
+    eps, net = reasonable_epsilon(problem), _net(problem)
+    p, q = eps.numerator, eps.denominator
+    yield [[q * (i == j) + p * v for j, v in enumerate(row)] for i, row in enumerate(d.laplacian)], [
+        (q + p * d.max_matches * n) * v for v in net
+    ]
+    yield [list(row[:-1]) for row in d.laplacian[:-1]], net[:-1]
+    t = problem.scaled
+    losses = [sum(column) for column in zip(*t)]
+    a = [[v - losses[i] * (i == j) for j, v in enumerate(row)] for i, row in enumerate(t)]
+    yield [row[:-1] for row in a[:-1]], [-row[-1] for row in a[:-1]]
+
+
+def test_two_step_elimination_matches_one_step_elimination():
+    rng = random.Random(2026)
+    cases = free = swapped = zero_minors = symmetric = 0
+    for a, columns in _elimination_cases(rng):
+        rows, reference = [row[:] for row in a], [row[:] for row in a]
+        given = reference[:]
+        pivots, d = _eliminate(rows, columns)
+        assert (pivots, d) == _one_step_eliminate(reference, columns)
+        for k, col in enumerate(pivots):
+            assert rows[k][col:] == reference[k][col:]
+        in_place = all(map(operator.is_, reference, given))
+        swapped += not in_place
+        if len(a) == columns and all(a[i][j] == a[j][i] for i in range(columns) for j in range(i)):
+            # Every pivot on the diagonal, with no row swapped: every
+            # leading minor is nonzero, and the symmetric path never ends.
+            if pivots == list(range(columns)) and in_place:
+                symmetric += 1
+                assert all(rows[i][j] == a[i][j] for i in range(columns) for j in range(i))
+            else:
+                zero_minors += 1
+        free += len(pivots) < min(len(a), columns)
+        cases += 1
+    assert cases > 5500 and free > 3000 and swapped > 1000
+    assert symmetric > 450 and zero_minors > 1500

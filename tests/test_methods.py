@@ -37,9 +37,11 @@ from pairrank.errors import (
     MethodPreconditionError,
     NoComparisons,
     ReducibleProblem,
+    SingularMatrix,
     UndefinedForSmallN,
 )
 from pairrank import RankingProblem
+from pairrank.linalg import nullspace_1d
 from pairrank.fixtures import (
     EXAMPLE_1,
     EXAMPLE_2,
@@ -244,7 +246,7 @@ def test_fair_bets_refuses_a_vector_outside_the_nullspace(monkeypatch):
     assert fair_bets(problem).values == EXAMPLE_3_TABLE["fb"][0]
     # Positive and unit-sum after normalization, so only the nullspace
     # check can refuse it.
-    monkeypatch.setattr(linalg, "nullspace_1d", lambda a: [F(1)] * len(a))
+    monkeypatch.setattr(linalg, "solve", lambda a, b: ([1] * len(a), 1))
     for fn in (fair_bets, dual_fair_bets, copeland_fair_bets):
         with pytest.raises(RuntimeError, match="nullspace"):
             fn(problem)
@@ -465,7 +467,53 @@ def test_each_rating_derives_and_checks_irreducibility_once(monkeypatch):
 
 def test_fair_bets_refuse_a_fixed_point_that_changes_sign(monkeypatch):
     cycle = RankingProblem(("a", "b", "c"), [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    monkeypatch.setattr("pairrank.linalg.nullspace_1d", lambda a: [0] * len(a))
+    monkeypatch.setattr("pairrank.linalg.solve", lambda a, b: ([0] * len(a), 0))
     for method in (fair_bets, dual_fair_bets, copeland_fair_bets):
         with pytest.raises(RuntimeError, match="changes sign"):
             method(cycle)
+
+
+def _nullspace_fair_bets(problem):
+    """Reference: fb, dfb and cfb from the nullspace of the whole matrix
+    T - diag(losses), with no object grounded."""
+
+    def vector(t):
+        losses = [sum(column) for column in zip(*t)]
+        v = nullspace_1d([[v - losses[i] * (i == j) for j, v in enumerate(row)] for i, row in enumerate(t)])
+        return v, sum(v)
+
+    (w, w_total), (l, l_total) = vector(problem.scaled), vector([list(c) for c in zip(*problem.scaled)])
+    return (
+        RatingVector("fb", problem.labels, w, w_total),
+        RatingVector("dfb", problem.labels, l, -l_total),
+        RatingVector("cfb", problem.labels, [a * l_total - b * w_total for a, b in zip(w, l)], w_total * l_total),
+    )
+
+
+def test_grounded_fair_bets_match_the_nullspace_of_the_whole_matrix():
+    rng = random.Random(2609)
+    sizes = [*(rng.randint(2, 6) for _ in range(150)), *range(7, 41)]
+    for n in sizes:
+        problem = random_problem(rng, n, require=is_irreducible)
+        rated = (fair_bets(problem), dual_fair_bets(problem), copeland_fair_bets(problem))
+        assert rated == _nullspace_fair_bets(problem), n
+
+
+def test_fair_bets_refuse_every_reducible_problem_of_the_small_grid(monkeypatch):
+    # Without the irreducibility test, the grounded system is singular or
+    # its solution has a zero or a sign change: no rating comes back.
+    from pairrank import methods
+    from pairrank.search import _buckets, _problem
+
+    monkeypatch.setattr(methods, "_require_irreducible", lambda problem: None)
+    grid = (_problem(dt) for n in (2, 3, 4) for bucket in _buckets(n, 1, "all") for dt in bucket)
+    reducible = [problem for problem in grid if not is_irreducible(problem)]
+    assert len(reducible) == 2539
+    raised = {SingularMatrix: 0, RuntimeError: 0}
+    for problem in reducible:
+        for method in (fair_bets, dual_fair_bets, copeland_fair_bets):
+            with pytest.raises((SingularMatrix, RuntimeError)) as info:
+                method(problem)
+            assert info.type is SingularMatrix or str(info.value) == "internal: fixed-point vector changes sign"
+            raised[info.type] += 1
+    assert all(raised.values())
