@@ -479,7 +479,7 @@ def _nullspace_fair_bets(problem):
 
     def vector(t):
         losses = [sum(column) for column in zip(*t)]
-        v = nullspace_1d([[v - losses[i] * (i == j) for j, v in enumerate(row)] for i, row in enumerate(t)])
+        v = nullspace_1d([[x - losses[i] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(t)])
         return v, sum(v)
 
     (w, w_total), (l, l_total) = vector(problem.scaled), vector([list(c) for c in zip(*problem.scaled)])
