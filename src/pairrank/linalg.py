@@ -7,45 +7,45 @@ denominator D. Nothing here ever touches floating point.
 Both kernels run fraction-free forward elimination over Python ints,
 :func:`_eliminate` (E. H. Bareiss, *Sylvester's identity and multistep
 integer-preserving Gaussian elimination*, Math. Comp. 22, 1968), then
-integer back substitution, :func:`_back_substitute`. With ``p`` the new
-pivot and ``previous`` the one before it (1 at the start), a single
-step makes every row below the pivot row ``(p * row - f * pivot_row) //
-previous`` right of the pivot column, ``f`` being the row's entry in
-that column. By Sylvester's identity every such entry is, up to sign, a
-minor of the input, so each division is exact and no entry outgrows a
-minor. The results are the integer vector D x, with D the last pivot:
-by Cramer's rule its entries are minors too, so the back substitution's
+integer back substitution, :func:`_back_substitute`. Let pivot row r
+have pivot p in column c, P be the pivot before it (1 at the start),
+and every entry be at the current level. A single step takes each lower
+row a to ``(p a[j] - a[c] r[j]) / P`` right of column c. Where the next
+row r' has a nonzero entry q in column c + 1 after its single step, q
+is a second pivot, and every row below r' goes two steps on at once,
+right of column c + 1: ``a[j] <- (q a[j] - g r'[j] + h r[j]) / P``,
+with ``g = (p a[c+1] - a[c] r[c+1]) / P``, ``h = (r'[c] a[c+1] -
+r'[c+1] a[c]) / P`` and r' still at the current level: 3 products and
+1 division per entry where two single steps take 4 and 2. By
+Sylvester's identity every entry, g and h included, is up to sign a
+minor of the input, so each division is exact, no entry outgrows a
+minor, and the pivots, D and pivot rows are the ones single steps give.
+The results are the integer vector D x, with D the last pivot: by
+Cramer's rule its entries are minors too, so the back substitution's
 divisions are exact as well, and a nonzero remainder is raised as an
 internal error.
 
-A pass takes two pivots at once, by the two-step method of the same
-paper. Let pivot row r have pivot p in column c, P be the previous
-pivot, and every entry be at the current level. A lower row a has entry
-``g = (p a[c+1] - a[c] r[c+1]) / P`` in column c + 1 one step on; the
-first row with g nonzero becomes the second pivot row r', with pivot
-q = its g, and takes its single step. Every row below r' then goes two
-steps on at once, right of column c + 1:
-``a[j] <- (q a[j] - g r'[j] + h r[j]) / P``, with
-``h = (r'[c] a[c+1] - r'[c+1] a[c]) / P`` and r' still at the current
-level. Expanding the second single step over the first gives this form,
-with 3 products and 1 division per entry where two single steps take 4
-and 2. g, h and the result are minors of the input by Sylvester's
-identity (h is bordered by rows r' and a, columns c and c + 1), so each
-division is exact, and the pivots, D and every pivot row from its pivot
-rightwards are the ones single steps give. A single step remains at the
-last column, and where no g is nonzero: column c + 1 then has no pivot
-(the free column of a nullspace, or a singular system).
+Only a zero pivot makes the loop search the rows below for a nonzero
+entry and swap; a column with none has no pivot (the free column of a
+nullspace, or a singular system). The methods' systems never swap.
+Without a swap the pivot after k steps is the leading principal minor
+of order k + 1, and theirs are all nonzero: the row-sum and grounded
+least-squares matrices are symmetric positive definite, and the
+grounded fair-bets block is minus a nonsingular M-matrix, whose
+principal minors are all positive (A. Berman and R. J. Plemmons,
+*Nonnegative Matrices in the Mathematical Sciences*, ch. 6).
 
-The row-sum and least-squares systems are symmetric, and elimination
-keeps them so: before any row swap, the entry in row i and column j
-after pivot k is the minor of the leading k + 1 rows and columns
-bordered by row i and column j, and transposing that minor swaps i and
-j. So on a symmetric square block each pass updates only the entries
-on and right of each lower row's diagonal, about n**3 / 6 updates in
-place of n**3 / 3. The second pivot is the diagonal entry of row c + 1
-after its single step, and a lower row's g, a[c] and a[c+1] are read
-from the two pivot rows, where the same minors stand above the
-diagonal.
+Elimination keeps a symmetric matrix symmetric: before any swap, the
+entry in row i and column j after pivot k is the minor of the leading
+k + 1 rows and columns bordered by row i and column j, and transposing
+that minor swaps i and j. So on a symmetric square block, such as the
+row-sum and least-squares systems, each lower row is updated only from
+its diagonal rightwards, about n**3 / 6 updates in place of n**3 / 3,
+and its a[c] and a[c+1] are read from the two pivot rows. A swap could
+break the symmetry, so at a zero diagonal pivot the upper entries still
+to be reduced are first copied below the diagonal, where they equal
+what the full update would have left, and the loop goes on as for any
+other matrix.
 """
 
 from __future__ import annotations
@@ -87,32 +87,28 @@ def _is_symmetric(rows: list[list[int]], columns: int) -> bool:
 def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
     """Reduce ``rows`` in place to echelon form U by forward elimination.
 
-    Columns ``0 .. columns - 1`` are eliminated left to right; a column
-    with no nonzero entry at or below the current rank is skipped, and
-    otherwise the first such row is swapped up to be the pivot row.
-    Only the rows below it change, and only right of the pivot column;
-    nothing reads the stale entries left of that. Returns the pivot
-    columns and the last pivot D (1 if there is none).
-
-    A pass takes two pivots where both exist (see the module docstring):
-    with pivot p in column c of row r, each lower row's next-level entry
-    g in column c + 1 is computed, the first row with g nonzero is
-    swapped up as the second pivot row r', brought to the next level
-    with pivot q = g, and every row below it jumps two levels right of
-    column c + 1. A single step remains at the last column and where no
-    g is nonzero, which leaves column c + 1 without a pivot.
+    Columns ``0 .. columns - 1`` are eliminated left to right, one or
+    two pivots per pass (see the module docstring). The pivot is the
+    current row's entry in the current column; if it is zero, the first
+    lower row with a nonzero entry there is swapped up, and a column
+    with none is skipped. If the next row's entry q in the next column
+    is nonzero after its single step, q is the second pivot and every
+    row below goes two steps on; otherwise the pass is a single step,
+    and the next column is treated like any other. Only the rows below
+    the pivot rows change, and only right of the pivot columns; nothing
+    reads the stale entries left of that. Returns the pivot columns and
+    the last pivot D (1 if there is none).
 
     When the rows form a symmetric ``columns`` x ``columns`` block (plus
-    any columns to its right), the pivots stay on the diagonal, and each
-    lower row is updated only from its diagonal rightwards, with g and
-    its entries in columns c and c + 1 read from the pivot rows (see the
-    module docstring). The entries below the diagonal are then left as
-    given. At a zero first or second diagonal pivot a swap could break
-    the symmetry, so the upper entries of the block still to be reduced
-    are copied below its diagonal, where they equal what the full update
-    would have left there, and elimination goes on as above: the pivots,
-    D and every entry that back substitution reads are the same on
-    either path, and the same as a single step per column gives.
+    any columns to its right), the same passes run on its upper
+    triangle: each lower row is updated from its own diagonal, its
+    entries in the pivot columns are read from the pivot rows, and its g
+    is the second pivot row's entry in its column after that row's
+    single step. The entries below the diagonal stay as given until a
+    diagonal pivot is zero; then the block's upper entries still to be
+    reduced are copied below its diagonal, and elimination goes on as
+    for any other matrix. The pivots, D and every entry that back
+    substitution reads are the ones a single step per column gives.
     """
     m = len(rows)
     pivots: list[int] = []
@@ -121,62 +117,44 @@ def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
     col = 0
     while col < columns and len(pivots) < m:
         rank = len(pivots)
-        if symmetric:
-            r = rows[col]
-            p = r[col]
-            if p and col + 1 < columns:
-                s = rows[col + 1]
-                f, d = r[col + 1], s[col + 1]
-                new = [(p * x - f * y) // previous for x, y in zip(s[col + 1:], r[col + 1:])]
-                q = new[0]
-                if q:
-                    for i in range(col + 2, m):
-                        row, g, h = rows[i], new[i - col - 1], (f * s[i] - d * r[i]) // previous
-                        row[i:] = [(q * x - g * y + h * z) // previous for x, y, z in zip(row[i:], s[i:], r[i:])]
-                    s[col + 1:] = new
-                    previous = q
-                    pivots += (col, col + 1)
-                    col += 2
-                    continue
-            elif p and col + 1 == columns:
-                pivots.append(col)
-                return pivots, p
+        if symmetric and not rows[col][col]:
             symmetric = False
             for i in range(col + 1, m):
                 rows[i][col:i] = [rows[j][i] for j in range(col, i)]
-        for pivot_index in range(rank, m):
-            if rows[pivot_index][col]:
-                break
-        else:
-            col += 1
-            continue
-        rows[rank], rows[pivot_index] = rows[pivot_index], rows[rank]
+        if not rows[rank][col]:
+            pivot_index = next((i for i in range(rank + 1, m) if rows[i][col]), None)
+            if pivot_index is None:
+                col += 1
+                continue
+            rows[rank], rows[pivot_index] = rows[pivot_index], rows[rank]
         r = rows[rank]
         p = r[col]
-        below = rows[rank + 1:]
-        gs = [(p * row[col + 1] - row[col] * r[col + 1]) // previous for row in below] if col + 1 < columns else []
-        q = next(filter(None, gs), 0)
+        q = 0
+        if col + 1 < columns and rank + 1 < m:
+            s, f = rows[rank + 1], r[col + 1]
+            e = f if symmetric else s[col]
+            new = [(p * x - e * y) // previous for x, y in zip(s[col + 1:], r[col + 1:])]
+            q = new[0]
         if q:
-            t = gs.index(q)
-            if t:
-                below[0], below[t], gs[t] = below[t], below[0], gs[0]
-                rows[rank + 1:] = below
-            s = below[0]
-            a, b = s[col], s[col + 1]
-            tail_r, tail_s = r[col + 2:], s[col + 2:]
-            for row, g in zip(below[1:], gs[1:]):
-                h = (a * row[col + 1] - b * row[col]) // previous
-                row[col + 2:] = [(q * x - g * y + h * z) // previous for x, y, z in zip(row[col + 2:], tail_s, tail_r)]
-            s[col + 2:] = [(p * x - a * y) // previous for x, y in zip(tail_s, tail_r)]
-            s[col + 1] = q
+            d, s_tail, r_tail = s[col + 1], s[col + 2:], r[col + 2:]
+            for i in range(rank + 2, m):
+                row = rows[i]
+                if symmetric:
+                    a, b, g, j, s_tail, r_tail = r[i], s[i], new[i - col - 1], i, s[i:], r[i:]
+                else:
+                    a, b, j = row[col], row[col + 1], col + 2
+                    g = (p * b - a * f) // previous
+                h = (e * b - d * a) // previous
+                row[j:] = [(q * x - g * y + h * z) // previous for x, y, z in zip(row[j:], s_tail, r_tail)]
+            s[col + 1:] = new
             previous = q
             pivots += (col, col + 1)
             col += 2
             continue
-        tail = r[col + 1:]
-        for row in below:
-            f = row[col]
-            row[col + 1:] = [(p * x - f * y) // previous for x, y in zip(row[col + 1:], tail)]
+        for i in range(rank + 1, m):
+            row = rows[i]
+            a, j = (r[i], i) if symmetric else (row[col], col + 1)
+            row[j:] = [(p * x - a * y) // previous for x, y in zip(row[j:], r[j:])]
         previous = p
         pivots.append(col)
         col += 1

@@ -2,6 +2,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from conftest import flat_round_robin, labels_for, random_problem
@@ -580,8 +581,12 @@ def _tournament_systems(rng, n):
 
 def test_two_step_elimination_matches_one_step_elimination():
     rng = random.Random(2026)
+    # The next row's g is zero and a later row's is not, on a symmetric
+    # and a general matrix: a single step, then a swap at the next column.
+    g_zero = ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [[1, 1, 0], [1, 1, 1], [0, 2, 1]])
+    fixed = [*((a, 3) for a in g_zero), *(([[*row, v] for row, v in zip(a, (1, -2, 3))], 3) for a in g_zero)]
     cases = free = swapped = zero_minors = symmetric = 0
-    for a, columns in _elimination_cases(rng):
+    for a, columns in chain(fixed, _elimination_cases(rng)):
         rows, reference = [row[:] for row in a], [row[:] for row in a]
         given = reference[:]
         pivots, d = _eliminate(rows, columns)
@@ -589,6 +594,7 @@ def test_two_step_elimination_matches_one_step_elimination():
         for k, col in enumerate(pivots):
             assert rows[k][col:] == reference[k][col:]
         in_place = all(map(operator.is_, reference, given))
+        assert cases >= len(fixed) or (pivots == [0, 1, 2] and not in_place)
         swapped += not in_place
         if len(a) == columns and all(a[i][j] == a[j][i] for i in range(columns) for j in range(i)):
             # Every pivot on the diagonal, with no row swapped: every

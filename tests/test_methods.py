@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -497,6 +498,44 @@ def test_grounded_fair_bets_match_the_nullspace_of_the_whole_matrix():
         problem = random_problem(rng, n, require=is_irreducible)
         rated = (fair_bets(problem), dual_fair_bets(problem), copeland_fair_bets(problem))
         assert rated == _nullspace_fair_bets(problem), n
+
+
+def test_the_methods_systems_need_no_row_swap(monkeypatch):
+    # The row-sum and grounded least-squares matrices are positive
+    # definite, and the grounded fair-bets block is minus a nonsingular
+    # M-matrix: no leading principal minor is zero, so elimination takes
+    # every pivot on the diagonal of the rows as given.
+    from pairrank import linalg
+
+    eliminate = linalg._eliminate
+    systems = []
+
+    def spy(rows, columns):
+        given = rows[:]
+        pivots, d = eliminate(rows, columns)
+        systems.append((len(given), columns, all(map(operator.is_, rows, given)), pivots))
+        return pivots, d
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    rng = random.Random(2727)
+    for n in [*(rng.randint(2, 6) for _ in range(60)), *range(7, 41)]:
+        problem = random_problem(rng, n, require=is_irreducible)
+        # The reasonable epsilon needs three objects; any positive one
+        # gives a positive definite row-sum matrix.
+        grs = lambda problem: generalized_row_sum(problem, REASONABLE if n > 2 else F(1, 3))
+        # Each method's systems: their count, and their order n, or n - 1 when grounded.
+        for method, calls, size in (
+            (grs, 1, n),
+            (least_squares, 1, n - 1),
+            (fair_bets, 1, n - 1),
+            (dual_fair_bets, 1, n - 1),
+            (copeland_fair_bets, 2, n - 1),
+        ):
+            systems.clear()
+            method(problem)
+            assert len(systems) == calls, (n, method)
+            for rows, columns, in_place, pivots in systems:
+                assert rows == columns == size and in_place and pivots == list(range(size)), (n, method)
 
 
 def test_fair_bets_refuse_every_reducible_problem_of_the_small_grid(monkeypatch):

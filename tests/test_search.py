@@ -245,38 +245,58 @@ def test_buckets_match_matrices_built_one_by_one():
     # The buckets assembled from per-object row tables are the buckets
     # built matrix by matrix, one _build_dt per schedule and results vector
     # and then sorted, on n 2-4 with one or two matches in every domain and
-    # on 5-object single round robins. An irreducible bucket is the
-    # connected one filtered, with irreducibility tested once per set of
-    # positive entries. Within a bucket, equal rows are one object.
+    # on 5-object single round robins. Each (n, M) reference is built once,
+    # over all schedules, and each domain's bucket is its filter to that
+    # domain's schedules: every domain but roundrobin has one bucket per
+    # total, empty ones included, and a round robin's total is m C(n, 2).
+    # An irreducible bucket is the connected one filtered, with
+    # irreducibility tested once per set of positive entries. Within a
+    # bucket, equal rows are one object.
     build = importlib.import_module("pairrank.search")._build_dt
     strongly = cache(irreducible)
-    kept = lambda dt: strongly(tuple(tuple(v > 0 for v in row) for row in dt))
+    positive = cache(lambda row: tuple(v > 0 for v in row))
+    kept = lambda dt: strongly(tuple(map(positive, dt)))
 
-    def built(n, cap, domain):
+    def built(n, schedules):
         pairs = list(combinations(range(n), 2))
-        for schedules in _schedules(n, cap, domain):
-            yield sorted(
-                build(n, pairs, mvec, avec)
-                for mvec in schedules
-                for avec in product(*(range(-m, m + 1) for m in mvec))
-            )
+        return sorted(
+            (build(n, pairs, mvec, avec), mvec)
+            for mvec in schedules
+            for avec in product(*(range(-m, m + 1) for m in mvec))
+        )
+
+    def only(expected, schedules):
+        schedules = set(schedules)
+        return [dt for dt, mvec in expected if mvec in schedules]
 
     def check(bucket, expected, grid):
         assert bucket == expected, grid
         rows = {}
         assert all(rows.setdefault(row, row) is row for dt in bucket for row in dt), grid
 
-    grids = [(n, cap, domain) for n, cap, domain in product((2, 3, 4), (1, 2), DOMAINS) if domain != "irreducible"]
-    for n, cap, domain in grids + [(5, 1, "roundrobin")]:
-        buckets = zip(_buckets(n, cap, domain), built(n, cap, domain), strict=True)
-        if domain == "connected":
-            buckets = zip(buckets, _buckets(n, cap, "irreducible"), strict=True)
-        else:
-            buckets = zip(buckets, repeat(None))
-        for (bucket, expected), strong in buckets:
-            check(bucket, expected, (n, cap, domain))
-            if strong is not None:
-                check(strong, list(filter(kept, expected)), (n, cap, "irreducible"))
+    for n, cap in product((2, 3, 4), (1, 2)):
+        totals = zip(
+            _schedules(n, cap, "all"),
+            _schedules(n, cap, "connected"),
+            _buckets(n, cap, "all"),
+            _buckets(n, cap, "connected"),
+            _buckets(n, cap, "irreducible"),
+            strict=True,
+        )
+        round_robins = zip(_schedules(n, cap, "roundrobin"), _buckets(n, cap, "roundrobin"), strict=True)
+        for total, (schedules, joined, bucket, joined_bucket, strong) in enumerate(totals):
+            every = built(n, schedules)
+            check(bucket, [dt for dt, _ in every], (n, cap, "all"))
+            expected = only(every, joined)
+            check(joined_bucket, expected, (n, cap, "connected"))
+            check(strong, list(filter(kept, expected)), (n, cap, "irreducible"))
+            if total and total % comb(n, 2) == 0:
+                schedules, bucket = next(round_robins)
+                check(bucket, only(every, schedules), (n, cap, "roundrobin"))
+        assert next(round_robins, None) is None, (n, cap)
+    (schedules,) = _schedules(5, 1, "roundrobin")
+    (bucket,) = _buckets(5, 1, "roundrobin")
+    check(bucket, only(built(5, schedules), schedules), (5, 1, "roundrobin"))
 
 
 def test_sweep_refuses_a_bucket_not_closed_under_relabelling():
