@@ -11,6 +11,11 @@ objects. Objects are ordered by first appearance.
 Matrix format: an optional ``labels:`` line, the object count on its
 own line, then the tournament rows, entries separated by whitespace.
 
+Either reader refuses a file of more than ``MAX_OBJECTS`` objects with a
+ParseError before it builds a matrix: the match list at the record that
+introduces one object too many, the matrix file once its rows are
+counted.
+
 Rational literals are written as ``p/q``, an integer, or a decimal with
 at most six fractional digits, and each distinct literal of a file is
 read once, as an integer numerator and denominator. Both formats become
@@ -38,6 +43,8 @@ from .model import RankingProblem, default_labels
 _RATIONAL = re.compile(r"([+-]?)(\d+)(?:/(\d+)|\.(\d{1,6}))?")
 
 _HEADER = ("i", "j", "tij", "tji")
+
+MAX_OBJECTS = 1000
 
 
 def _rational_parts(text: str) -> tuple[int, int]:
@@ -114,6 +121,8 @@ def parse_match_list(text: str) -> RankingProblem:
             raise NonIntegerPairSum(f"line {lineno}: {label_i} and {label_j} total {total} matches")
         i = index.setdefault(label_i, len(index))
         j = index.setdefault(label_j, len(index))
+        if len(index) > MAX_OBJECTS:
+            raise ParseError(f"line {lineno}: more than {MAX_OBJECTS} objects")
         records.append((i, j, raw_ij, raw_ji))
     if len(index) < 2:
         raise ParseError(f"found {len(index)} objects, a problem needs at least 2")
@@ -145,6 +154,8 @@ def parse_matrix(text: str) -> RankingProblem:
     body = lines[1:]
     if len(body) != n:
         raise ParseError(f"expected {n} matrix rows, found {len(body)}")
+    if n > MAX_OBJECTS:
+        raise ParseError(f"line {lineno}: {n} objects, more than {MAX_OBJECTS}")
     if labels is None:
         labels = default_labels(n)
     if len(labels) != n:

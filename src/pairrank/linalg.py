@@ -7,23 +7,30 @@ denominator D. Nothing here ever touches floating point.
 Both kernels run fraction-free forward elimination over Python ints,
 :func:`_eliminate` (E. H. Bareiss, *Sylvester's identity and multistep
 integer-preserving Gaussian elimination*, Math. Comp. 22, 1968), then
-integer back substitution, :func:`_back_substitute`. Let pivot row r
+integer back substitution, :func:`_back_substitute`. Let pivot row r0
 have pivot p in column c, P be the pivot before it (1 at the start),
-and every entry be at the current level. A single step takes each lower
-row a to ``(p a[j] - a[c] r[j]) / P`` right of column c. Where the next
-row r' has a nonzero entry q in column c + 1 after its single step, q
-is a second pivot, and every row below r' goes two steps on at once,
-right of column c + 1: ``a[j] <- (q a[j] - g r'[j] + h r[j]) / P``,
-with ``g = (p a[c+1] - a[c] r[c+1]) / P``, ``h = (r'[c] a[c+1] -
-r'[c+1] a[c]) / P`` and r' still at the current level: 3 products and
-1 division per entry where two single steps take 4 and 2. By
-Sylvester's identity every entry, g and h included, is up to sign a
+r1 and r2 be the next two rows, and every entry be at the current
+level. A single step takes each lower row a to ``(p a[j] - a[c] r0[j])
+/ P`` right of column c. Let g be a's entry in column c + 1 after that
+step, ``h = (r1[c] a[c+1] - r1[c+1] a[c]) / P`` and q the g of r1; two
+steps take a to ``(q a[j] - g r1[j] + h r0[j]) / P``. Let u be a's entry
+in column c + 2 after two steps, and g2, h2 and q2 the g, h and u of r2.
+Where q and q2 are both nonzero they are the next two pivots, and every
+row below r2 goes three steps on at once, right of column c + 2::
+
+    a[j] <- (q2 a[j] - u r2[j] + g3 r1[j] + h3 r0[j]) / P
+    g3 = (u g2 - q2 g) / q,  h3 = (q2 h - u h2) / q
+
+with r1 and r2 still at the current level: 4 products and 1 division
+per entry where three single steps take 6 and 3. By Sylvester's
+identity every entry, g, h, u, g3 and h3 included, is up to sign a
 minor of the input, so each division is exact, no entry outgrows a
 minor, and the pivots, D and pivot rows are the ones single steps give.
-The results are the integer vector D x, with D the last pivot: by
-Cramer's rule its entries are minors too, so the back substitution's
-divisions are exact as well, and a nonzero remainder is raised as an
-internal error.
+Otherwise the pass is a single step, and r1 keeps the single step it
+has already taken. The results are the integer vector D x, with D the
+last pivot: by Cramer's rule its entries are minors too, so the back
+substitution's divisions are exact as well, and a nonzero remainder is
+raised as an internal error.
 
 Only a zero pivot makes the loop search the rows below for a nonzero
 entry and swap; a column with none has no pivot (the free column of a
@@ -41,11 +48,11 @@ k + 1 rows and columns bordered by row i and column j, and transposing
 that minor swaps i and j. So on a symmetric square block, such as the
 row-sum and least-squares systems, each lower row is updated only from
 its diagonal rightwards, about n**3 / 6 updates in place of n**3 / 3,
-and its a[c] and a[c+1] are read from the two pivot rows. A swap could
-break the symmetry, so at a zero diagonal pivot the upper entries still
-to be reduced are first copied below the diagonal, where they equal
-what the full update would have left, and the loop goes on as for any
-other matrix.
+and its a[c], a[c+1] and a[c+2] are read from the three pivot rows. A
+swap could break the symmetry, so at a zero diagonal pivot the upper
+entries still to be reduced are first copied below the diagonal, where
+they equal what the full update would have left, and the loop goes on
+as for any other matrix.
 """
 
 from __future__ import annotations
@@ -88,27 +95,31 @@ def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
     """Reduce ``rows`` in place to echelon form U by forward elimination.
 
     Columns ``0 .. columns - 1`` are eliminated left to right, one or
-    two pivots per pass (see the module docstring). The pivot is the
+    three pivots per pass (see the module docstring). The pivot is the
     current row's entry in the current column; if it is zero, the first
     lower row with a nonzero entry there is swapped up, and a column
-    with none is skipped. If the next row's entry q in the next column
-    is nonzero after its single step, q is the second pivot and every
-    row below goes two steps on; otherwise the pass is a single step,
-    and the next column is treated like any other. Only the rows below
-    the pivot rows change, and only right of the pivot columns; nothing
-    reads the stale entries left of that. Returns the pivot columns and
-    the last pivot D (1 if there is none).
+    with none is skipped. The next row takes its single step, and if
+    that leaves a nonzero q, the row after it takes its two steps; if
+    they leave a nonzero q2 too, every row below goes three steps on.
+    Otherwise the pass is a single step, the next row keeps the one it
+    took, and the next column is treated like any other; if the next
+    row is the last one and its q is nonzero, it is a pivot row already,
+    and q is D. Only the rows below the pivot rows change, and only
+    right of the pivot columns; nothing reads the stale entries left of
+    that. Returns the pivot columns and the last pivot D (1 if there is
+    none).
 
     When the rows form a symmetric ``columns`` x ``columns`` block (plus
     any columns to its right), the same passes run on its upper
     triangle: each lower row is updated from its own diagonal, its
     entries in the pivot columns are read from the pivot rows, and its g
-    is the second pivot row's entry in its column after that row's
-    single step. The entries below the diagonal stay as given until a
-    diagonal pivot is zero; then the block's upper entries still to be
-    reduced are copied below its diagonal, and elimination goes on as
-    for any other matrix. The pivots, D and every entry that back
-    substitution reads are the ones a single step per column gives.
+    and u are the second and third pivot rows' entries in its column
+    after their single and double steps. The entries below the diagonal
+    stay as given until a diagonal pivot is zero; then the block's upper
+    entries still to be reduced are copied below its diagonal, and
+    elimination goes on as for any other matrix. The pivots, D and every
+    entry that back substitution reads are the ones a single step per
+    column gives.
     """
     m = len(rows)
     pivots: list[int] = []
@@ -129,29 +140,53 @@ def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
             rows[rank], rows[pivot_index] = rows[pivot_index], rows[rank]
         r = rows[rank]
         p = r[col]
-        q = 0
-        if col + 1 < columns and rank + 1 < m:
-            s, f = rows[rank + 1], r[col + 1]
+        q = q2 = 0
+        below = rank + 1
+        if col + 1 < columns and below < m:
+            s, f = rows[below], r[col + 1]
             e = f if symmetric else s[col]
             new = [(p * x - e * y) // previous for x, y in zip(s[col + 1:], r[col + 1:])]
             q = new[0]
-        if q:
-            d, s_tail, r_tail = s[col + 1], s[col + 2:], r[col + 2:]
-            for i in range(rank + 2, m):
+            below += 1
+        if q and col + 2 < columns and below < m:
+            t, d, f2, d2 = rows[below], s[col + 1], r[col + 2], s[col + 2]
+            a, b = (f2, d2) if symmetric else (t[col], t[col + 1])
+            g2 = new[1] if symmetric else (p * b - a * f) // previous
+            h2 = (e * b - d * a) // previous
+            new2 = [
+                (q * x - g2 * y + h2 * z) // previous for x, y, z in zip(t[col + 2:], s[col + 2:], r[col + 2:])
+            ]
+            q2 = new2[0]
+        if q2:
+            t_tail, s_tail, r_tail = t[col + 3:], s[col + 3:], r[col + 3:]
+            for i in range(rank + 3, m):
                 row = rows[i]
                 if symmetric:
-                    a, b, g, j, s_tail, r_tail = r[i], s[i], new[i - col - 1], i, s[i:], r[i:]
+                    a, b, g, u, j = r[i], s[i], new[i - col - 1], new2[i - col - 2], i
+                    t_tail, s_tail, r_tail = t[i:], s[i:], r[i:]
+                    h = (e * b - d * a) // previous
                 else:
-                    a, b, j = row[col], row[col + 1], col + 2
+                    a, b, j = row[col], row[col + 1], col + 3
                     g = (p * b - a * f) // previous
-                h = (e * b - d * a) // previous
-                row[j:] = [(q * x - g * y + h * z) // previous for x, y, z in zip(row[j:], s_tail, r_tail)]
-            s[col + 1:] = new
-            previous = q
-            pivots += (col, col + 1)
-            col += 2
+                    h = (e * b - d * a) // previous
+                    u = (q * row[col + 2] - g * d2 + h * f2) // previous
+                g3 = (u * g2 - q2 * g) // q
+                h3 = (q2 * h - u * h2) // q
+                row[j:] = [
+                    (q2 * x - u * y + g3 * z + h3 * w) // previous
+                    for x, y, z, w in zip(row[j:], t_tail, s_tail, r_tail)
+                ]
+            s[col + 1:], t[col + 2:] = new, new2
+            previous = q2
+            pivots += (col, col + 1, col + 2)
+            col += 3
             continue
-        for i in range(rank + 1, m):
+        if below > rank + 1:  # the next row keeps its single step
+            s[col + 1:] = new
+            if q and below == m:
+                pivots += (col, col + 1)
+                return pivots, q
+        for i in range(below, m):
             row = rows[i]
             a, j = (r[i], i) if symmetric else (row[col], col + 1)
             row[j:] = [(p * x - a * y) // previous for x, y in zip(row[j:], r[j:])]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -153,6 +154,27 @@ def test_parse_matrix_counts_rows_before_building_labels(monkeypatch):
     monkeypatch.setattr("pairrank.io.default_labels", refuse)
     with pytest.raises(ParseError, match=r"^expected 1000000000 matrix rows, found 2$"):
         parse_matrix("1000000000\n0 1\n1 0\n")
+
+
+def test_readers_refuse_more_than_max_objects(monkeypatch):
+    # 2 000 labels that never met: line 501 introduces the 1 001st, and the
+    # reader stops there, before a 2 000 x 2 000 matrix (about 32 MB).
+    text = "".join(f"a{k},b{k},0,0\n" for k in range(1000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r"^line 501: more than 1000 objects$"):
+            parse_match_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    monkeypatch.setattr(pairrank.io, "MAX_OBJECTS", 4)
+    assert parse_match_list("a,b,1,0\nc,d,0,0\na,d,1,1\n").size == 4
+    with pytest.raises(ParseError, match=r"^line 3: more than 4 objects$"):
+        parse_match_list("a,b,1,0\nc,d,0,0\nd,e,1,1\n")
+    assert parse_matrix("4\n" + "0 0 0 0\n" * 4).size == 4
+    with pytest.raises(ParseError, match=r"^line 2: 5 objects, more than 4$"):
+        parse_matrix("labels: a b c d e\n5\n" + "0 0 0 0 0\n" * 5)
 
 
 def test_parse_matrix_defaults_and_errors():

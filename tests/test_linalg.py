@@ -480,7 +480,7 @@ def test_symmetric_elimination_leaves_the_lower_triangle_as_given():
 def _one_step_eliminate(rows, columns):
     """Reference: the fraction-free elimination with one pivot per pass,
     on the symmetric half where the rows allow it, as it stood before
-    the two-step passes."""
+    the multistep passes."""
     m = len(rows)
     pivots = []
     previous = 1
@@ -579,12 +579,23 @@ def _tournament_systems(rng, n):
     yield [row[:-1] for row in a[:-1]], [-row[-1] for row in a[:-1]]
 
 
-def test_two_step_elimination_matches_one_step_elimination():
+def test_multistep_elimination_matches_one_step_elimination():
     rng = random.Random(2026)
-    # The next row's g is zero and a later row's is not, on a symmetric
-    # and a general matrix: a single step, then a swap at the next column.
-    g_zero = ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [[1, 1, 0], [1, 1, 1], [0, 2, 1]])
-    fixed = [*((a, 3) for a in g_zero), *(([[*row, v] for row, v in zip(a, (1, -2, 3))], 3) for a in g_zero)]
+    # Each fallback to a single step, on a symmetric and a general matrix,
+    # with and without a right-hand side; a swap follows at a later
+    # column. In the first two the next row's pivot q is zero after its
+    # single step and a later row's is not. In the last two q is nonzero
+    # but the row after it has a zero pivot q2 after its two steps.
+    fallbacks = (
+        [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+        [[1, 1, 0], [1, 1, 1], [0, 2, 1]],
+        [[1, 1, 1, 0], [1, 2, 2, 0], [1, 2, 2, 1], [0, 0, 1, 1]],
+        [[1, 1, 1, 0], [1, 2, 2, 0], [1, 2, 2, 1], [2, 0, 1, 1]],
+    )
+    fixed = [
+        *((a, len(a)) for a in fallbacks),
+        *(([[*row, v] for row, v in zip(a, (1, -2, 3, -4))], len(a)) for a in fallbacks),
+    ]
     cases = free = swapped = zero_minors = symmetric = 0
     for a, columns in chain(fixed, _elimination_cases(rng)):
         rows, reference = [row[:] for row in a], [row[:] for row in a]
@@ -594,7 +605,7 @@ def test_two_step_elimination_matches_one_step_elimination():
         for k, col in enumerate(pivots):
             assert rows[k][col:] == reference[k][col:]
         in_place = all(map(operator.is_, reference, given))
-        assert cases >= len(fixed) or (pivots == [0, 1, 2] and not in_place)
+        assert cases >= len(fixed) or (pivots == list(range(columns)) and not in_place)
         swapped += not in_place
         if len(a) == columns and all(a[i][j] == a[j][i] for i in range(columns) for j in range(i)):
             # Every pivot on the diagonal, with no row swapped: every
