@@ -64,7 +64,7 @@ def _load_problem(path: str, form: str) -> RankingProblem:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     return parse_problem(text, form)
 

@@ -11,6 +11,8 @@ objects. Objects are ordered by first appearance.
 Matrix format: an optional ``labels:`` line, the object count on its
 own line, then the tournament rows, entries separated by whitespace.
 
+Both readers ignore a byte-order mark at the start of the text.
+
 Either reader refuses a file of more than ``MAX_OBJECTS`` objects with a
 ParseError before it builds a matrix: the match list at the record that
 introduces one object too many, the matrix file once its rows are
@@ -66,9 +68,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _lines(text: str) -> list[tuple[int, str]]:
-    """The non-blank lines of ``text`` with ``#`` comments stripped,
-    each with its 1-based line number."""
-    stripped = ((n, raw.partition("#")[0].strip()) for n, raw in enumerate(text.splitlines(), 1))
+    """The non-blank lines of ``text`` with ``#`` comments and one
+    leading byte-order mark stripped, each with its 1-based line number."""
+    lines = text.removeprefix("\ufeff").splitlines()
+    stripped = ((n, raw.partition("#")[0].strip()) for n, raw in enumerate(lines, 1))
     return [(n, line) for n, line in stripped if line]
 
 

@@ -26,8 +26,10 @@ per entry where three single steps take 6 and 3. By Sylvester's
 identity every entry, g, h, u, g3 and h3 included, is up to sign a
 minor of the input, so each division is exact, no entry outgrows a
 minor, and the pivots, D and pivot rows are the ones single steps give.
-Otherwise the pass is a single step, and r1 keeps the single step it
-has already taken. The results are the integer vector D x, with D the
+r1's single step and r2's two steps are taken only where a three-step
+pass can happen, with r2 a row and c + 2 a column to eliminate; so a
+pass has two shapes, the three-step update or one single step over
+every lower row. The results are the integer vector D x, with D the
 last pivot: by Cramer's rule its entries are minors too, so the back
 substitution's divisions are exact as well, and a nonzero remainder is
 raised as an internal error.
@@ -98,16 +100,15 @@ def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
     three pivots per pass (see the module docstring). The pivot is the
     current row's entry in the current column; if it is zero, the first
     lower row with a nonzero entry there is swapped up, and a column
-    with none is skipped. The next row takes its single step, and if
-    that leaves a nonzero q, the row after it takes its two steps; if
-    they leave a nonzero q2 too, every row below goes three steps on.
-    Otherwise the pass is a single step, the next row keeps the one it
-    took, and the next column is treated like any other; if the next
-    row is the last one and its q is nonzero, it is a pivot row already,
-    and q is D. Only the rows below the pivot rows change, and only
-    right of the pivot columns; nothing reads the stale entries left of
-    that. Returns the pivot columns and the last pivot D (1 if there is
-    none).
+    with none is skipped. If two more rows and two more columns remain,
+    the next row takes its single step, and if that leaves a nonzero q,
+    the row after it takes its two steps; if they leave a nonzero q2
+    too, every row below goes three steps on. In every other case the
+    pass is one single step over all lower rows, and the next column is
+    treated like any other. Only the rows below the pivot rows change,
+    and only right of the pivot columns; nothing reads the stale entries
+    left of that. Returns the pivot columns and the last pivot D (1 if
+    there is none).
 
     When the rows form a symmetric ``columns`` x ``columns`` block (plus
     any columns to its right), the same passes run on its upper
@@ -141,15 +142,13 @@ def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
         r = rows[rank]
         p = r[col]
         q = q2 = 0
-        below = rank + 1
-        if col + 1 < columns and below < m:
-            s, f = rows[below], r[col + 1]
+        if col + 2 < columns and rank + 2 < m:
+            s, t, f = rows[rank + 1], rows[rank + 2], r[col + 1]
             e = f if symmetric else s[col]
             new = [(p * x - e * y) // previous for x, y in zip(s[col + 1:], r[col + 1:])]
             q = new[0]
-            below += 1
-        if q and col + 2 < columns and below < m:
-            t, d, f2, d2 = rows[below], s[col + 1], r[col + 2], s[col + 2]
+        if q:
+            d, f2, d2 = s[col + 1], r[col + 2], s[col + 2]
             a, b = (f2, d2) if symmetric else (t[col], t[col + 1])
             g2 = new[1] if symmetric else (p * b - a * f) // previous
             h2 = (e * b - d * a) // previous
@@ -181,12 +180,7 @@ def _eliminate(rows: list[list[int]], columns: int) -> tuple[list[int], int]:
             pivots += (col, col + 1, col + 2)
             col += 3
             continue
-        if below > rank + 1:  # the next row keeps its single step
-            s[col + 1:] = new
-            if q and below == m:
-                pivots += (col, col + 1)
-                return pivots, q
-        for i in range(below, m):
+        for i in range(rank + 1, m):
             row = rows[i]
             a, j = (r[i], i) if symmetric else (row[col], col + 1)
             row[j:] = [(p * x - a * y) // previous for x, y in zip(row[j:], r[j:])]

@@ -113,6 +113,15 @@ def test_audit_additivity_verdicts(write, capsys):
     assert "violated" in out and "X1" in out and "X2" in out
 
 
+def test_undecodable_file_is_named(write, tmp_path, capsys):
+    first = write("a.txt", EXAMPLE_5[0])
+    second = tmp_path / "latin1.txt"
+    second.write_bytes(render_matrix(EXAMPLE_5[1]).replace("X1", "Caf\u00e9").encode("latin-1"))
+    code, out, err = run(capsys, "audit", "--axiom", "RCS", "--method", "cfb", first, str(second))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {second}: 'utf-8' codec can't decode byte 0xe9")
+
+
 def test_audit_detects_changed_pair(write, capsys):
     first = write("a.txt", EXAMPLE_7[0])
     second = write("b.txt", EXAMPLE_7[1])

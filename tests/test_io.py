@@ -246,6 +246,16 @@ def test_parse_problem_dispatch():
         parse_problem("2\n0 1\n0 0\n", form="csv")
 
 
+def test_readers_ignore_a_leading_byte_order_mark():
+    text = "A,B,1,0\nB,C,2,1\nC,A,0,1\n"
+    problem = parse_match_list("\ufeff" + text)
+    assert problem == parse_match_list(text) and problem.labels == ("A", "B", "C")
+    assert parse_problem("\ufeffi,j,tij,tji\na,b,1,0\n", form="matches").labels == ("a", "b")
+    matrix = "labels: P Q\n2\n0 1\n1 0\n"
+    assert parse_matrix("\ufeff" + matrix) == parse_matrix(matrix)
+    assert parse_problem("\ufeff" + matrix).labels == ("P", "Q")
+
+
 def test_render_rating_layout():
     rating = Method("cfb").rate(EXAMPLE_5[0])
     text = render_rating(rating)

@@ -596,8 +596,26 @@ def test_multistep_elimination_matches_one_step_elimination():
         *((a, len(a)) for a in fallbacks),
         *(([[*row, v] for row, v in zip(a, (1, -2, 3, -4))], len(a)) for a in fallbacks),
     ]
+    # One system of each small shape: 1, 2 and 3 rows, symmetric and
+    # general, with and without a right-hand side, and one row eliminated
+    # whole. In the singular [[1, 2], [2, 4]] q is zero after the single
+    # step, and in the singular 3 x 3 system q2 is.
+    small = (
+        [[3]],
+        [[2, 1], [1, 3]],
+        [[1, 2], [3, 4]],
+        [[1, 2], [2, 4]],
+        [[2, 1, 0], [1, 3, 1], [0, 1, 4]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 10]],
+        [[1, 1, 1], [1, 2, 2], [1, 2, 2]],
+    )
+    shapes = [
+        ([[2, 3]], 2),
+        *((a, len(a)) for a in small),
+        *(([[*row, v] for row, v in zip(a, (1, -2, 3))], len(a)) for a in small),
+    ]
     cases = free = swapped = zero_minors = symmetric = 0
-    for a, columns in chain(fixed, _elimination_cases(rng)):
+    for a, columns in chain(fixed, shapes, _elimination_cases(rng)):
         rows, reference = [row[:] for row in a], [row[:] for row in a]
         given = reference[:]
         pivots, d = _eliminate(rows, columns)
