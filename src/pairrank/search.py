@@ -9,7 +9,8 @@ candidate is ``(dt, sigma)`` for invariance, two input slots
 ``(first, second)`` for additivity, ``(first, second, pair)`` for
 independence, or ``None`` for a failed draw. It comes only in the shape
 its axiom takes: flat for SYM, one schedule for RCS, one edited pair on
-at least four objects for IIM and IIR. The canonical order is ascending
+at least four objects for IIM and IIR. An FP input is refused unless the
+method rates it flat, in both modes. The canonical order is ascending
 object count, then ascending total number of matches, then lexicographic
 on the flattened matrix.
 
@@ -574,7 +575,9 @@ def _random_candidate(axiom, rng, config):
     The draw takes an object count, then a matrix (:func:`_random_dt`),
     then what the axiom adds to it: a relabelling for NEU, the second
     input for additivity, or a pair and one of its edits for IIM and IIR.
-    Only the edit drawn is built into a matrix (:func:`_with_pair`).
+    Additivity inputs are plain draws for FP too: the judge refuses those
+    the method does not rate flat. Only the edit drawn is built into a
+    matrix (:func:`_with_pair`).
     """
     counts = config.object_counts
     if axiom.kind is AxiomKind.INDEPENDENCE:
@@ -603,10 +606,7 @@ def _random_candidate(axiom, rng, config):
         drawn = _random_dt(rng, n, config.max_matches, config.domain, mvec if axiom is Axiom.RCS else None)
         if drawn is None:
             return None
-        dt_b, mvec_b = drawn
-        if axiom is Axiom.FP:
-            dt, dt_b = _build_dt(n, pairs, mvec, repeat(0)), _build_dt(n, pairs, mvec_b, repeat(0))
-        return [dt, None], [dt_b, None]
+        return [dt, None], [drawn[0], None]
 
     def edit():
         k, l = pairs[rng.randrange(len(pairs))]

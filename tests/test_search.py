@@ -819,14 +819,15 @@ def test_random_mode_is_reproducible():
         (Axiom.EP, 12, 1,
          (((0, 0, 2, 1), (0, 0, 3, 3), (0, 1, 0, 2), (1, 1, 0, 0)),
           ((0, 3, 2, 0), (1, 0, 0, 3), (0, 4, 0, 0), (0, 1, 2, 0))), [(2, 3)]),
-        (Axiom.FP, 600, 380, None, None),
+        (Axiom.FP, 600, 0, None, None),
         (Axiom.RCS, 106, 25, (((0, 4, 0), (0, 0, 1), (4, 1, 0)), ((0, 1, 3), (3, 0, 0), (1, 2, 0))), [(0, 1)]),
     ],
     ids=lambda v: v.ident if isinstance(v, Axiom) else None,
 )
 def test_random_additivity_search_is_pinned(axiom, examined, admissible, witness, pairs):
-    # Fair bets on random 3- and 4-object draws at one seed. FP draws
-    # flat problems, which every method rates flat, so it finds nothing.
+    # Fair bets on random 3- and 4-object draws at one seed. An FP pair is
+    # two plain draws, admissible only when fb rates both flat, and fb
+    # rates none of these 600 pairs so.
     config = SearchConfig(object_counts=(3, 4), max_matches=2, mode="random", seed=5, budget=600)
     result = search(Method("fb"), axiom, config)
     assert (result.examined, result.admissible) == (examined, admissible)
@@ -838,6 +839,33 @@ def test_random_additivity_search_is_pinned(axiom, examined, admissible, witness
     assert (first.scaled, second.scaled) == witness
     assert first.denominator == second.denominator == 2
     assert [v.objects for v in hit.report.violations] == pairs
+
+
+def test_random_fp_admits_the_pairs_rated_flat_and_they_are_balanced():
+    # Random FP draws its inputs as CS does, and the judge refuses a pair
+    # unless the method rates both inputs flat. Score rates flat some
+    # inputs that are not flat problems. Every input admitted is balanced,
+    # its row sums equal to its column sums, as the balance lemma says of
+    # an input these methods rate flat.
+    config = SearchConfig(object_counts=(3, 4), max_matches=2, mode="random", seed=5, budget=3000)
+    draws = [_random_candidate(Axiom.FP, _draw_rng(config.seed, index), config) for index in range(config.budget)]
+    pairs = [tuple(slot[0] for slot in candidate) for candidate in draws if candidate is not None]
+
+    for method in (Method("score"), Method("grs", "reasonable"), Method("ls"), Method("fb"), Method("dfb")):
+        @cache
+        def rated_flat(dt):
+            try:
+                keys = method.rate(_problem(dt)).scaled
+            except MethodPreconditionError:
+                return False
+            return len(set(keys)) == 1
+
+        admitted = [dt for pair in pairs if all(map(rated_flat, pair)) for dt in pair]
+        assert search(method, Axiom.FP, config).admissible == len(admitted) // 2, method
+        for dt in admitted:
+            assert [sum(row) for row in dt] == [sum(column) for column in zip(*dt)], (method, dt)
+        if method.key == "score":
+            assert not all(map(flat, admitted))
 
 
 def test_random_mode_draws_full_budget_without_hits():
@@ -979,10 +1007,7 @@ def _reference_random_candidate(axiom, rng, config):
         drawn = _reference_random_dt(rng, n, config.max_matches, config.domain)
         if drawn is None:
             return None
-        dt_b, mvec_b = drawn
-        if axiom is Axiom.FP:
-            dt, dt_b = _reference_build_dt(n, pairs, mvec, repeat(0)), _reference_build_dt(n, pairs, mvec_b, repeat(0))
-        return [dt, None], [dt_b, None]
+        return [dt, None], [drawn[0], None]
 
     def edit():
         k, l = pairs[rng.randrange(len(pairs))]
