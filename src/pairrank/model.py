@@ -18,6 +18,16 @@ rationals, converts them once to integers over their lcm, and validates
 those; ``tournament`` gives them back. Floats are rejected at the
 boundary so no rounding error can enter a problem.
 
+A problem is validated once, where its matrix enters the package. Every
+public constructor (``RankingProblem(...)``, :meth:`RankingProblem.from_scaled`,
+:func:`build_problem`) and both file readers run the full structural
+check. The private ``RankingProblem._vouched`` trusts its caller's
+integer matrix and only reduces it: :func:`negate`, :func:`permute` and
+:func:`sum_problems` use it on matrices built from valid problems, and
+the counterexample search on the grid matrices it rates. Both paths end
+in the same gcd reduction, so equal tournaments stay equal and hash
+alike whichever path built them.
+
 The structural predicates and transforms are kernels over integer
 matrices. None of them depends on the common scale, so they apply
 unchanged to any positive multiple of a tournament, such as the
@@ -76,6 +86,12 @@ class RankingProblem:
     scales them to integers over their lcm; :meth:`from_scaled` takes
     integers over a denominator. Both then run the same integer check
     of every structural invariant, so an instance that exists is valid.
+
+    :meth:`_vouched` skips that check for callers inside the package
+    that vouch for their input: labels a tuple of distinct strings, at
+    least two of them; rows tuples of ints, square, nonnegative, with a
+    zero diagonal; and every pair sum a multiple of the denominator. It
+    runs only :meth:`_reduce`, the gcd reduction the check ends with.
     """
 
     labels: tuple[str, ...]
@@ -93,6 +109,13 @@ class RankingProblem:
         """The problem whose tournament is ``scaled[i][j] / denominator``."""
         problem = cls.__new__(cls)
         problem.__post_init__(labels, scaled, denominator)
+        return problem
+
+    @classmethod
+    def _vouched(cls, labels, scaled, denominator: int) -> "RankingProblem":
+        """The problem of a valid matrix, built without the check."""
+        problem = cls.__new__(cls)
+        problem._reduce(labels, scaled, denominator)
         return problem
 
     def __post_init__(self, labels, rows, denominator):
@@ -129,12 +152,16 @@ class RankingProblem:
                         f"{labels[i]} and {labels[j]} played {total} matches,"
                         " which is not a whole number"
                     )
-        common = math.gcd(denominator, *(v for row in checked for v in row))
+        self._reduce(labels, checked, denominator)
+
+    def _reduce(self, labels, rows, denominator):
+        # Store ``rows`` over ``denominator`` in lowest terms.
+        common = math.gcd(denominator, *(v for row in rows for v in row))
         if common > 1:
-            checked = [tuple(v // common for v in row) for row in checked]
+            rows = [tuple(v // common for v in row) for row in rows]
             denominator //= common
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "scaled", tuple(checked))
+        object.__setattr__(self, "scaled", tuple(rows))
         object.__setattr__(self, "denominator", denominator)
 
     @cached_property
@@ -275,12 +302,21 @@ def flat(m: Matrix) -> bool:
 # --- the same, on problems ---------------------------------------------------
 
 def negate(problem: RankingProblem) -> RankingProblem:
-    """Swap every result: the transposed tournament on the same objects."""
-    return RankingProblem.from_scaled(problem.labels, transpose(problem.scaled), problem.denominator)
+    """Swap every result: the transposed tournament on the same objects.
+
+    A transpose keeps every entry, the zero diagonal and every pair sum,
+    so the result of a valid problem needs no second check.
+    """
+    return RankingProblem._vouched(problem.labels, transpose(problem.scaled), problem.denominator)
 
 
 def sum_problems(first: RankingProblem, second: RankingProblem) -> RankingProblem:
-    """Entrywise sum of two tournaments over the same labelled objects."""
+    """Entrywise sum of two tournaments over the same labelled objects.
+
+    Both inputs are valid and scaled to one denominator, so the sum has
+    nonnegative entries, a zero diagonal and pair sums that are
+    multiples of it, and needs no second check.
+    """
     if first.labels != second.labels:
         raise LabelMismatch(f"label sets differ: {first.labels} vs {second.labels}")
     d = math.lcm(first.denominator, second.denominator)
@@ -288,7 +324,7 @@ def sum_problems(first: RankingProblem, second: RankingProblem) -> RankingProble
         tuple(tuple(v * (d // p.denominator) for v in row) for row in p.scaled)
         for p in (first, second)
     )
-    return RankingProblem.from_scaled(first.labels, add(a, b), d)
+    return RankingProblem._vouched(first.labels, add(a, b), d)
 
 
 @dataclass(frozen=True)
@@ -325,13 +361,15 @@ def permute(problem: RankingProblem, sigma: Permutation) -> RankingProblem:
     """Relabel objects by sigma, moving scores with them.
 
     The returned problem satisfies new_t[sigma(i)][sigma(j)] = t[i][j]
-    and carries label i to position sigma(i).
+    and carries label i to position sigma(i). A relabelling moves
+    entries and labels together, so the result of a valid problem needs
+    no second check.
     """
     n = problem.size
     if sigma.size != n:
         raise ValueError(f"permutation acts on {sigma.size} objects, problem has {n}")
     labels = tuple(problem.labels[i] for i in sigma.inverse().image)
-    return RankingProblem.from_scaled(labels, relabel(problem.scaled, sigma), problem.denominator)
+    return RankingProblem._vouched(labels, relabel(problem.scaled, sigma), problem.denominator)
 
 
 def is_connected(problem: RankingProblem) -> bool:

@@ -137,7 +137,14 @@ _labels = cache(default_labels)
 
 
 def _problem(dt: Matrix) -> RankingProblem:
-    return RankingProblem.from_scaled(_labels(len(dt)), dt, 2)
+    """The problem of a matrix the search built and rates, unchecked.
+
+    Every grid matrix, draw, transpose, relabelling, sum and edit of
+    them has entries ``m ± a`` with ``|a| <= m``, a zero diagonal and
+    pair sums ``2m``, so the search vouches for it; witnesses are
+    validated (:func:`_witness`).
+    """
+    return RankingProblem._vouched(_labels(len(dt)), dt, 2)
 
 
 @cache
@@ -752,15 +759,22 @@ _JUDGES = {
 
 
 def _witness(axiom: Axiom, candidate):
-    """The public witness a candidate stands for."""
+    """The public witness a candidate stands for. Unlike the matrices
+    :func:`_problem` rates, its problems go through the full check of
+    :meth:`~pairrank.model.RankingProblem.from_scaled` before
+    :func:`~pairrank.axioms.run_check` replays them."""
+
+    def problem(dt):
+        return RankingProblem.from_scaled(_labels(len(dt)), dt, 2)
+
     if axiom.kind is AxiomKind.INVARIANCE:
         dt, sigma = candidate
-        return SingleWitness(_problem(dt), sigma)
+        return SingleWitness(problem(dt), sigma)
     if axiom.kind is AxiomKind.ADDITIVITY:
         first, second = candidate
-        return PairWitness(_problem(first[0]), _problem(second[0]))
+        return PairWitness(problem(first[0]), problem(second[0]))
     first, second, pair = candidate
-    return ChangedPairWitness(_problem(first), _problem(second), pair)
+    return ChangedPairWitness(problem(first), problem(second), pair)
 
 
 def search(method: Method, axiom: Axiom, config: SearchConfig) -> SearchResult:

@@ -96,6 +96,15 @@ def tie_broken_score(problem: RankingProblem) -> methods.RatingVector:
     )
 
 
+def assert_same_problem(vouched: RankingProblem, checked: RankingProblem) -> None:
+    """A problem built without the structural check is the one the check
+    builds: equal, hashed alike, and stored as the same tuples of ints."""
+    assert vouched == checked and hash(vouched) == hash(checked)
+    assert vouched.scaled == checked.scaled and vouched.denominator == checked.denominator
+    for problem in (vouched, checked):
+        assert type(problem.scaled) is tuple and all(type(row) is tuple for row in problem.scaled)
+
+
 def problem_pool(seed: int, count: int, sizes=(3, 4, 5), **kwargs):
     rng = random.Random(seed)
     return [random_problem(rng, rng.choice(sizes), **kwargs) for _ in range(count)]

@@ -424,11 +424,12 @@ def test_ratings_are_integers_over_one_reduced_positive_denominator():
 
 def test_dual_fair_bets_build_no_second_problem(monkeypatch):
     # dfb and cfb rate the reversed problem as the transposed integer
-    # matrix, so rating a problem constructs no other problem.
+    # matrix, so rating a problem constructs no other problem. Checked or
+    # not, every construction ends in the one gcd reduction step.
     problem = EXAMPLE_3[0]
     built = []
-    original = RankingProblem.__post_init__
-    monkeypatch.setattr(RankingProblem, "__post_init__", lambda self, *args: built.append(args) or original(self, *args))
+    original = RankingProblem._reduce
+    monkeypatch.setattr(RankingProblem, "_reduce", lambda self, *args: built.append(args) or original(self, *args))
     for key in ("dfb", "cfb"):
         Method(key).rate(problem)
     assert built == []

@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_problem
+from conftest import assert_same_problem, random_problem
 
 from pairrank import (
     Method,
@@ -29,8 +30,9 @@ from pairrank.errors import (
     NonIntegerPairSum,
     UnknownLabel,
 )
+from pairrank import fixtures
 from pairrank.fixtures import EXAMPLE_1, EXAMPLE_4
-from pairrank.model import as_rational
+from pairrank.model import add, as_rational, relabel, transpose
 from pairrank.search import _buckets
 
 F = Fraction
@@ -170,6 +172,29 @@ def test_sum_problems():
     other = RankingProblem(("Y1", "Y2", "Y3"), EXAMPLE_4.tournament)
     with pytest.raises(LabelMismatch):
         sum_problems(EXAMPLE_4, other)
+
+
+def test_transforms_build_the_problems_the_validator_builds():
+    # negate, permute and sum_problems skip the structural check on their
+    # results; each must be the problem from_scaled checks and builds.
+    problems = []
+    for value in vars(fixtures).values():
+        for p in value if isinstance(value, tuple) else (value,):
+            if isinstance(p, RankingProblem):
+                problems.append(p)
+    assert len(problems) >= 12
+    for p in problems:
+        labels, scaled, d = p.labels, p.scaled, p.denominator
+        assert_same_problem(negate(p), RankingProblem.from_scaled(labels, transpose(scaled), d))
+        for image in (tuple(range(1, p.size)) + (0,), tuple(reversed(range(p.size)))):
+            sigma = Permutation(image)
+            moved = tuple(labels[i] for i in sigma.inverse().image)
+            assert_same_problem(permute(p, sigma), RankingProblem.from_scaled(moved, relabel(scaled, sigma), d))
+        for q in problems:
+            if q.labels == labels:
+                total = math.lcm(d, q.denominator)
+                a, b = ([[v * (total // r.denominator) for v in row] for row in r.scaled] for r in (p, q))
+                assert_same_problem(sum_problems(p, q), RankingProblem.from_scaled(labels, add(a, b), total))
 
 
 def test_permutation_validation_and_inverse():

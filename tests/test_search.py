@@ -8,12 +8,13 @@ from math import comb, factorial, prod
 from operator import itemgetter
 
 import pytest
-from conftest import tie_broken_score
+from conftest import assert_same_problem, tie_broken_score
 
 from pairrank import (
     Axiom,
     AxiomKind,
     Method,
+    RankingProblem,
     SearchConfig,
     SearchHit,
     SearchResult,
@@ -25,8 +26,16 @@ from pairrank import (
 )
 from pairrank import methods
 from pairrank.axioms import PairWitness, invariance_failures
-from pairrank.errors import MethodPreconditionError, NoComparisons, PreconditionUnmet, WitnessError
-from pairrank.model import Permutation, add, connected, flat, irreducible, relabel, round_robin, transpose
+from pairrank.errors import (
+    DiagonalNonZero,
+    MethodPreconditionError,
+    NegativeEntry,
+    NoComparisons,
+    NonIntegerPairSum,
+    PreconditionUnmet,
+    WitnessError,
+)
+from pairrank.model import Permutation, add, connected, default_labels, flat, irreducible, relabel, round_robin, transpose
 from pairrank.search import (
     DOMAINS,
     _JUDGES,
@@ -36,10 +45,13 @@ from pairrank.search import (
     _Evaluator,
     _grid,
     _pack,
+    _pair_edits,
     _problem,
     _random_candidate,
+    _random_dt,
     _schedules,
     _sweep,
+    _with_pair,
     _witness,
 )
 
@@ -358,6 +370,36 @@ def test_evaluator_keys_order_like_ratings(method):
         for i in range(n):
             for j in range(n):
                 assert _sign(keys[i] - keys[j]) == _sign(ratings[i] - ratings[j]), (dt, i, j)
+
+
+def test_rated_matrices_build_the_problems_the_validator_builds():
+    # The search rates every matrix through ``_problem``, which skips the
+    # structural check. On each matrix the search can rate, that problem
+    # must be the one ``from_scaled`` checks and builds.
+    def agrees(dt):
+        assert_same_problem(_problem(dt), RankingProblem.from_scaled(default_labels(len(dt)), dt, 2))
+
+    for domain in DOMAINS:
+        for n, max_matches in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1)):
+            for bucket in _buckets(n, max_matches, domain):
+                for dt in bucket:
+                    edit = _pair_edits(Axiom.IIM, dt, 0, n - 1, max_matches)[0]
+                    for matrix in (dt, transpose(dt), add(dt, bucket[0]), _with_pair(dt, 0, n - 1, *edit)):
+                        agrees(matrix)
+    rng = random.Random(31)
+    for k in range(2000):
+        drawn = _random_dt(rng, rng.choice((5, 6)), 2, DOMAINS[k % len(DOMAINS)])
+        if drawn is not None:
+            agrees(drawn[0])
+    # Bad matrices pass the unchecked path, and the oracle refuses them.
+    for bad, error in (
+        (((0, -1), (3, 0)), NegativeEntry),
+        (((2, 0), (0, 0)), DiagonalNonZero),
+        (((0, 1), (0, 0)), NonIntegerPairSum),
+    ):
+        _problem(bad)
+        with pytest.raises(error):
+            agrees(bad)
 
 
 def test_random_draws_do_not_collide_across_seeds():
