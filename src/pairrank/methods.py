@@ -101,7 +101,12 @@ def _net_results(problem: RankingProblem) -> list[int]:
 
 
 def score(problem: RankingProblem) -> RatingVector:
-    """Net result of each object: wins minus losses, summed over all pairs."""
+    """Net result of each object: wins minus losses, summed over all pairs.
+
+    Balance lemma: the net results sum to zero, so they are all tied
+    exactly when all are zero, that is when the problem is balanced,
+    every object winning as much as it loses.
+    """
     return RatingVector("score", problem.labels, _net_results(problem), problem.denominator)
 
 
@@ -143,6 +148,11 @@ def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
     nonsingular, so the system always has a unique solution. With
     eps = p/q the solver gets the integer system
     (q I + p L) x = (q + p m n) (denominator * s).
+
+    Balance lemma: it rates the problem flat exactly when s = 0. As
+    L 1 = 0, (I + eps L) c 1 = c 1, so a flat x = c 1 forces
+    s = c / (1 + eps m n) 1; the net results sum to zero, so s = 0.
+    Conversely s = 0 gives x = 0.
     """
     d = derive(problem)
     eps = _reasonable_epsilon(problem, d) if epsilon == REASONABLE else _checked_epsilon(epsilon)
@@ -168,6 +178,10 @@ def least_squares(problem: RankingProblem) -> RatingVector:
     positive definite, so the symmetric elimination solves it without a
     row swap. Subtracting the mean then centres q: with q = Q / D, the
     rating is x = (n Q - sum(Q)) / (n D).
+
+    Balance lemma: it rates the problem flat exactly when s = 0. L 1 = 0,
+    so a flat q gives s = L q = 0; and on a connected problem the kernel
+    of L is spanned by 1, so s = 0 leaves only flat solutions.
     """
     if not is_connected(problem):
         raise DisconnectedProblem("comparison multigraph is not connected")
@@ -226,6 +240,12 @@ def fair_bets(problem: RankingProblem) -> RatingVector:
     every object keeps redistributing its stake to the objects it lost
     points to, in proportion to those losses. Strong connectivity of
     the results digraph makes the fixed point unique and positive.
+
+    Balance lemma: it rates the problem flat exactly when every object's
+    wins equal its losses. The fixed point is unique, so it is uniform
+    exactly when the uniform vector solves T v = diag(losses) v, and
+    T 1 = diag(losses) 1 says that each row sum (wins) equals its column
+    sum (losses).
     """
     _require_irreducible(problem)
     v, total = _fair_bets_vector(problem.scaled)
@@ -240,6 +260,10 @@ def dual_fair_bets(problem: RankingProblem) -> RatingVector:
     instead of crediting wins. Entries are negative and sum to -1. The
     reversed problem is the transposed integer matrix, rated as it is:
     no second problem is built.
+
+    Balance lemma: it rates the problem flat exactly when every object's
+    wins equal its losses, by the argument of :func:`fair_bets` on the
+    reversed problem, which is balanced exactly when the problem is.
     """
     _require_irreducible(problem)
     v, total = _fair_bets_vector(transpose(problem.scaled))
@@ -247,7 +271,20 @@ def dual_fair_bets(problem: RankingProblem) -> RatingVector:
 
 
 def copeland_fair_bets(problem: RankingProblem) -> RatingVector:
-    """Sum of fair bets and dual fair bets, rewarding wins and punishing losses."""
+    """Sum of fair bets and dual fair bets, rewarding wins and punishing losses.
+
+    Balance lemma: it rates the problem flat exactly when every object's
+    wins equal its losses. The rating is w / sum(w) - l / sum(l), with
+    w = fb(T) and l = fb(T^T). A flat difference sums to zero, so it is
+    zero, and w and l normalize to one vector v. Adding the two
+    fixed-point equations at v, T v = diag(losses) v and
+    T^T v = diag(wins) v, row i gives sum_j m_ij (v_j - v_i) = 0, with
+    m_ij = t_ij + t_ji the matches of the pair: the Laplacian of the
+    comparison multigraph annihilates v. An irreducible problem is
+    connected, so v is constant, and T 1 = diag(losses) 1 says that
+    wins equal losses. Conversely a balanced problem has w and l
+    uniform, by the argument of :func:`fair_bets`, and a zero rating.
+    """
     # Reversing every arc keeps a digraph strongly connected, so one test
     # covers the problem and its reversal.
     _require_irreducible(problem)

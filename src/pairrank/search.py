@@ -10,7 +10,9 @@ candidate is ``(dt, sigma)`` for invariance, two input slots
 independence, or ``None`` for a failed draw. It comes only in the shape
 its axiom takes: flat for SYM, one schedule for RCS, one edited pair on
 at least four objects for IIM and IIR. An FP input is refused unless the
-method rates it flat, in both modes. The canonical order is ascending
+method rates it flat, in both modes, and by the balance lemma
+(:func:`_flat_order`) balance is tested first: an unbalanced input is
+refused without being named or rated. The canonical order is ascending
 object count, then ascending total number of matches, then lexicographic
 on the flattened matrix.
 
@@ -397,6 +399,30 @@ def _pack(dt: Matrix, radix: int) -> int:
     return code
 
 
+# The balance lemma: each of the six methods rates a problem flat, all
+# objects tied, exactly when the problem is balanced, every row sum equal
+# to its column sum, so that its net results are all zero. Each method's
+# docstring proves it. FP concerns flat inputs only, so an unbalanced
+# input is refused without a rating, and every balanced input the method
+# rates must be rated flat.
+
+def _balanced(dt: Matrix) -> bool:
+    """Whether every object of ``dt`` won as much as it lost."""
+    return list(map(sum, dt)) == list(map(sum, zip(*dt)))
+
+
+def _flat_order(evaluator: _Evaluator, dt: Matrix) -> tuple[int, ...] | None:
+    """The weak order of the FP input ``dt``, or None where FP refuses it:
+    unrated where ``dt`` is unbalanced, and where the method is undefined."""
+    if not _balanced(dt):
+        return None
+    order = evaluator[dt]
+    # A flat rating has dense ranks all 0.
+    if order is not None and any(order):
+        raise RuntimeError("internal: the method rates a balanced input as not flat")
+    return order
+
+
 # --- where candidates come from -------------------------------------------
 
 def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
@@ -406,10 +432,12 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
     ``rows`` is a lazy iterator of ``(orbit, candidates)`` that binds its
     own inputs, so blocks may be taken before any is walked. An additivity
     block is one row of all its pairs, with ``orbit`` None; the other
-    axioms make one row per grid matrix (:func:`_rows`). An additivity
-    input that :func:`_sweep` names is entered in the evaluator under that
-    name, and its orbit is recorded. ``tables`` is None, except for an
-    additivity block that recorded orbits: then it is the
+    axioms make one row per grid matrix (:func:`_rows`). FP tests balance
+    before rating: its block keeps only the balanced matrices of each
+    bucket (:func:`_flat_order`), so no other matrix is named or rated. An
+    additivity input that :func:`_sweep` names is entered in the evaluator
+    under that name, and its orbit is recorded. ``tables`` is None, except
+    for an additivity block that recorded orbits: then it is the
     ``(groups, orbits)`` that :func:`_settle` may decide the count by.
     """
     for n in config.object_counts:
@@ -420,11 +448,15 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
         # it; RCS pairs only inputs of one schedule.
         groups: dict[Matrix | None, list] = {}
         orbits: dict[Matrix, list] = {}
-        for dt, rep, objs in chain.from_iterable(map(_sweep, _buckets(n, config.max_matches, config.domain))):
+        buckets = _buckets(n, config.max_matches, config.domain)
+        if axiom is Axiom.FP:
+            # Balance moves with the objects, so the kept part of a bucket
+            # is still sorted and closed under relabelling, as _sweep needs.
+            buckets = ([dt for dt in bucket if _balanced(dt)] for bucket in buckets)
+        for dt, rep, objs in chain.from_iterable(map(_sweep, buckets)):
             if rep is not None:
                 evaluator[dt] = evaluator.relabelled(rep, objs)
-            # An input rated flat has dense ranks all 0.
-            if axiom is Axiom.FP and ((v := evaluator[dt]) is None or any(v)):
+            if axiom is Axiom.FP and _flat_order(evaluator, dt) is None:
                 continue
             slot = [dt, None]
             group = groups.setdefault(add(dt, transpose(dt)) if axiom is Axiom.RCS else None, [])
@@ -675,7 +707,9 @@ def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
     It enters the first input and refuses the pair (None) if the method
     is undefined on it or, for FP, does not rate it flat; only then does
     it enter the second, and refuse it the same way. Such a pair was
-    never admissible, so entering one input less changes no verdict.
+    never admissible, so entering one input less changes no verdict. FP
+    tests an input's balance before rating it (:func:`_flat_order`), so an
+    unbalanced input is refused unrated.
     """
     fp, ep = axiom is Axiom.FP, axiom is Axiom.EP
     breaks = additivity_rule(axiom)
@@ -693,10 +727,9 @@ def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
         dt = slot[0]
         if max(map(max, dt)) > 2 * max_matches:
             raise ValueError(f"entries of {dt} exceed twice max_matches={max_matches}")
-        order = evaluator[dt]
         # Inputs rated flat, dense ranks all 0, rank no pair above or below.
-        refuses = order is None or fp and any(order)
-        slot[1] = () if refuses else (_pack(dt, radix), masks(order))
+        order = _flat_order(evaluator, dt) if fp else evaluator[dt]
+        slot[1] = () if order is None else (_pack(dt, radix), masks(order))
         return slot[1]
 
     def judge(first, second):

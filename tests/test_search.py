@@ -38,7 +38,9 @@ from pairrank.errors import (
 from pairrank.model import Permutation, add, connected, default_labels, flat, irreducible, relabel, round_robin, transpose
 from pairrank.search import (
     DOMAINS,
+    MODES,
     _JUDGES,
+    _balanced,
     _buckets,
     _canonical,
     _draw_rng,
@@ -59,6 +61,11 @@ from pairrank.search import (
 def _matrices(n, max_matches, domain):
     """Every grid matrix on ``n`` objects, in canonical order."""
     return chain.from_iterable(_buckets(n, max_matches, domain))
+
+
+def _is_balanced(dt):
+    """Whether every row sum of ``dt`` equals its column sum."""
+    return [sum(row) for row in dt] == [sum(column) for column in zip(*dt)]
 
 
 def _walked(axiom, config, evaluator):
@@ -883,17 +890,21 @@ def test_random_additivity_search_is_pinned(axiom, examined, admissible, witness
     assert [v.objects for v in hit.report.violations] == pairs
 
 
-def test_random_fp_admits_the_pairs_rated_flat_and_they_are_balanced():
+def test_random_fp_admits_the_pairs_rated_flat_and_they_are_balanced(monkeypatch):
     # Random FP draws its inputs as CS does, and the judge refuses a pair
     # unless the method rates both inputs flat. Score rates flat some
     # inputs that are not flat problems. Every input admitted is balanced,
     # its row sums equal to its column sums, as the balance lemma says of
-    # an input these methods rate flat.
+    # an input these methods rate flat. So FP tests balance first: in
+    # neither mode does the search hand an unbalanced matrix to _problem,
+    # to be rated.
     config = SearchConfig(object_counts=(3, 4), max_matches=2, mode="random", seed=5, budget=3000)
+    grid = SearchConfig(object_counts=(2, 3), max_matches=2)
     draws = [_random_candidate(Axiom.FP, _draw_rng(config.seed, index), config) for index in range(config.budget)]
     pairs = [tuple(slot[0] for slot in candidate) for candidate in draws if candidate is not None]
+    search_module = importlib.import_module("pairrank.search")
 
-    for method in (Method("score"), Method("grs", "reasonable"), Method("ls"), Method("fb"), Method("dfb")):
+    for method in (Method("score"), Method("grs", "reasonable"), Method("ls"), Method("fb"), Method("dfb"), Method("cfb")):
         @cache
         def rated_flat(dt):
             try:
@@ -903,9 +914,17 @@ def test_random_fp_admits_the_pairs_rated_flat_and_they_are_balanced():
             return len(set(keys)) == 1
 
         admitted = [dt for pair in pairs if all(map(rated_flat, pair)) for dt in pair]
-        assert search(method, Axiom.FP, config).admissible == len(admitted) // 2, method
+        handed = []
+        with monkeypatch.context() as patch:
+            patch.setattr(search_module, "_problem", lambda dt: handed.append(dt) or _problem(dt))
+            drawn = search(method, Axiom.FP, config)
+            drawn_handed = len(handed)
+            walked = search(method, Axiom.FP, grid)
+        assert drawn.admissible == len(admitted) // 2, method
+        assert not walked.found and walked.exhausted, method
+        assert 0 < drawn_handed < len(handed) and all(map(_is_balanced, handed)), method
         for dt in admitted:
-            assert [sum(row) for row in dt] == [sum(column) for column in zip(*dt)], (method, dt)
+            assert _is_balanced(dt), (method, dt)
         if method.key == "score":
             assert not all(map(flat, admitted))
 
@@ -948,16 +967,18 @@ def test_random_rcs_candidates_lie_in_their_domain(domain):
 
 
 @pytest.mark.parametrize(
-    "axiom, method, first",
+    "axiom, method, first, ratings",
     [
-        # X1 wins every match, so fair bets is undefined.
-        (Axiom.CS, Method("fb"), ((0, 2, 2), (0, 0, 1), (0, 1, 0))),
-        # Least squares ranks X1 first, so the FP input is not flat.
-        (Axiom.FP, Method("ls"), ((0, 2, 2), (0, 0, 1), (0, 1, 0))),
+        # X1 wins every match, so fair bets is undefined, which only a
+        # rating shows.
+        (Axiom.CS, Method("fb"), ((0, 2, 2), (0, 0, 1), (0, 1, 0)), 1),
+        # X1 wins more than it loses, so the FP input is unbalanced, and by
+        # the balance lemma no method rates it flat: it is refused unrated.
+        (Axiom.FP, Method("ls"), ((0, 2, 2), (0, 0, 1), (0, 1, 0)), 0),
     ],
     ids=["undefined", "not-flat"],
 )
-def test_additivity_judge_stops_at_an_input_that_refuses_the_pair(axiom, method, first, monkeypatch):
+def test_additivity_judge_stops_at_an_input_that_refuses_the_pair(axiom, method, first, ratings, monkeypatch):
     # A pair is refused as soon as one input cannot take part in it, so
     # the judge never enters the second input: its slot stays unfilled
     # and the method never rates it.
@@ -966,7 +987,7 @@ def test_additivity_judge_stops_at_an_input_that_refuses_the_pair(axiom, method,
     second = [((0, 1, 1), (1, 0, 1), (1, 1, 0)), None]
     assert judge([first, None], second) is None
     assert second[1] is None
-    assert len(rated) == 1
+    assert len(rated) == ratings
 
 
 # The draws as they were first written, with ``randint`` and every edit of
@@ -1148,6 +1169,58 @@ def _stop_at(steps, limit):
             if len(hits) == limit:
                 return SearchResult(tuple(hits), examined, admissible, exhausted=False)
     return SearchResult(tuple(hits), examined, admissible, exhausted=True)
+
+
+@pytest.mark.parametrize("method", _SETTINGS, ids=_SETTING_IDS)
+def test_methods_rate_flat_exactly_the_balanced_matrices(method):
+    # The balance lemma, on which FP's search rests: where a method is
+    # defined, it rates a matrix flat, every object tied, exactly when the
+    # matrix is balanced, each object winning as much as it loses. Every
+    # grid matrix of 2-3 objects with up to 2 matches per pair and of 4
+    # objects with 1, over the four domains: 4 834 distinct matrices, rated
+    # in 0.1-0.3 s per setting.
+    grids = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]
+    matrices = sorted({dt for (n, cap), domain in product(grids, DOMAINS) for dt in _matrices(n, cap, domain)})
+    verdicts = set()
+    for dt in matrices:
+        assert _balanced(dt) == _is_balanced(dt), dt
+        try:
+            keys = method.rate(_problem(dt)).scaled
+        except MethodPreconditionError:
+            continue
+        verdicts.add((len(set(keys)) == 1, _is_balanced(dt)))
+    assert verdicts == {(True, True), (False, False)}
+
+
+def _planted(monkeypatch, method, planted):
+    """Patch ``Method.rate`` so that ``method`` rates every relabelling of
+    the matrix ``planted`` (at denominator 2) as not flat."""
+    rate = Method.rate
+    target = _canonical(planted)[0]
+
+    def planted_rate(self, problem):
+        rating = rate(self, problem)
+        dt = tuple(tuple(v * 2 // problem.denominator for v in row) for row in problem.scaled)
+        if self != method or _canonical(dt)[0] != target:
+            return rating
+        return replace(rating, scaled=tuple(range(problem.size)))
+
+    monkeypatch.setattr(Method, "rate", planted_rate)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_fp_search_checks_the_balance_lemma_on_the_inputs_it_rates(mode, monkeypatch):
+    # FP refuses an unbalanced input unrated by the balance lemma, and
+    # checks the lemma's other direction on every balanced input it rates.
+    # A method planted to rate the balanced 3-object cycle, each object
+    # beating the next once, as not flat must stop the search with the
+    # internal error, which the same search without the plant does not.
+    config = SearchConfig(object_counts=(3,), max_matches=1, mode=mode, seed=5, budget=2000)
+    score = Method("score")
+    assert search(score, Axiom.FP, config).exhausted
+    _planted(monkeypatch, score, ((0, 2, 0), (0, 0, 2), (2, 0, 0)))
+    with pytest.raises(RuntimeError, match="internal: the method rates a balanced input as not flat"):
+        search(score, Axiom.FP, config)
 
 
 @pytest.mark.parametrize("method", _SETTINGS, ids=_SETTING_IDS)
