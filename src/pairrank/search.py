@@ -24,10 +24,13 @@ assumption; the NEU judge tests exactly it, so it rates directly. Every
 witness is replayed through :func:`~pairrank.axioms.run_check` before it
 is returned, in both modes, and must fail on the pairs the judge named.
 
-The grid is built by :func:`_schedules`, :func:`_buckets`, :func:`_sweep`,
-:func:`_grid` and :func:`_rows`, the draws by :func:`_random_candidate`.
-:class:`_Evaluator` rates, the judges decide, and :func:`_settle` and
-:func:`search` count what orbits settle.
+The grid is built by :func:`_schedules`, :func:`_buckets`, :func:`_grid`
+and :func:`_rows`, the draws by :func:`_random_candidate`.
+:class:`_Evaluator` rates, and it is the one place where a matrix is
+named by its orbit: from the marks of the bucket it is sweeping
+(:meth:`_Evaluator.sweep`) when the matrix lies there, else by
+:func:`_canonical`, which gives the same name. The judges decide, and
+:func:`_settle` and :func:`search` count what orbits settle.
 """
 
 from __future__ import annotations
@@ -250,15 +253,17 @@ class _Evaluator(dict):
     its integer numerators, which order like the ratings. Equal weak
     orders share one tuple, and ``masks(order)`` gives its
     :func:`~pairrank.axioms.pair_masks`, which every judge decides on.
-    ``evaluator[dt]`` keeps the weak order of ``dt``; ``rate`` computes it
-    without keeping it, as the additivity judge rates sums.
+    ``evaluator[dt]`` keeps the weak order of ``dt``; ``rate`` answers
+    from what is kept, else computes it without keeping it, as the
+    additivity judge rates sums.
 
     Both rate one representative per relabelling orbit of a matrix on at
-    most ``ORBIT_OBJECTS`` objects (:func:`_canonical`), keep its weak
-    order, ``None`` included, under the representative, and map it back
-    to each member. The grid enters what its sweep names by those names
-    (``relabelled``), so ``rate`` canonicalises only the sums, transposes,
-    edits and draws.
+    most ``ORBIT_OBJECTS`` objects, keep its weak order, ``None`` included,
+    under the representative, and map it back to each member. The
+    evaluator is the one place where a matrix is named (:meth:`name`):
+    from the marks of the bucket being swept (:meth:`sweep`) when the
+    matrix lies in it, else by :func:`_canonical`. Both give the same
+    name, so the marks only save work.
     """
 
     def __init__(self, method: Method):
@@ -266,6 +271,9 @@ class _Evaluator(dict):
         self.method = method
         self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.masks = cache(pair_masks)
+        # The bucket being swept, its marks, its orbits' names and its
+        # relabellings, or None.
+        self.swept: tuple | None = None
 
     def weak_order(self, dt: Matrix) -> tuple[int, ...] | None:
         try:
@@ -277,18 +285,17 @@ class _Evaluator(dict):
         return self.interned.setdefault(order, order)
 
     def rate(self, dt: Matrix) -> tuple[int, ...] | None:
+        if dt in self:
+            return self[dt]
         if len(dt) > ORBIT_OBJECTS:
             return self.weak_order(dt)
-        return self.relabelled(*_canonical(dt))
-
-    def relabelled(self, rep: Matrix, objs: tuple[int, ...]) -> tuple[int, ...] | None:
-        """The weak order of the matrix whose object ``objs[k]`` sits at
-        position k of the representative ``rep``."""
+        rep, objs = self.name(dt)
         shared = self.get(rep, _MISSING)
         if shared is _MISSING:
             shared = self[rep] = self.weak_order(rep)
         if shared is None:
             return None
+        # Object objs[k] sits at position k of the representative.
         order = [0] * len(objs)
         for k, i in enumerate(objs):
             order[i] = shared[k]
@@ -298,6 +305,60 @@ class _Evaluator(dict):
     def __missing__(self, dt: Matrix):
         order = self[dt] = self.rate(dt)
         return order
+
+    def name(self, dt: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+        """What :func:`_canonical` gives ``dt``: its orbit's representative
+        and an object order onto it. It is read off the sweep's marks when
+        ``dt`` lies in the bucket being swept, in an orbit the sweep has
+        reached; a later member dt = p(first) composes its order from the
+        first member's, ``objs[k] = p^-1(objs_first[k])``."""
+        if self.swept is not None:
+            bucket, marks, names, relabellings = self.swept
+            i = bisect_left(bucket, dt)
+            if i < len(bucket) and bucket[i] == dt and marks[i] >= 0:
+                orbit, index = divmod(marks[i], len(relabellings))
+                rep, objs = names[orbit]
+                return rep, tuple(map(relabellings[index][1].__getitem__, objs))
+        return _canonical(dt)
+
+    def sweep(self, bucket: list[Matrix]):
+        """Each matrix of ``bucket``, in order, as ``(dt, rep)``: the
+        representative :func:`_canonical` gives its orbit. Matrices on more
+        than ``ORBIT_OBJECTS`` objects are not named: each comes as
+        ``(dt, None)``.
+
+        ``bucket`` must be sorted and closed under relabelling, as every
+        bucket of :func:`_buckets` is, the part of one that the FP filter
+        keeps, and the sorted even splits of one total's schedules. The
+        first member of an orbit met in the walk is the only one
+        canonicalised: it marks each of its n! relabellings, found by
+        bisection, with one int, its orbit's number times n! plus the
+        index of the relabelling that reaches it. The evaluator keeps the
+        bucket and its marks only while the sweep runs, and :meth:`name`
+        reads them: chained by ``chain.from_iterable``, a bucket and its
+        marks are freed before the next bucket is built.
+        """
+        if not bucket or len(bucket[0]) > ORBIT_OBJECTS:
+            yield from zip(bucket, repeat(None))
+            return
+        relabellings = _relabellings(len(bucket[0]))
+        marks = array("q", [-1]) * len(bucket)
+        names: list[tuple[Matrix, tuple[int, ...]]] = []
+        self.swept = bucket, marks, names, relabellings
+        try:
+            for i, dt in enumerate(bucket):
+                if marks[i] < 0:
+                    for index, (pick, _) in enumerate(relabellings):
+                        image = tuple(map(pick, pick(dt)))
+                        j = bisect_left(bucket, image)
+                        if j == len(bucket) or bucket[j] != image:
+                            raise RuntimeError("internal: a bucket is not closed under relabelling")
+                        if marks[j] < 0:
+                            marks[j] = len(names) * len(relabellings) + index
+                    names.append(_canonical(dt))
+                yield dt, names[marks[i] // len(relabellings)][0]
+        finally:
+            self.swept = None
 
 
 def _canonical(dt: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -337,47 +398,6 @@ def _relabellings(n: int) -> list[tuple[operator.itemgetter, tuple[int, ...]]]:
         (operator.itemgetter(*p), tuple(sorted(range(n), key=p.__getitem__)))
         for p in permutations(range(n))
     ]
-
-
-def _sweep(bucket: list[Matrix]):
-    """Each matrix of ``bucket``, in order, as ``(dt, rep, objs)``: the
-    representative :func:`_canonical` gives its orbit, and an object
-    order with ``rep[k][l] = dt[objs[k]][objs[l]]``. Matrices on more
-    than ``ORBIT_OBJECTS`` objects are not named: each comes as
-    ``(dt, None, None)``.
-
-    ``bucket`` must be sorted and closed under relabelling, as every
-    bucket of :func:`_buckets` is, the part of one that the FP filter
-    keeps, and the sorted even splits of one total's schedules. The first
-    member of an orbit met in the walk is the only one canonicalised: it
-    marks each of its n! relabellings, found by bisection, with one int,
-    its orbit's number times n! plus the index of the relabelling that
-    reaches it. A later member dt = p(first) then composes its order from
-    the first member's: ``objs[k] = p^-1(objs_first[k])``. The marks live
-    only while the bucket is walked: chained by ``chain.from_iterable``, a
-    bucket and its marks are freed before the next bucket is built.
-    """
-    if not bucket:
-        return
-    if len(bucket[0]) > ORBIT_OBJECTS:
-        yield from zip(bucket, repeat(None), repeat(None))
-        return
-    relabellings = _relabellings(len(bucket[0]))
-    marks = array("q", [-1]) * len(bucket)
-    named: list[tuple[Matrix, tuple[int, ...]]] = []
-    for i, dt in enumerate(bucket):
-        if marks[i] < 0:
-            for index, (pick, _) in enumerate(relabellings):
-                image = tuple(map(pick, pick(dt)))
-                j = bisect_left(bucket, image)
-                if j == len(bucket) or bucket[j] != image:
-                    raise RuntimeError("internal: a bucket is not closed under relabelling")
-                if marks[j] < 0:
-                    marks[j] = len(named) * len(relabellings) + index
-            named.append(_canonical(dt))
-        orbit, index = divmod(marks[i], len(relabellings))
-        rep, objs = named[orbit]
-        yield dt, rep, tuple(map(relabellings[index][1].__getitem__, objs))
 
 
 def _pack(dt: Matrix, radix: int) -> int:
@@ -435,8 +455,9 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
     axioms make one row per grid matrix (:func:`_rows`). FP tests balance
     before rating: its block keeps only the balanced matrices of each
     bucket (:func:`_flat_order`), so no other matrix is named or rated. An
-    additivity input that :func:`_sweep` names is entered in the evaluator
-    under that name, and its orbit is recorded. ``tables`` is None, except
+    additivity input that the evaluator's sweep names is looked up while
+    its bucket is being swept, so that the sweep's marks name it, and its
+    orbit is recorded. ``tables`` is None, except
     for an additivity block that recorded orbits: then it is the
     ``(groups, orbits)`` that :func:`_settle` may decide the count by.
     """
@@ -451,11 +472,13 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
         buckets = _buckets(n, config.max_matches, config.domain)
         if axiom is Axiom.FP:
             # Balance moves with the objects, so the kept part of a bucket
-            # is still sorted and closed under relabelling, as _sweep needs.
+            # is still sorted and closed under relabelling, as the sweep needs.
             buckets = ([dt for dt in bucket if _balanced(dt)] for bucket in buckets)
-        for dt, rep, objs in chain.from_iterable(map(_sweep, buckets)):
+        for dt, rep in chain.from_iterable(map(evaluator.sweep, buckets)):
+            # A named input is looked up while its bucket is swept, so the
+            # sweep's marks name it.
             if rep is not None:
-                evaluator[dt] = evaluator.relabelled(rep, objs)
+                evaluator[dt]
             if axiom is Axiom.FP and _flat_order(evaluator, dt) is None:
                 continue
             slot = [dt, None]
@@ -472,13 +495,14 @@ def _grid(axiom: Axiom, config: SearchConfig, evaluator: _Evaluator):
 def _rows(axiom: Axiom, config: SearchConfig, n: int, evaluator: _Evaluator):
     """The invariance or independence candidates on ``n`` objects, as one
     row ``(orbit, candidates)`` per grid matrix, in canonical order:
-    ``orbit`` is the representative :func:`_sweep` names, or None.
+    ``orbit`` is the representative the evaluator's sweep names, or None.
 
-    A named row enters its matrix in the evaluator under its sweep name
-    with its first candidate, so no judge canonicalises it; NEU rows
-    enter nothing, since the NEU judge rates directly. ``candidates`` are
-    lazy: a row that :func:`search` settles by its orbit enters nothing,
-    builds no edit and runs no domain test.
+    A row carries no name. Its candidates are judged while its bucket is
+    being swept, so the evaluator names the row's matrix from the sweep's
+    marks, and so its transpose and IIR edits, which lie in the same
+    bucket, once the sweep has reached their orbits. ``candidates`` are
+    lazy: a row that :func:`search` settles by its orbit, or that has no
+    candidate, is never looked up, builds no edit and runs no domain test.
     """
     if axiom.kind is AxiomKind.INDEPENDENCE and n < 4:
         return
@@ -500,18 +524,8 @@ def _rows(axiom: Axiom, config: SearchConfig, n: int, evaluator: _Evaluator):
         test = _DOMAIN_TEST[config.domain]
         each = lambda dt: _edited(axiom, dt, pairs, test, config.max_matches)
 
-    def named(dt, rep, objs):
-        # Enter dt only once it has a candidate: an IIM or IIR row may
-        # have none.
-        candidates = iter(each(dt))
-        first = next(candidates, None)
-        if first is not None:
-            evaluator[dt] = evaluator.relabelled(rep, objs)
-            yield first
-            yield from candidates
-
-    for dt, rep, objs in chain.from_iterable(map(_sweep, buckets)):
-        yield rep, each(dt) if rep is None or axiom is Axiom.NEU else named(dt, rep, objs)
+    for dt, rep in chain.from_iterable(map(evaluator.sweep, buckets)):
+        yield rep, each(dt)
 
 
 def _edited(axiom: Axiom, dt: Matrix, pairs, test, max_matches: int):
@@ -672,10 +686,15 @@ def _draw_rng(seed: int, index: int) -> random.Random:
 # ``additivity_rule``, ``independence_breaks``), the rule the matching
 # ``*_failures`` core runs on, and never calls a core itself. The rules
 # compare ratings only within one vector, so weak orders give the
-# verdicts the ratings give.
+# verdicts the ratings give. A judge names no matrix: it looks matrices
+# up in the evaluator, which names them, except that the NEU judge rates
+# directly, since it tests the neutrality that naming assumes. The
+# invariance judge reads its second order one way for NEU, SYM and INV:
+# that of the relabelled matrix or of the transpose, which for SYM's flat
+# matrix is the matrix itself, already kept.
 
 def _invariance_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
-    neu, sym = axiom is Axiom.NEU, axiom is Axiom.SYM
+    neu = axiom is Axiom.NEU
     breaks = invariance_rule(axiom)
     masks = evaluator.masks
     rated = cache(evaluator.weak_order) if neu else evaluator.__getitem__
@@ -684,18 +703,12 @@ def _invariance_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
         before = rated(dt)
         if before is None:
             return None
-        if neu:
-            after = rated(relabel(dt, sigma))
-            if after is None:
-                return None
-            # Object i is rated at position sigma(i) of the relabelled problem.
-            after = tuple(map(after.__getitem__, sigma.image))
-        elif sym:
-            after = before
-        else:
-            after = rated(transpose(dt))
+        after = rated(relabel(dt, sigma) if neu else transpose(dt))
         if after is None:
             return None
+        if neu:
+            # Object i is rated at position sigma(i) of the relabelled problem.
+            after = tuple(map(after.__getitem__, sigma.image))
         return mask_pairs(breaks(masks(before), masks(after)), len(dt))
 
     return judge
@@ -754,11 +767,8 @@ def _additivity_judge(axiom: Axiom, evaluator: _Evaluator, max_matches: int):
         code += other
         total = by_code.get(code, _MISSING)
         if total is _MISSING:
-            # A sum may equal an input the evaluator has already named.
-            dt = add(first[0], second[0])
-            order = evaluator.get(dt, _MISSING)
-            if order is _MISSING:
-                order = evaluator.rate(dt)
+            # A sum may equal an input the evaluator has already kept.
+            order = evaluator.rate(add(first[0], second[0]))
             total = by_code[code] = None if order is None else masks(order)
         if total is None:
             return None

@@ -52,7 +52,6 @@ from pairrank.search import (
     _random_candidate,
     _random_dt,
     _schedules,
-    _sweep,
     _with_pair,
     _witness,
 )
@@ -321,8 +320,10 @@ def test_buckets_match_matrices_built_one_by_one():
 def test_sweep_refuses_a_bucket_not_closed_under_relabelling():
     # X1 beat X2, who beat X3: relabelling the objects gives five other
     # matrices, none of them in the list.
+    evaluator = _Evaluator(Method("score"))
     with pytest.raises(RuntimeError, match="a bucket is not closed under relabelling"):
-        list(_sweep([((0, 2, 0), (0, 0, 2), (0, 0, 0))]))
+        list(evaluator.sweep([((0, 2, 0), (0, 0, 2), (0, 0, 0))]))
+    assert evaluator.swept is None
 
 
 def test_symmetry_search_takes_one_even_split_per_schedule(monkeypatch):
@@ -596,7 +597,8 @@ def test_sweep_names_each_grid_matrix_as_canonical_does(monkeypatch):
     # matrices; the flat part of each bucket, the even splits of its
     # schedules, which SYM sweeps; and one bucket on six objects. The
     # sweep gives each matrix the representative _canonical gives it, and
-    # an object order onto it, but canonicalises one member per orbit.
+    # the evaluator names it from the sweep's marks with an object order
+    # onto it, but only one member per orbit is canonicalised.
     search_module = importlib.import_module("pairrank.search")
     calls = []
     monkeypatch.setattr(search_module, "_canonical", lambda dt: calls.append(dt) or _canonical(dt))
@@ -611,12 +613,14 @@ def test_sweep_names_each_grid_matrix_as_canonical_does(monkeypatch):
     # six objects.
     monkeypatch.setattr(search_module, "ORBIT_OBJECTS", 6)
     parts.append(list(islice(_buckets(6, 1, "all"), 1, 2))[0])
+    evaluator = _Evaluator(Method("score"))
     for part in parts:
         calls.clear()
         reps = set()
-        for dt, rep, objs in _sweep(part):
+        for dt, rep in evaluator.sweep(part):
             n = len(dt)
-            assert rep == _canonical(dt)[0], dt
+            name, objs = evaluator.name(dt)
+            assert rep == name == _canonical(dt)[0], dt
             assert all(rep[k][l] == dt[objs[k]][objs[l]] for k in range(n) for l in range(n)), dt
             reps.add(rep)
             named += 1
@@ -670,9 +674,10 @@ def test_symmetry_search_names_each_orbit_once(monkeypatch):
 def test_reversal_search_rates_grid_matrices_by_their_sweep_names(monkeypatch):
     # INV on the single-match round robins on three and four objects: 49
     # orbits among 756 matrices. The sweeps canonicalise the first member
-    # of each orbit, and the judge only the transposes not yet rated: 47.
-    # No judged row's own matrix is canonicalised again, so no matrix is
-    # canonicalised twice.
+    # of each orbit. A transpose lies in its row's bucket, so the judge
+    # canonicalises only the 13 transposes whose orbit the sweep has not
+    # reached yet; every other matrix is named from the sweep's marks. No
+    # matrix is canonicalised twice.
     calls = _counting_canonical(monkeypatch)
     config = SearchConfig(object_counts=(3, 4), domain="roundrobin")
     result = search(Method("score"), Axiom.INV, config)
@@ -681,8 +686,42 @@ def test_reversal_search_rates_grid_matrices_by_their_sweep_names(monkeypatch):
     for dt in chain(_matrices(3, 1, "roundrobin"), _matrices(4, 1, "roundrobin")):
         firsts.setdefault(_canonical(dt)[0], dt)
     assert len(firsts) == 49
-    assert len(set(calls)) == len(calls) == 96
+    assert len(set(calls)) == len(calls) == 62
     assert sum(dt in firsts.values() for dt in calls) == 49
+
+
+def test_sweep_names_give_the_weak_orders_of_direct_rating(monkeypatch):
+    # Copeland fair bets, which orders most matrices strictly and is
+    # undefined on some, on every bucket of n = 2 to 4 with one match and
+    # of n = 3 with two, in all four domains (about 2.5 s). While a bucket is swept, the evaluator names a
+    # matrix of the bucket from the sweep's marks and any other matrix by
+    # _canonical. Either way each lookup must give the weak order of
+    # direct rating: every bucket matrix, its transpose and its IIM edits,
+    # which include its IIR edits. A bucket matrix itself is named without
+    # a call to _canonical. Once the sweep ends the evaluator holds no
+    # bucket, and the same lookups, made afresh, agree again.
+    calls = _counting_canonical(monkeypatch)
+    evaluator = _Evaluator(Method("cfb"))
+    direct = cache(evaluator.weak_order)
+    grids = [(n, 1, domain) for n in (2, 3, 4) for domain in DOMAINS] + [(3, 2, domain) for domain in DOMAINS]
+    for n, cap, domain in grids:
+        for bucket in _buckets(n, cap, domain):
+            evaluator.clear()
+            looked_up = []
+            for dt, _ in evaluator.sweep(bucket):
+                assert evaluator.swept[0] is bucket
+                calls.clear()
+                assert evaluator[dt] == direct(dt) and not calls, dt
+                others = [transpose(dt)] + [
+                    _with_pair(dt, k, l, *edit)
+                    for k, l in combinations(range(n), 2)
+                    for edit in _pair_edits(Axiom.IIM, dt, k, l, cap)
+                ]
+                assert list(map(evaluator.__getitem__, others)) == list(map(direct, others)), dt
+                looked_up += [dt, *others]
+            assert evaluator.swept is None
+            evaluator.clear()
+            assert list(map(evaluator.__getitem__, looked_up)) == list(map(direct, looked_up))
 
 
 @pytest.mark.parametrize(
