@@ -153,6 +153,11 @@ def generalized_row_sum(problem: RankingProblem, epsilon) -> RatingVector:
     L 1 = 0, (I + eps L) c 1 = c 1, so a flat x = c 1 forces
     s = c / (1 + eps m n) 1; the net results sum to zero, so s = 0.
     Conversely s = 0 gives x = 0.
+
+    It reads the problem only through L, m, n, eps and s. All but s
+    depend on the schedule alone, the match count of each pair, and so
+    does either error of the reasonable bound. So two problems with one
+    schedule and one vector of net results get one rating, or one error.
     """
     d = derive(problem)
     eps = _reasonable_epsilon(problem, d) if epsilon == REASONABLE else _checked_epsilon(epsilon)
@@ -182,6 +187,11 @@ def least_squares(problem: RankingProblem) -> RatingVector:
     Balance lemma: it rates the problem flat exactly when s = 0. L 1 = 0,
     so a flat q gives s = L q = 0; and on a connected problem the kernel
     of L is spanned by 1, so s = 0 leaves only flat solutions.
+
+    It reads the problem only through its connectivity, L and s.
+    Connectivity (which pairs have played) and L depend on the schedule
+    alone, the match count of each pair. So two problems with one
+    schedule and one vector of net results get one rating, or one error.
     """
     if not is_connected(problem):
         raise DisconnectedProblem("comparison multigraph is not connected")

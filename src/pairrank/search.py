@@ -20,17 +20,21 @@ Two invariants hold throughout. Every method is assumed neutral:
 relabelling the objects relabels their ratings and nothing else, and no
 precondition reads the labels. On up to ``ORBIT_OBJECTS`` objects the
 search rates and judges one member per relabelling orbit on that
-assumption; the NEU judge tests exactly it, so it rates directly. Every
-witness is replayed through :func:`~pairrank.axioms.run_check` before it
-is returned, in both modes, and must fail on the pairs the judge named.
+assumption; the NEU judge tests exactly it, so it rates without orbit
+names; under ``ls``/``grs``, once per class. Every witness is replayed
+through :func:`~pairrank.axioms.run_check` before it is returned, in
+both modes, and must fail on the pairs the judge named.
 
 The grid is built by :func:`_schedules`, :func:`_buckets`, :func:`_grid`
 and :func:`_rows`, the draws by :func:`_random_candidate`.
 :class:`_Evaluator` rates, and it is the one place where a matrix is
 named by its orbit: from the marks of the bucket it is sweeping
 (:meth:`_Evaluator.sweep`) when the matrix lies there, else by
-:func:`_canonical`, which gives the same name. The judges decide, and
-:func:`_settle` and :func:`search` count what orbits settle.
+:func:`_canonical`, which gives the same name. Least squares and GRS
+read a matrix only through its class, its schedule and its net results,
+and under them the evaluator rates each class once (:func:`_class`). The
+judges decide, and :func:`_settle` and :func:`search` count what orbits
+settle.
 """
 
 from __future__ import annotations
@@ -244,12 +248,27 @@ _MISSING = object()
 ORBIT_OBJECTS = 4
 
 
+# Least squares and GRS read a matrix only through its class: its
+# schedule, dt + dt^T, and its net results, the row sums minus the column
+# sums (see their docstrings). So matrices of one class share one weak
+# order, ``None`` included, and the evaluator rates one per class.
+_CLASS_READERS = ("ls", "grs")
+
+
+def _class(dt: Matrix) -> tuple[int, ...]:
+    """The class of ``dt`` as one flat tuple: the entries of dt + dt^T
+    above the diagonal, in :func:`_pairs` order, then the net results. Its
+    length, n (n + 1) / 2, tells the object count."""
+    return (*[dt[i][j] + dt[j][i] for i, j in _pairs(len(dt))], *map(operator.sub, map(sum, dt), map(sum, zip(*dt))))
+
+
 class _Evaluator(dict):
     """Weak orders of candidate matrices under one method, whatever the
     axiom, computed on first lookup; ``None`` where the method is undefined.
 
-    ``weak_order(dt)`` rates ``dt`` directly, through the method's public
-    implementation, and gives the dense rank 0..k-1 of each rating, from
+    ``weak_order(dt)`` rates ``dt`` without orbit names; under
+    ``ls``/``grs``, once per class. It rates through the method's public
+    implementation and gives the dense rank 0..k-1 of each rating, from
     its integer numerators, which order like the ratings. Equal weak
     orders share one tuple, and ``masks(order)`` gives its
     :func:`~pairrank.axioms.pair_masks`, which every judge decides on.
@@ -270,19 +289,35 @@ class _Evaluator(dict):
         super().__init__()
         self.method = method
         self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # The weak order of each class rated, under a method of _CLASS_READERS.
+        self.classes: dict[tuple[int, ...], tuple[int, ...] | None] = {}
         self.masks = cache(pair_masks)
         # The bucket being swept, its marks, its orbits' names and its
         # relabellings, or None.
         self.swept: tuple | None = None
 
     def weak_order(self, dt: Matrix) -> tuple[int, ...] | None:
+        """The dense ranks of the rating of ``dt``, or None where the
+        method is undefined. Under a method of ``_CLASS_READERS`` they are
+        kept per class (:func:`_class`) for the evaluator's life, one
+        search, and read back for every matrix of the class. That is
+        exact: such a method's errors depend on the schedule alone, and
+        its rating on the class, up to a common factor that leaves the
+        ranks as they are."""
+        key = _class(dt) if self.method.key in _CLASS_READERS else None
+        if key in self.classes:
+            return self.classes[key]
         try:
-            keys = self.method.rate(_problem(dt)).scaled
+            scaled = self.method.rate(_problem(dt)).scaled
         except MethodPreconditionError:
-            return None
-        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-        order = tuple(rank[key] for key in keys)
-        return self.interned.setdefault(order, order)
+            order = None
+        else:
+            rank = {v: r for r, v in enumerate(sorted(set(scaled)))}
+            order = tuple(rank[v] for v in scaled)
+            order = self.interned.setdefault(order, order)
+        if key is not None:
+            self.classes[key] = order
+        return order
 
     def rate(self, dt: Matrix) -> tuple[int, ...] | None:
         if dt in self:
@@ -688,7 +723,10 @@ def _draw_rng(seed: int, index: int) -> random.Random:
 # compare ratings only within one vector, so weak orders give the
 # verdicts the ratings give. A judge names no matrix: it looks matrices
 # up in the evaluator, which names them, except that the NEU judge rates
-# directly, since it tests the neutrality that naming assumes. The
+# without orbit names; under ``ls``/``grs``, once per class, since it
+# tests the neutrality that naming assumes. A relabelled matrix has the
+# relabelled class, so the judge still compares the rating of each
+# relabelling with that of the matrix it came from, relabelled. The
 # invariance judge reads its second order one way for NEU, SYM and INV:
 # that of the relabelled matrix or of the transpose, which for SYM's flat
 # matrix is the matrix itself, already kept.
@@ -835,11 +873,11 @@ def search(method: Method, axiom: Axiom, config: SearchConfig) -> SearchResult:
     row was clean. For SYM, INV, IIM and IIR clean means without a hit:
     their judges read the orbit table, and a relabelled matrix has the
     relabelled candidates, so every verdict follows the relabelling. As
-    the NEU judge rates directly, a NEU row is clean only when all n! - 1
-    candidates of R are admissible and none fails, which shows every
-    member's weak order to be R's relabelled. Either way the hits, their
-    order, the counts at a limit stop and the replays are those of the
-    full walk, and no row is judged twice.
+    the NEU judge rates without orbit names, a NEU row is clean only when
+    all n! - 1 candidates of R are admissible and none fails, which shows
+    every member's weak order to be R's relabelled. Either way the hits,
+    their order, the counts at a limit stop and the replays are those of
+    the full walk, and no row is judged twice.
     """
     evaluator = _Evaluator(method)
     judge = _JUDGES[axiom.kind](axiom, evaluator, config.max_matches)

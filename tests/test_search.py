@@ -735,10 +735,10 @@ def test_sweep_names_give_the_weak_orders_of_direct_rating(monkeypatch):
     ids=["score-all", "score-irreducible", "cfb-all", "cfb-irreducible"],
 )
 def test_independence_rows_without_candidates_rate_nothing(method, domain, rated, counts, monkeypatch):
-    # A named IIR row enters its matrix with its first candidate, so a
-    # row with none, such as the zero matrix in "all", whose pairs have no
-    # other result at zero matches, is never rated. Every other row has
-    # its matrix rated once per orbit, as before.
+    # A row's candidates are lazy, and its matrix is rated only when its
+    # first candidate is judged. So a row with none, such as the zero
+    # matrix in "all", whose pairs have no other result at zero matches,
+    # is never rated. Every other row has its matrix rated once per orbit.
     calls = _counting_rate(monkeypatch)
     config = SearchConfig(object_counts=(2, 3, 4), domain=domain)
     result = search(method, Axiom.IIR, config)
@@ -772,10 +772,105 @@ def test_orbit_layer_rates_like_plain_rating(method):
     grid = [dt for n, cap in ((3, 1), (4, 1), (3, 2)) for dt in _matrices(n, cap, "all")]
     on = _Evaluator(method)
     for dt in grid:
-        assert on.rate(dt) == on.weak_order(dt), dt
+        assert on.rate(dt) == _plain_order(method, dt), dt
     # One rating per orbit, kept under its representative: the 4 889
     # matrices fall into far fewer.
     assert len(on) < len(grid) // 5
+
+
+def _plain_order(method, dt):
+    """The dense ranks of a plain rating of ``dt``, outside any evaluator,
+    or None where the method is undefined."""
+    try:
+        scaled = method.rate(_problem(dt)).scaled
+    except MethodPreconditionError:
+        return None
+    ranks = sorted(set(scaled))
+    return tuple(map(ranks.index, scaled))
+
+
+def _class_of(dt):
+    """The schedule dt + dt^T of ``dt`` and its net results."""
+    return add(dt, transpose(dt)), tuple(sum(row) - sum(column) for row, column in zip(dt, zip(*dt)))
+
+
+@cache
+def _memo_matrices():
+    """Every bucket matrix of n = 2 to 4 with one match and of n = 3 with
+    two, in all four domains, its transpose, its IIM edits and its sum
+    with its bucket's first matrix: 10 567 matrices, each once."""
+    grids = [(n, 1, domain) for n in (2, 3, 4) for domain in DOMAINS] + [(3, 2, domain) for domain in DOMAINS]
+    matrices = {}
+    for n, cap, domain in grids:
+        for bucket in _buckets(n, cap, domain):
+            for dt in bucket:
+                matrices.update(dict.fromkeys([dt, transpose(dt), add(dt, bucket[0])]))
+                matrices.update(dict.fromkeys(
+                    _with_pair(dt, k, l, *edit)
+                    for k, l in combinations(range(n), 2)
+                    for edit in _pair_edits(Axiom.IIM, dt, k, l, cap)
+                ))
+    return tuple(matrices)
+
+
+@pytest.mark.parametrize(
+    "method",
+    [Method("ls"), Method("grs", "reasonable"), Method("grs", Fraction(1, 3))],
+    ids=["ls", "grs-reasonable", "grs-third"],
+)
+def test_class_memo_rates_like_plain_rating(method, monkeypatch):
+    # Least squares and GRS read a matrix only through its class, its
+    # schedule and its net results, so the evaluator rates one matrix per
+    # class: 6 257 for the matrices of _memo_matrices. Each lookup and
+    # each weak order must be the dense ranks of a plain rating, and
+    # Method.rate must run once per class met: those of the matrices and
+    # of their orbits' representatives. About 2 s per setting.
+    plain = {dt: _plain_order(method, dt) for dt in _memo_matrices()}
+    # Each matrix the evaluator rates, at denominator 2: a problem reduces
+    # its matrix by the common factor of its entries and 2.
+    rated = []
+    rate = Method.rate
+    monkeypatch.setattr(Method, "rate", lambda self, problem: rated.append(
+        tuple(tuple(v * 2 // problem.denominator for v in row) for row in problem.scaled)
+    ) or rate(self, problem))
+    evaluator = _Evaluator(method)
+    for dt, order in plain.items():
+        assert evaluator[dt] == evaluator.weak_order(dt) == order, dt
+    classes = set(map(_class_of, rated))
+    assert len(rated) == len(classes) == 6257
+    assert classes == {_class_of(dt) for dt in plain} | {_class_of(_canonical(dt)[0]) for dt in plain}
+
+
+def _tie_broken_ls(problem):
+    """Least squares with ties broken by object index: a planted method
+    that reads a problem only through its class but is not neutral."""
+    base = methods.least_squares(problem)
+    n = problem.size
+    return methods.RatingVector("ls", problem.labels, [n * v + i for i, v in enumerate(base.scaled)], n * base.denominator)
+
+
+def test_neutrality_search_catches_a_class_reading_method(monkeypatch):
+    # Planted: least squares with ties broken by object index. It reads
+    # only the class, so the evaluator rates one matrix per class; but a
+    # relabelled matrix has the relabelled class, so the NEU judge still
+    # compares each relabelling with the matrix it came from. The search
+    # must find what run_check finds on every candidate, while rating one
+    # matrix per class of the 27 round robins, 19 classes, besides the two
+    # problems each replay rates.
+    monkeypatch.setitem(methods._PLAIN, "ls", _tie_broken_ls)
+    method = Method("ls")
+    config = SearchConfig(object_counts=(3,), domain="roundrobin", limit=1000)
+    expected = []
+    for dt, sigma in _walked(Axiom.NEU, config, _Evaluator(method)):
+        report = run_check(Axiom.NEU, method, _witness(Axiom.NEU, (dt, sigma)))
+        if not report.satisfied:
+            expected.append(SearchHit(_witness(Axiom.NEU, (dt, sigma)), report))
+    calls = _counting_rate(monkeypatch)
+    result = search(method, Axiom.NEU, config)
+    assert result.found
+    assert result.hits == tuple(expected)
+    classes = {_class_of(dt) for dt in _matrices(3, 1, "roundrobin")}
+    assert len(calls) - 2 * len(result.hits) == len(classes) == 19
 
 
 def test_neutrality_search_rates_every_relabelling(monkeypatch):
